@@ -1,49 +1,30 @@
-"""Hot numeric kernels for SO(3) maps and the memory-based rotation average.
+"""Numeric kernels for SO(3) maps and the memory-based rotation average.
 
-Every function here is written in plain numpy/math and compiled with numba's
-``@njit`` when available.  Setting the environment variable ``ORIFUSE_NO_NUMBA=1``
-(before import) selects the interpreted pure-numpy path instead; the bodies are
-identical, so both paths produce the same results.  The compiled dispatchers
-keep the original function on ``.py_func``, which is what the benchmark in
-``benchmarks/bench_kernels.py`` compares against.
+Each chart map exists in two forms.  ``rot_exp`` and ``rot_log`` map one
+vector or matrix in plain floats; ``rot_exp_many`` and ``rot_log_many`` apply
+the same formulas to a whole (N, 3) or (N, 3, 3) stack with numpy, choosing
+the small-angle branch with boolean masks.  The rare near-pi rows of
+``rot_log_many`` go through the scalar ``rot_log``, so one piece of code
+applies the half-sphere rule.
+
+The memory-based average is split the same way.  ``_memory_turn`` is its
+turn-counter and history state machine, in plain floats.  The one-pair
+``memory_average_step`` and the whole-grid ``memory_average_many`` both call
+it; the latter computes the relative logs of every grid point before its
+sequential loop and all the exps after it.
 """
 
 import math
-import os
 
 import numpy as np
 
-NUMBA_ENV_FLAG = "ORIFUSE_NO_NUMBA"
+# The kernels are plain numpy; the benchmark's environment record reads this.
+USING_NUMBA = False
 
 # distances below this are treated as zero when normalizing traverse directions
 ZERO_DISTANCE = 1e-12
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() not in ("1", "true", "yes")
-
-
-USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-
-if USING_NUMBA:
-
-    def jit(fn):
-        return _njit(cache=True)(fn)
-
-else:
-
-    def jit(fn):
-        return fn
-
-
-@jit
 def rot_exp(psi):
     """Rodrigues map: 3-vector (axis * angle) -> rotation matrix.
 
@@ -73,7 +54,6 @@ def rot_exp(psi):
     return R
 
 
-@jit
 def rot_log(R):
     """Inverse of rot_exp with range inside the closed pi-ball.
 
@@ -148,7 +128,6 @@ def rot_log(R):
     return out
 
 
-@jit
 def rot_geodesic(Ri, Rj):
     """Geodesic distance ||log(Ri^T Rj)|| in [0, pi]."""
     rel = Ri.T @ Rj
@@ -156,170 +135,220 @@ def rot_geodesic(Ri, Rj):
     return math.sqrt(psi[0] * psi[0] + psi[1] * psi[1] + psi[2] * psi[2])
 
 
-@jit
+def _norms(v):
+    """Row norms of an (N, 3) array, summed in the scalar kernels' order."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+
+
+def _relative(Ris, Rjs):
+    """Ri^T Rj for every row of two (N, 3, 3) stacks."""
+    return np.matmul(Ris.transpose(0, 2, 1), Rjs)
+
+
 def rot_exp_many(psis):
-    n = psis.shape[0]
-    out = np.empty((n, 3, 3))
-    for i in range(n):
-        out[i] = rot_exp(psis[i])
-    return out
+    """rot_exp over an (N, 3) stack; row i equals rot_exp(psis[i]) bit for bit."""
+    psis = np.asarray(psis, dtype=float)
+    x, y, z = psis[:, 0], psis[:, 1], psis[:, 2]
+    t2 = x * x + y * y + z * z
+    t = np.sqrt(t2)
+    small = t < 1e-8
+    big = ~small
+    a = np.empty_like(t)
+    b = np.empty_like(t)
+    a[small] = 1.0 - t2[small] / 6.0
+    b[small] = 0.5 - t2[small] / 24.0
+    a[big] = np.sin(t[big]) / t[big]
+    b[big] = (1.0 - np.cos(t[big])) / t2[big]
+    R = np.empty((psis.shape[0], 3, 3))
+    R[:, 0, 0] = 1.0 + b * (x * x - t2)
+    R[:, 0, 1] = -a * z + b * x * y
+    R[:, 0, 2] = a * y + b * x * z
+    R[:, 1, 0] = a * z + b * x * y
+    R[:, 1, 1] = 1.0 + b * (y * y - t2)
+    R[:, 1, 2] = -a * x + b * y * z
+    R[:, 2, 0] = -a * y + b * x * z
+    R[:, 2, 1] = a * x + b * y * z
+    R[:, 2, 2] = 1.0 + b * (z * z - t2)
+    return R
 
 
-@jit
 def rot_log_many(Rs):
-    n = Rs.shape[0]
-    out = np.empty((n, 3))
-    for i in range(n):
+    """rot_log over an (N, 3, 3) stack.
+
+    Rows away from pi follow rot_log's formulas with numpy's arctan2 (within
+    an ulp of math.atan2); near-pi rows are delegated to rot_log itself.
+    """
+    Rs = np.asarray(Rs, dtype=float)
+    tr = Rs[:, 0, 0] + Rs[:, 1, 1] + Rs[:, 2, 2]
+    c = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+    s = np.empty((Rs.shape[0], 3))
+    s[:, 0] = 0.5 * (Rs[:, 2, 1] - Rs[:, 1, 2])
+    s[:, 1] = 0.5 * (Rs[:, 0, 2] - Rs[:, 2, 0])
+    s[:, 2] = 0.5 * (Rs[:, 1, 0] - Rs[:, 0, 1])
+    sn = _norms(s)
+    theta = np.arctan2(sn, c)
+    small = theta < 1e-8
+    near_pi = (tr < -1.0 + 1e-7) & ~small
+    general = ~(small | near_pi)
+    scale = np.ones_like(theta)  # theta/sin(theta) = 1 on small rows
+    scale[general] = theta[general] / sn[general]
+    out = s * scale[:, None]
+    for i in np.flatnonzero(near_pi):
         out[i] = rot_log(Rs[i])
     return out
 
 
-@jit
 def consecutive_geodesic_steps(Rs):
     """Distances between consecutive rotations of a trajectory."""
-    n = Rs.shape[0]
-    out = np.empty(n - 1)
-    for i in range(n - 1):
-        out[i] = rot_geodesic(Rs[i], Rs[i + 1])
+    Rs = np.asarray(Rs, dtype=float)
+    return _norms(rot_log_many(_relative(Rs[:-1], Rs[1:])))
+
+
+def stateless_average_many(Ris, Rjs, Wis, Wjs):
+    """Weighted average along the geodesic, row by row: Ri * exp(d * psi_bar).
+
+    d = Wj / (Wi + Wj) * dist(Ri, Rj); a row returns Ri for coincident inputs
+    or when both weights vanish.
+    """
+    Ris = np.asarray(Ris, dtype=float)
+    psi = rot_log_many(_relative(Ris, Rjs))
+    d_ij = _norms(psi)
+    wsum = Wis + Wjs
+    keep = (d_ij < ZERO_DISTANCE) | (wsum <= 0.0)
+    move = ~keep
+    scale = np.zeros_like(d_ij)
+    scale[move] = Wjs[move] / wsum[move] * d_ij[move] / d_ij[move]
+    out = np.matmul(Ris, rot_exp_many(psi * scale[:, None]))
+    out[keep] = Ris[keep]
     return out
 
 
-@jit
 def stateless_average(Ri, Rj, Wi, Wj):
-    """Weighted average along the geodesic: Ri * exp(d * psi_bar).
-
-    d = Wj / (Wi + Wj) * dist(Ri, Rj); returns Ri for coincident inputs
-    or when both weights vanish.
-    """
-    rel = Ri.T @ Rj
-    psi = rot_log(rel)
-    d_ij = math.sqrt(psi[0] * psi[0] + psi[1] * psi[1] + psi[2] * psi[2])
-    wsum = Wi + Wj
-    if d_ij < ZERO_DISTANCE or wsum <= 0.0:
-        return Ri.copy()
-    d = Wj / wsum * d_ij
-    step = np.empty(3)
-    scale = d / d_ij
-    step[0] = scale * psi[0]
-    step[1] = scale * psi[1]
-    step[2] = scale * psi[2]
-    return Ri @ rot_exp(step)
+    """stateless_average_many for a single pair."""
+    return stateless_average_many(Ri[None], Rj[None], np.array([Wi]), np.array([Wj]))[0]
 
 
-@jit
-def _history_mean(hist, n_hist):
+def _history_mean(hist):
     """Average of the stored non-zero traverse directions, re-normalized.
 
-    Zero-sentinel rows are skipped; a cancelling mean falls back to the most
-    recent non-zero entry, and an all-zero history yields the zero vector.
+    Zero-sentinel entries are skipped; a cancelling mean falls back to the
+    most recent non-zero entry, and an all-zero history yields the zero vector.
     """
-    m0 = 0.0
-    m1 = 0.0
-    m2 = 0.0
+    m0 = m1 = m2 = 0.0
     count = 0
-    for i in range(n_hist):
-        h0 = hist[i, 0]
-        h1 = hist[i, 1]
-        h2 = hist[i, 2]
+    for h0, h1, h2 in hist:
         if h0 * h0 + h1 * h1 + h2 * h2 > 0.25:  # unit vectors vs zero sentinel
             m0 += h0
             m1 += h1
             m2 += h2
             count += 1
-    out = np.zeros(3)
     if count == 0:
-        return out
+        return (0.0, 0.0, 0.0)
     n = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
     if n < 1e-12:
-        for i in range(n_hist - 1, -1, -1):
-            h0 = hist[i, 0]
-            h1 = hist[i, 1]
-            h2 = hist[i, 2]
-            if h0 * h0 + h1 * h1 + h2 * h2 > 0.25:
-                out[0] = h0
-                out[1] = h1
-                out[2] = h2
-                return out
-        return out
-    out[0] = m0 / n
-    out[1] = m1 / n
-    out[2] = m2 / n
-    return out
+        for h in reversed(hist):
+            if h[0] * h[0] + h[1] * h[1] + h[2] * h[2] > 0.25:
+                return h
+    return (m0 / n, m1 / n, m2 / n)
 
 
-@jit
-def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
-    """One step of the memory-based weighted rotation average.
+def _memory_turn(d_ij, psi_c, Wi, Wj, n_turns, hist, cap, d_th, e_psi):
+    """Turn-counter and history update of one memory-average step.
 
-    Mutates ``hist`` in place (bounded FIFO of past traverse directions) and
-    returns ``(Rij, n_turns, n_hist)``.  Dispatch:
+    psi_c is the unit traverse direction log(Ri^T Rj) / d_ij as a float
+    triple (zeros for coincident inputs); hist is the list of past directions,
+    oldest first, updated in place and kept at most cap long.  Returns
+    (scale, direction, n_turns): the averaged rotation is
+    Ri * exp(scale * direction), or Ri itself when scale is None (both
+    weights vanish).  Dispatch:
 
     even turn count: d = Wj*(N*pi + d_ij)/(Wi+Wj), result Ri*exp(+d*psi_c);
     odd turn count:  d = Wj*((N+1)*pi - d_ij)/(Wi+Wj), result Ri*exp(-d*psi_c).
 
     A direction flip (dot with the history average below -e_psi) increments or
     decrements the turn counter depending on whether the crossing happened at
-    the pi boundary (d_ij > d_th) or at the pole, switches to the other
+    the pi boundary (d_ij > d_th) or at the pole, which switches to the other
     branch's formula, and clears the history.  A direction that is neither
     aligned nor anti-aligned is an outlier; the history average is used in
     its place.
     """
-    rel = Ri.T @ Rj
-    psi = rot_log(rel)
-    d_ij = math.sqrt(psi[0] * psi[0] + psi[1] * psi[1] + psi[2] * psi[2])
-    psi_c = np.zeros(3)
-    if d_ij >= ZERO_DISTANCE:
-        psi_c[0] = psi[0] / d_ij
-        psi_c[1] = psi[1] / d_ij
-        psi_c[2] = psi[2] / d_ij
-    if n_hist == 0:
-        psi_p = psi_c.copy()
-    else:
-        psi_p = _history_mean(hist, n_hist)
+    psi_p = _history_mean(hist) if hist else psi_c
     wsum = Wi + Wj
-    if wsum <= 0.0:
-        Rij = Ri.copy()
-    else:
+    scale = None
+    direction = psi_c
+    if wsum > 0.0:
         dot = psi_p[0] * psi_c[0] + psi_p[1] * psi_c[1] + psi_p[2] * psi_c[2]
-        even = n_turns % 2 == 0
         if dot > e_psi:
-            if even:
-                d = Wj * (n_turns * math.pi + d_ij) / wsum
-                Rij = Ri @ rot_exp(d * psi_c)
-            else:
-                d = Wj * ((n_turns + 1) * math.pi - d_ij) / wsum
-                Rij = Ri @ rot_exp(-d * psi_c)
+            pass  # aligned with the history
         elif -dot > e_psi:
-            # flip detected
-            if even:
-                if d_ij > d_th:
-                    n_turns += 1  # crossed the pi boundary forwards
-                else:
-                    n_turns -= 1  # crossed the pole backwards
-                d = Wj * ((n_turns + 1) * math.pi - d_ij) / wsum
-                Rij = Ri @ rot_exp(-d * psi_c)
-            else:
-                if d_ij > d_th:
-                    n_turns -= 1
-                else:
-                    n_turns += 1
-                d = Wj * (n_turns * math.pi + d_ij) / wsum
-                Rij = Ri @ rot_exp(d * psi_c)
-            n_hist = 0  # historical data is stale after a flip
+            # flip: on an even count a pi-boundary crossing (d_ij > d_th)
+            # counts forwards and a pole crossing backwards; odd reverses both
+            n_turns += 1 if (d_ij > d_th) == (n_turns % 2 == 0) else -1
+            hist.clear()  # historical data is stale after a flip
         else:
-            # outlier direction: trust the history instead
-            if even:
-                d = Wj * (n_turns * math.pi + d_ij) / wsum
-                Rij = Ri @ rot_exp(d * psi_p)
-            else:
-                d = Wj * ((n_turns + 1) * math.pi - d_ij) / wsum
-                Rij = Ri @ rot_exp(-d * psi_p)
-    cap = hist.shape[0]
-    if n_hist < cap:
-        hist[n_hist] = psi_c
-        n_hist += 1
-    else:
-        for i in range(cap - 1):
-            hist[i] = hist[i + 1]
-        hist[cap - 1] = psi_c
-    return Rij, n_turns, n_hist
+            direction = psi_p  # outlier direction: trust the history instead
+        if n_turns % 2 == 0:
+            scale = Wj * (n_turns * math.pi + d_ij) / wsum
+        else:
+            scale = -(Wj * ((n_turns + 1) * math.pi - d_ij) / wsum)
+    hist.append(psi_c)
+    if len(hist) > cap:
+        del hist[0]
+    return scale, direction, n_turns
+
+
+def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
+    """One step of the memory-based weighted rotation average.
+
+    hist is a (capacity, 3) array whose first n_hist rows are the past
+    traverse directions; it is updated in place.  Returns
+    ``(Rij, n_turns, n_hist)``; the dispatch is described in _memory_turn.
+    """
+    psi = rot_log(Ri.T @ Rj)
+    d_ij = math.sqrt(psi[0] * psi[0] + psi[1] * psi[1] + psi[2] * psi[2])
+    psi_c = (0.0, 0.0, 0.0)
+    if d_ij >= ZERO_DISTANCE:
+        psi_c = (psi[0] / d_ij, psi[1] / d_ij, psi[2] / d_ij)
+    past = [tuple(row) for row in hist[:n_hist].tolist()]
+    scale, direction, n_turns = _memory_turn(
+        d_ij, psi_c, Wi, Wj, n_turns, past, hist.shape[0], d_th, e_psi
+    )
+    hist[:len(past)] = past
+    if scale is None:
+        return Ri.copy(), n_turns, len(past)
+    return Ri @ rot_exp(np.multiply(scale, direction)), n_turns, len(past)
+
+
+def memory_average_many(Ris, Rjs, Wis, Wjs, d_th, e_psi, capacity):
+    """memory_average_step over a time-ordered grid of pairs.
+
+    Starts from a fresh state (no turns, empty history of the given
+    capacity), and row i continues from the state row i - 1 left.  The
+    relative logs of all rows come first, then the state machine runs row by
+    row in plain floats, then all the exps.  Returns ``(Rs, turns)``, turns
+    holding the turn count after each row.
+    """
+    Ris = np.asarray(Ris, dtype=float)
+    psi = rot_log_many(_relative(Ris, Rjs))
+    d_ij = _norms(psi)
+    unit = np.zeros_like(psi)
+    np.divide(psi, d_ij[:, None], out=unit, where=(d_ij >= ZERO_DISTANCE)[:, None])
+    n_turns = 0
+    past = []
+    scales, directions, turns, keep = [], [], [], []
+    rows = zip(d_ij.tolist(), map(tuple, unit.tolist()), np.asarray(Wis).tolist(),
+               np.asarray(Wjs).tolist())
+    for i, (d, psi_c, wi, wj) in enumerate(rows):
+        scale, direction, n_turns = _memory_turn(
+            d, psi_c, wi, wj, n_turns, past, capacity, d_th, e_psi
+        )
+        turns.append(n_turns)
+        if scale is None:
+            keep.append(i)
+            scale = 0.0
+        scales.append(scale)
+        directions.append(direction)
+    steps = np.array(scales)[:, None] * np.array(directions).reshape(-1, 3)
+    out = np.matmul(Ris, rot_exp_many(steps))
+    out[keep] = Ris[keep]
+    return out, np.array(turns, dtype=np.int64)

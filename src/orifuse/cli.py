@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,10 @@ def _out_dir(args):
 
 
 def _effective(args, cfg):
+    """(seed, grid) after flag and environment overrides, validated like the config."""
     seed = args.seed if args.seed is not None else _env_default("SEED", int, cfg.seed)
     grid = args.grid if args.grid is not None else _env_default("GRID", int, cfg.grid)
+    io.validate_config(replace(cfg, seed=seed, grid=grid), "overrides")
     return seed, grid
 
 
@@ -297,6 +300,19 @@ def _cmd_eval(args):
     return 0
 
 
+def _sweep_rows(trial, values, jobs):
+    """Table rows of a sweep, in value order.
+
+    The first trial runs alone and fills the mixture cache the others share;
+    its row is kept and the remaining trials run on the pool.
+    """
+    if not values:
+        return []
+    first = trial(values[0])
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return [first] + list(pool.map(trial, values[1:]))
+
+
 def _cmd_sweep(args):
     cfg = io.load_config(args.config)
     seed, grid = _effective(args, cfg)
@@ -304,6 +320,8 @@ def _cmd_sweep(args):
     demos = io.load_demos(cfg.demo_paths)
     values = cfg.sweep_values
     jobs = args.jobs or _env_default("JOBS", int, min(4, os.cpu_count() or 1))
+    if jobs < 1:
+        raise ConfigError(f"the sweep needs at least one job, got {jobs}")
     if cfg.sweep_axis == "lambda_a":
         R_aux = _aux_frame(cfg, demos)
         grid_times = _grid_times(demos, grid)
@@ -326,10 +344,7 @@ def _cmd_sweep(args):
             ]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
 
-        if values:
-            trial(values[0])  # warm the mixture cache before going parallel
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(trial, [float(v) for v in values]))
+        rows = _sweep_rows(trial, [float(v) for v in values], jobs)
         io.save_table(out / "table.csv", ["lambda_a", "acceleration_cost", "max_via_err"], rows)
     elif cfg.sweep_axis == "target-rotation":
         if cfg.aux_policy != "per-iovp":
@@ -362,10 +377,7 @@ def _cmd_sweep(args):
                 m_s["continuity_ratio"],
             ]
 
-        if values:
-            trial(values[0])  # warm the shared-frame mixtures sequentially
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(trial, values))
+        rows = _sweep_rows(trial, values, jobs)
         io.save_table(
             out / "table.csv",
             ["i", "cost_iovp", "cost_strict", "max_axis_err",

@@ -34,7 +34,7 @@ def _bumps(tau, rng, amplitude):
 
 
 def _demo_from_chart(times, chart):
-    return Demonstration(times, rot_exp_many(np.ascontiguousarray(chart)))
+    return Demonstration(times, rot_exp_many(chart))
 
 
 def generate_demos(profile, count, seed, duration=DURATION, samples=SAMPLES):
@@ -67,10 +67,10 @@ def generate_demos(profile, count, seed, duration=DURATION, samples=SAMPLES):
             v0 = v0 / np.linalg.norm(v0) * rng.uniform(0.3, 1.2)
             v1 = rng.normal(size=3)
             v1 = v1 / np.linalg.norm(v1) * rng.uniform(1.2, 2.4)
-            R0 = rot_exp(np.ascontiguousarray(v0))
-            step = rot_log(np.ascontiguousarray(R0.T @ rot_exp(np.ascontiguousarray(v1))))
+            R0 = rot_exp(v0)
+            step = rot_log(R0.T @ rot_exp(v1))
             rotations = np.einsum(
-                "ij,njk->nik", R0, rot_exp_many(np.ascontiguousarray(np.outer(s, step)))
+                "ij,njk->nik", R0, rot_exp_many(np.outer(s, step))
             )
             demos.append(Demonstration(times, rotations))
     else:

@@ -17,8 +17,8 @@ import numpy as np
 from . import so3
 from ._kernels import (
     consecutive_geodesic_steps,
-    memory_average_step,
-    stateless_average,
+    memory_average_many,
+    stateless_average_many,
 )
 from .errors import DomainOverlap, SeriesTooShort
 from .kmp import ViaPointSpec, angular_velocities
@@ -130,12 +130,18 @@ class WeightCurveSet:
 
 @dataclass(frozen=True)
 class FusedTrajectory:
-    """Fused orientation trajectory plus the per-sample component weights."""
+    """Fused orientation trajectory plus the per-sample component weights.
+
+    turn_counts holds the memory average's turn counter after every sample at
+    each fold position (chain folds first, the baseline fold last); it is None
+    when no memory average ran.
+    """
 
     times: np.ndarray        # (Q,)
     rotations: np.ndarray    # (Q, 3, 3)
     omega_world: np.ndarray  # (Q, 3)
     weights: np.ndarray      # (Q, K+1), columns [W_0, W_1, ..., W_K]
+    turn_counts: np.ndarray | None = None  # (Q, K)
 
     def __len__(self):
         return self.times.shape[0]
@@ -254,44 +260,30 @@ def fuse(components, curves, memory=True, d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT
             times.copy(), components[0].rotations.copy(),
             components[0].omega_world.copy(), weights,
         )
-    q = times.shape[0]
-    rotations = np.empty((q, 3, 3))
-    stacks = [np.ascontiguousarray(c.rotations) for c in components]
-    # fold positions: (n_via - 1) chain folds plus the final baseline fold
-    n_folds = n_via
+    # Fold positions run one after another over the whole grid: the K - 1
+    # chain folds add components 2..K to the running average of component 1,
+    # and the last fold combines it with the baseline under (sum W_k, W_0).
     # Fold histories start empty: the first step's traverse direction is its
     # own alignment reference, which matches seeding with the initial
     # direction of each fold pair.
-    turn_counts = np.zeros(n_folds, dtype=np.int64)
-    histories = np.zeros((n_folds, HISTORY_CAPACITY, 3))
-    hist_lens = np.zeros(n_folds, dtype=np.int64)
-    for i in range(q):
-        cur = stacks[1][i]
-        acc_w = weights[i, 1]
-        for k in range(2, n_via + 1):
-            wj = weights[i, k]
-            if memory:
-                cur, turn_counts[k - 2], hist_lens[k - 2] = memory_average_step(
-                    cur, stacks[k][i], acc_w, wj,
-                    turn_counts[k - 2], histories[k - 2], hist_lens[k - 2],
-                    d_th, e_psi,
-                )
-            else:
-                cur = stateless_average(cur, stacks[k][i], acc_w, wj)
-            acc_w += wj
-        w0 = weights[i, 0]
+    rotations = components[1].rotations
+    acc_w = weights[:, 1]
+    folds = list(range(2, n_via + 1)) + [0]
+    turn_counts = np.zeros((times.shape[0], len(folds)), dtype=np.int64) if memory else None
+    for fold, k in enumerate(folds):
         if memory:
-            cur, turn_counts[-1], hist_lens[-1] = memory_average_step(
-                cur, stacks[0][i], acc_w, w0,
-                turn_counts[-1], histories[-1], hist_lens[-1],
-                d_th, e_psi,
+            rotations, turn_counts[:, fold] = memory_average_many(
+                rotations, components[k].rotations, acc_w, weights[:, k],
+                d_th, e_psi, HISTORY_CAPACITY,
             )
         else:
-            cur = stateless_average(cur, stacks[0][i], acc_w, w0)
-        rotations[i] = cur
+            rotations = stateless_average_many(
+                rotations, components[k].rotations, acc_w, weights[:, k]
+            )
+        acc_w = acc_w + weights[:, k]
     dt = float(times[1] - times[0])
     omega = angular_velocities(rotations, dt)
-    return FusedTrajectory(times.copy(), rotations, omega, weights)
+    return FusedTrajectory(times.copy(), rotations, omega, weights, turn_counts)
 
 
 def acceleration_cost(omega_world, dt):
@@ -318,7 +310,7 @@ def axis_alignment_error(R, R_target, axis):
 
 def continuity_stats(rotations):
     """(max step, median step) of consecutive geodesic distances."""
-    Rs = np.ascontiguousarray(np.asarray(rotations, dtype=float))
+    Rs = np.asarray(rotations, dtype=float)
     if Rs.shape[0] < 2:
         raise SeriesTooShort("need at least 2 rotations")
     steps = consecutive_geodesic_steps(Rs)

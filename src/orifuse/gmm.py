@@ -8,7 +8,6 @@ condensed into a probabilistic reference trajectory by conditioning on time.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import so3
 from .errors import DegenerateData, SeriesTooShort
@@ -100,18 +99,21 @@ def stack_training_rows(projected):
     return np.vstack(rows)
 
 
-def _log_gaussian(data, mean, cov):
-    """Row-wise log N(x; mean, cov) via a Cholesky solve."""
-    dim = mean.shape[0]
+def _log_gaussians(data, means, covs):
+    """log N(x; mean_k, cov_k) of every row under every component, (N, K).
+
+    One batched Cholesky factorization of the K covariances; the
+    Mahalanobis terms come from the inverse factors applied to all rows.
+    """
     try:
-        factor = cho_factor(cov, lower=True)
+        chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateData(f"covariance not positive definite: {exc}") from exc
-    diff = data - mean
-    solved = cho_solve(factor, diff.T)
-    maha = np.einsum("ij,ji->i", diff, solved)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-    return -0.5 * (maha + logdet + dim * np.log(2.0 * np.pi))
+    chol_inv = np.linalg.inv(chol)
+    z = chol_inv @ data.T - chol_inv @ means[:, :, None]  # (K, D, N)
+    maha = np.einsum("kdn,kdn->nk", z, z)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (maha + logdet + means.shape[1] * np.log(2.0 * np.pi))
 
 
 def _kmeanspp_init(data, k, rng):
@@ -171,9 +173,7 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0, max_iter=EM_MAX_ITER,
     prev_ll = -np.inf
     for _ in range(max_iter):
         # E-step in log space
-        log_prob = np.empty((n, n_components))
-        for k in range(n_components):
-            log_prob[:, k] = np.log(priors[k]) + _log_gaussian(data, means[k], covs[k])
+        log_prob = np.log(priors) + _log_gaussians(data, means, covs)
         top = log_prob.max(axis=1, keepdims=True)
         log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
         ll = float(log_norm.mean())
@@ -192,11 +192,10 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0, max_iter=EM_MAX_ITER,
             break
         prev_ll = ll
     priors = priors / priors.sum()
-    for k in range(n_components):
-        try:
-            np.linalg.cholesky(covs[k])
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateData("rank-deficient component after flooring") from exc
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateData("rank-deficient component after flooring") from exc
     return GaussianMixture(priors, means, covs, np.asarray(trace))
 
 

@@ -380,9 +380,20 @@ def load_config(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the configuration must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
+    try:
+        cfg = _parse_config(doc, path)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed value: {exc}") from exc
+    validate_config(cfg, path)
+    return cfg
+
+
+def _parse_config(doc, path):
     demos = doc.get("demos")
     if not isinstance(demos, list) or not demos:
         raise ConfigError(f"{path}: 'demos' must be a non-empty list of paths")
@@ -415,7 +426,7 @@ def load_config(path):
     sweep_axis = sweep.get("axis")
     if sweep_axis not in (None, "lambda_a", "target-rotation"):
         raise ConfigError(f"{path}: unknown sweep axis {sweep_axis!r}")
-    cfg = RunConfig(
+    return RunConfig(
         demo_paths=demo_paths,
         components=int(gmm_doc.get("components", 5)),
         seed=int(gmm_doc.get("seed", 0)),
@@ -433,19 +444,49 @@ def load_config(path):
         sweep_values=list(sweep.get("values", [])),
         sweep_via_index=sweep.get("via_index"),
     )
-    _validate_config(cfg, path)
-    return cfg
 
 
-def _validate_config(cfg, path):
+def _validate_via(via, path):
+    where = f"{path}: via at t={via.t}"
+    if via.eps_strict <= 0 or via.eps_loose <= 0:
+        raise ConfigError(f"{where}: eps_strict and eps_loose must be positive")
+    if via.relaxed_axis is not None and via.eps_strict >= via.eps_loose:
+        raise ConfigError(f"{where}: a relaxed axis needs eps_strict < eps_loose")
+    if via.weight_half_width <= 0:
+        raise ConfigError(f"{where}: weight_half_width must be positive")
+    for name in ("orientation_var", "velocity_var", "acceleration_var"):
+        var = getattr(via, name)
+        if var is not None and np.any(var <= 0):
+            raise ConfigError(f"{where}: {name} entries must be positive")
+
+
+def validate_config(cfg, path):
+    """Reject configurations the computation cannot run, as ConfigError.
+
+    Also called on the effective configuration after flag and environment
+    overrides, so an override cannot skip a check.
+    """
     if cfg.components < 1:
         raise ConfigError(f"{path}: gmm components must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"{path}: seed must be non-negative")
     if cfg.l <= 0 or cfg.lam <= 0:
         raise ConfigError(f"{path}: kernel parameters must be positive")
     if cfg.lambda_a is not None and cfg.lambda_a <= 0:
         raise ConfigError(f"{path}: lambda_a must be positive")
     if cfg.grid < 2:
         raise ConfigError(f"{path}: grid must have at least 2 points")
+    if cfg.delta_t_via <= 0:
+        raise ConfigError(f"{path}: delta_t_via must be positive")
+    for via in cfg.via_points:
+        _validate_via(via, path)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.sweep_values):
+        raise ConfigError(f"{path}: sweep values must be numbers")
+    if cfg.sweep_axis == "lambda_a" and any(v <= 0 for v in cfg.sweep_values):
+        raise ConfigError(f"{path}: lambda_a sweep values must be positive")
+    index = cfg.sweep_via_index
+    if index is not None and not (isinstance(index, int) and 0 <= index < len(cfg.via_points)):
+        raise ConfigError(f"{path}: sweep via_index {index!r} out of range")
     if cfg.aux_policy == "via" and cfg.aux_via_index is not None:
         if not 0 <= cfg.aux_via_index < len(cfg.via_points):
             raise ConfigError(f"{path}: aux via index {cfg.aux_via_index} out of range")

@@ -143,7 +143,7 @@ def transform_via_point(vp, R_aux, delta_t=DEFAULT_DELTA_T):
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
     R_aux = so3.check_rotation(R_aux, name="R_aux")
-    psi = rot_log(np.ascontiguousarray(R_aux.T @ vp.rotation))
+    psi = rot_log(R_aux.T @ vp.rotation)
     margin = CHART_MARGIN + 2.0 * delta_t * float(np.linalg.norm(vp.omega))
     if np.linalg.norm(psi) > np.pi - margin:
         raise ChartBoundaryError(
@@ -151,8 +151,8 @@ def transform_via_point(vp, R_aux, delta_t=DEFAULT_DELTA_T):
             "chart boundary; choose an auxiliary frame closer to the target"
         )
     body_step = vp.rotation.T @ vp.omega * delta_t
-    R_plus = vp.rotation @ rot_exp(np.ascontiguousarray(body_step))
-    psi_plus = rot_log(np.ascontiguousarray(R_aux.T @ R_plus))
+    R_plus = vp.rotation @ rot_exp(body_step)
+    psi_plus = rot_log(R_aux.T @ R_plus)
     psi_dot = (psi_plus - psi) / delta_t
     return vp.t, np.concatenate([psi, psi_dot]), vp.covariance.copy()
 
@@ -230,18 +230,19 @@ def gaussian_scalar_blocks(a, b, l, order):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = a[:, None] - b[None, :]
-    g = np.exp(-l * d**2)
+    d2 = d * d
+    g = np.exp(-l * d2)
     s = np.empty((order, order) + d.shape)
     s[0, 0] = g
     s[0, 1] = 2.0 * l * d * g
     s[1, 0] = -s[0, 1]
-    s[1, 1] = (2.0 * l - 4.0 * l**2 * d**2) * g
+    s[1, 1] = (2.0 * l - 4.0 * l**2 * d2) * g
     if order == 3:
-        s[0, 2] = (4.0 * l**2 * d**2 - 2.0 * l) * g
+        s[0, 2] = (4.0 * l**2 * d2 - 2.0 * l) * g
         s[2, 0] = s[0, 2]
-        s[1, 2] = (12.0 * l**2 * d - 8.0 * l**3 * d**3) * g
+        s[1, 2] = (12.0 * l**2 - 8.0 * l**3 * d2) * d * g
         s[2, 1] = -s[1, 2]
-        s[2, 2] = (16.0 * l**4 * d**4 - 48.0 * l**3 * d**2 + 12.0 * l**2) * g
+        s[2, 2] = ((16.0 * l**4 * d2 - 48.0 * l**3) * d2 + 12.0 * l**2) * g
     return s
 
 
@@ -263,11 +264,17 @@ class KmpModel:
         t_stars = np.asarray(t_stars, dtype=float)
         nb = self.cfg.n_blocks
         out = np.empty((t_stars.shape[0], nb * 3))
+        # eta_p(t*) = sum_q S[p, q](t*, times) @ alpha[:, q, :], one matmul per
+        # (p, q) slab of the scalar table
+        alpha = [np.ascontiguousarray(self.alpha[:, q, :]) for q in range(nb)]
         for lo in range(0, t_stars.shape[0], chunk):
             hi = min(lo + chunk, t_stars.shape[0])
             s = self._scalar_blocks(t_stars[lo:hi], self.times, nb)
-            eta = np.einsum("pqab,bqr->apr", s, self.alpha)
-            out[lo:hi] = eta.reshape(hi - lo, nb * 3)
+            for p in range(nb):
+                eta = s[p, 0] @ alpha[0]
+                for q in range(1, nb):
+                    eta += s[p, q] @ alpha[q]
+                out[lo:hi, 3 * p:3 * p + 3] = eta
         return out
 
 
@@ -329,20 +336,20 @@ def angular_velocities(rotations, dt):
         raise ValueError("dt must be positive")
     omega = np.empty((n, 3))
     if n == 2:
-        w = rot_log(np.ascontiguousarray(Rs[0].T @ Rs[1])) / dt
+        w = rot_log(Rs[0].T @ Rs[1]) / dt
         omega[0] = Rs[0] @ w
         omega[1] = Rs[1] @ w
         return omega
     rel = np.einsum("nji,njk->nik", Rs[:-2], Rs[2:])
-    body = rot_log_many(np.ascontiguousarray(rel)) / (2.0 * dt)
+    body = rot_log_many(rel) / (2.0 * dt)
     omega[1:-1] = np.einsum("nij,nj->ni", Rs[1:-1], body)
     first = (
-        4.0 * rot_log(np.ascontiguousarray(Rs[0].T @ Rs[1]))
-        - rot_log(np.ascontiguousarray(Rs[0].T @ Rs[2]))
+        4.0 * rot_log(Rs[0].T @ Rs[1])
+        - rot_log(Rs[0].T @ Rs[2])
     ) / (2.0 * dt)
     last = (
-        4.0 * rot_log(np.ascontiguousarray(Rs[-1].T @ Rs[-2]))
-        - rot_log(np.ascontiguousarray(Rs[-1].T @ Rs[-3]))
+        4.0 * rot_log(Rs[-1].T @ Rs[-2])
+        - rot_log(Rs[-1].T @ Rs[-3])
     ) / (-2.0 * dt)
     omega[0] = Rs[0] @ first
     omega[-1] = Rs[-1] @ last
@@ -361,7 +368,7 @@ def reproduce_orientation_trajectory(model, R_aux, times):
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("grid must be uniform for velocity recovery")
     eta = model.predict_many(times)
-    psis = np.ascontiguousarray(eta[:, :3])
+    psis = eta[:, :3]
     rotations = np.einsum("ij,njk->nik", R_aux, rot_exp_many(psis))
     omega = angular_velocities(rotations, float(steps[0]))
     return OrientationTrajectory(times.copy(), rotations, omega)

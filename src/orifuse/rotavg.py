@@ -69,7 +69,7 @@ def init_fusion_state(Ri0, Rj0, d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT,
         raise ValueError("e_psi must lie in (-1, 1)")
     Ri0 = so3.check_rotation(Ri0, name="Ri0")
     Rj0 = so3.check_rotation(Rj0, name="Rj0")
-    psi = rot_log(np.ascontiguousarray(Ri0.T @ Rj0))
+    psi = rot_log(Ri0.T @ Rj0)
     d = float(np.linalg.norm(psi))
     history = np.zeros((capacity, 3))
     if d < ZERO_DISTANCE:
@@ -86,9 +86,7 @@ def weighted_average_stateless(pair):
     """Ri * exp(d * psi_bar) with d = Wj/(Wi+Wj) * dist(Ri, Rj)."""
     Ri = so3.check_rotation(pair.Ri, name="Ri")
     Rj = so3.check_rotation(pair.Rj, name="Rj")
-    return stateless_average(
-        np.ascontiguousarray(Ri), np.ascontiguousarray(Rj), float(pair.Wi), float(pair.Wj)
-    )
+    return stateless_average(Ri, Rj, float(pair.Wi), float(pair.Wj))
 
 
 def weighted_average_memory(pair, state):
@@ -102,15 +100,8 @@ def weighted_average_memory(pair, state):
     Rj = so3.check_rotation(pair.Rj, name="Rj")
     next_state = state.copy()
     Rij, n_turns, n_hist = memory_average_step(
-        np.ascontiguousarray(Ri),
-        np.ascontiguousarray(Rj),
-        float(pair.Wi),
-        float(pair.Wj),
-        next_state.n_turns,
-        next_state.history,
-        next_state.n_hist,
-        next_state.d_th,
-        next_state.e_psi,
+        Ri, Rj, float(pair.Wi), float(pair.Wj), next_state.n_turns,
+        next_state.history, next_state.n_hist, next_state.d_th, next_state.e_psi,
     )
     next_state.n_turns = int(n_turns)
     next_state.n_hist = int(n_hist)

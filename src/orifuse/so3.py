@@ -75,47 +75,58 @@ def exp_map(psi):
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {psi.shape}")
-    return _kernels.rot_exp(np.ascontiguousarray(psi))
+    return _kernels.rot_exp(psi)
 
 
 def log_map(R, tol=ORTHOGONALITY_TOL):
     """Angle-axis chart coordinates of R, inside the closed pi-ball."""
     R = check_rotation(R, tol=tol)
-    return _kernels.rot_log(np.ascontiguousarray(R))
+    return _kernels.rot_log(R)
 
 
 def geodesic_distance(Ri, Rj, tol=ORTHOGONALITY_TOL):
     """Rotation angle of Ri^T Rj, the intrinsic metric on SO(3)."""
     Ri = check_rotation(Ri, tol=tol, name="Ri")
     Rj = check_rotation(Rj, tol=tol, name="Rj")
-    return float(_kernels.rot_geodesic(np.ascontiguousarray(Ri), np.ascontiguousarray(Rj)))
+    return float(_kernels.rot_geodesic(Ri, Rj))
 
 
 def project_to_frame(R, R_aux, tol=ORTHOGONALITY_TOL):
     """Chart coordinates of R in the chart extended around R_aux."""
     R = check_rotation(R, tol=tol)
     R_aux = check_rotation(R_aux, tol=tol, name="R_aux")
-    return _kernels.rot_log(np.ascontiguousarray(R_aux.T @ R))
+    return _kernels.rot_log(R_aux.T @ R)
 
 
 def recover_orientation(psi, R_aux, tol=ORTHOGONALITY_TOL):
     """R_aux * exp(psi); psi may lie outside the pi-ball."""
     R_aux = check_rotation(R_aux, tol=tol, name="R_aux")
     psi = np.asarray(psi, dtype=float)
-    return R_aux @ _kernels.rot_exp(np.ascontiguousarray(psi))
+    return R_aux @ _kernels.rot_exp(psi)
 
 
 def exp_map_many(psis):
-    psis = np.ascontiguousarray(np.atleast_2d(np.asarray(psis, dtype=float)))
+    psis = np.atleast_2d(np.asarray(psis, dtype=float))
     return _kernels.rot_exp_many(psis)
 
 
 def log_map_many(Rs, tol=ORTHOGONALITY_TOL):
+    """Chart coordinates of an (N, 3, 3) stack, checked like is_rotation.
+
+    The orthogonality and determinant checks run on the whole stack at once;
+    the first failing entry is named in the error.
+    """
     Rs = np.asarray(Rs, dtype=float)
-    for i, R in enumerate(Rs):
-        if not is_rotation(R, tol):
-            raise NotARotation(f"entry {i} is not a rotation")
-    return _kernels.rot_log_many(np.ascontiguousarray(Rs))
+    if Rs.ndim != 3 or Rs.shape[1:] != (3, 3):
+        raise NotARotation(f"expected an (N, 3, 3) stack, got shape {Rs.shape}")
+    finite = np.isfinite(Rs).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], Rs, _IDENTITY)
+    gram_err = np.linalg.norm(np.matmul(safe.transpose(0, 2, 1), safe) - _IDENTITY, axis=(1, 2))
+    det_err = np.abs(np.linalg.det(safe) - 1.0)
+    bad = np.flatnonzero(~finite | (gram_err > tol) | (det_err > tol))
+    if bad.size:
+        raise NotARotation(f"entry {bad[0]} is not a rotation")
+    return _kernels.rot_log_many(Rs)
 
 
 def finite_difference_velocity(psi_series, dt):

@@ -195,3 +195,65 @@ def test_env_override_seed(tmp_path, demo_dir, monkeypatch):
     monkeypatch.delenv("ORIFUSE_SEED")
     assert run_cli("learn", "--config", config, "--seed", "123", "--out", out2) == 0
     assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
+
+
+FUSE_VIAS = [
+    {"t": 0.0, "psi": [1.2614, 1.0512, 1.5767], "omega": [0, 0, 0]},
+    {"t": 4.0, "psi": [0.7028, 1.1713, 0.4685], "omega": [0.0069, 0.2103, 0.2138],
+     "relaxed_axis": "y"},
+]
+
+
+def fuse_exit_code(tmp_path, demo_dir, capsys, **via_overrides):
+    vias = [FUSE_VIAS[0], dict(FUSE_VIAS[1], **via_overrides)]
+    cfg = write_config(tmp_path / "fuse.json", demo_dir, via_points=vias, aux_frame="per-iovp")
+    code = run_cli("fuse", "--config", cfg, "--out", tmp_path / "out")
+    return code, capsys.readouterr().err
+
+
+def test_relaxed_via_needs_eps_strict_below_eps_loose(tmp_path, demo_dir, capsys):
+    code, err = fuse_exit_code(tmp_path, demo_dir, capsys, eps_strict=1e3, eps_loose=1e3)
+    assert code == 2
+    assert "eps_strict < eps_loose" in err
+
+
+def test_zero_weight_half_width_is_a_config_error(tmp_path, demo_dir, capsys):
+    code, err = fuse_exit_code(tmp_path, demo_dir, capsys, weight_half_width=0)
+    assert code == 2
+    assert "weight_half_width" in err
+
+
+def test_grid_override_is_validated(tmp_path, demo_dir, capsys, monkeypatch):
+    monkeypatch.setenv("ORIFUSE_GRID", "1")
+    code, err = fuse_exit_code(tmp_path, demo_dir, capsys)
+    assert code == 2
+    assert "grid must have at least 2 points" in err
+    monkeypatch.delenv("ORIFUSE_GRID")
+    cfg = tmp_path / "fuse.json"
+    assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out", "--grid", "1") == 2
+
+
+def test_sweep_runs_each_trial_once(tmp_path, demo_dir, monkeypatch):
+    from orifuse import cli
+
+    calls = []
+    original = cli.reproduce_with_via_points
+
+    def counting(*args, **kwargs):
+        calls.append(args[3].lambda_a)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reproduce_with_via_points", counting)
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep", "--jobs", "2") == 0
+    assert sorted(calls) == [10.0, 1e3, 1e5]
+    rows = (tmp_path / "sweep" / "table.csv").read_text().splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == [10.0, 1e3, 1e5]
+
+
+def test_sweep_needs_a_positive_job_count(tmp_path, demo_dir, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "lambda_a", "values": [10.0]})
+    monkeypatch.setenv("ORIFUSE_JOBS", "0")
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 2

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from orifuse import fusion, kmp, so3
+from orifuse._kernels import memory_average_step
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import DomainOverlap, SeriesTooShort
 from orifuse.fusion import IovpSpec, WeightCurveSet
+from orifuse.rotavg import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,48 @@ def test_memory_ablation_breaks_continuity(multi_iovp_setup):
     max_mem, _ = fusion.continuity_stats(fused.rotations)
     max_nomem, _ = fusion.continuity_stats(broken.rotations)
     assert max_nomem > 10 * max_mem
+
+
+def per_step_fuse(components, weights):
+    """Fusion in time order, one memory_average_step per fold and sample."""
+    n_via = len(components) - 1
+    q = weights.shape[0]
+    rotations = np.empty((q, 3, 3))
+    turns = np.zeros((q, n_via), dtype=np.int64)
+    states = [[0, np.zeros((HISTORY_CAPACITY, 3)), 0] for _ in range(n_via)]
+    for i in range(q):
+        cur = components[1].rotations[i]
+        acc_w = weights[i, 1]
+        for fold, k in enumerate(list(range(2, n_via + 1)) + [0]):
+            n_turns, hist, n_hist = states[fold]
+            cur, n_turns, n_hist = memory_average_step(
+                cur, components[k].rotations[i], acc_w, weights[i, k],
+                n_turns, hist, n_hist, D_TH_DEFAULT, E_PSI_DEFAULT,
+            )
+            states[fold] = [n_turns, hist, n_hist]
+            turns[i, fold] = n_turns
+            acc_w += weights[i, k]
+        rotations[i] = cur
+    return rotations, turns
+
+
+@pytest.fixture(scope="module")
+def ablation_scene(multi_iovp_setup, demos):
+    # the memory-ablation protocol: the same three IOVPs on a 1 ms grid
+    baseline, iovps, _, _ = multi_iovp_setup
+    components, _ = fusion.build_component_trajectories(
+        demos, baseline, iovps, kmp.KernelConfig(l=0.01, lam=1.0), np.linspace(0, 10, 10001),
+        n_components=5, seed=0, gmm_cache={})
+    return iovps, components
+
+
+def test_fold_by_fold_fuse_matches_per_step_loop(ablation_scene):
+    iovps, components = ablation_scene
+    fused = fusion.fuse(components, fusion.weight_curves_for(iovps))
+    rotations, turns = per_step_fuse(components, fused.weights)
+    assert np.array_equal(fused.turn_counts, turns)
+    assert np.any(turns != 0)  # the scene crosses the boundary: flips happen
+    assert np.abs(fused.rotations - rotations).max() <= 1e-12
 
 
 def test_acceleration_cost_constant_omega_is_zero():

@@ -208,3 +208,23 @@ def test_config_via_target_frames(tmp_path):
         _base_config(tmp_path, via_points=[{"t": 0.0, "psi": [0.3, 0.0, 0.0]}]))
     assert so3.geodesic_distance(
         world.via_points[0].target_rotation(), so3.exp_map([0.3, 0, 0])) < 1e-12
+
+
+RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": "abc"},
+    {"gmm": {"components": 2, "seed": -1}},
+    {"delta_t_via": 0.0},
+    {"via_points": [dict(RELAXED_VIA, eps_strict=1e3, eps_loose=1e3)]},
+    {"via_points": [dict(RELAXED_VIA, weight_half_width=0)]},
+    {"via_points": [dict(RELAXED_VIA, orientation_var=[1.0, 0.0, 1.0])]},
+    {"via_points": [dict(RELAXED_VIA, velocity_var=-1.0)]},
+    {"sweep": {"axis": "lambda_a", "values": [10.0, "a"]}},
+    {"sweep": {"axis": "lambda_a", "values": [10.0, 0.0]}},
+    {"sweep": {"axis": "target-rotation", "values": [0, 1], "via_index": 3}},
+])
+def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
+    with pytest.raises(ConfigError):
+        io.load_config(_base_config(tmp_path, **overrides))

@@ -161,6 +161,21 @@ def test_not_a_rotation_rejected():
         so3.geodesic_distance(np.eye(3), np.full((3, 3), np.nan))
 
 
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_log_map_many_names_first_bad_entry(k):
+    rng = np.random.default_rng(16)
+    Rs = np.stack([random_rotation(rng) for _ in range(7)])
+    scaled, reflection, nan = 1.01 * np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.full((3, 3), np.nan)
+    for bad in (scaled, reflection, nan):
+        stack = Rs.copy()
+        stack[k] = bad
+        stack[k + 1:] = reflection  # later failures must not be reported first
+        with pytest.raises(NotARotation, match=f"entry {k} "):
+            so3.log_map_many(stack)
+    one_by_one = np.array([so3.log_map(R) for R in Rs])
+    assert np.abs(so3.log_map_many(Rs) - one_by_one).max() <= 1e-12
+
+
 def test_orthonormalize_repairs_drift():
     rng = np.random.default_rng(15)
     R = random_rotation(rng)
