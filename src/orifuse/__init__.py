@@ -67,7 +67,6 @@ from .fusion import (
     build_component_trajectories,
     continuity_stats,
     fuse,
-    gauss_weight,
 )
 from .pipeline import PipelineResult, reproduce_with_via_points
 

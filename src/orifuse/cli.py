@@ -105,50 +105,10 @@ def _aux_frame(cfg, demos):
     raise ConfigError(f"aux policy '{cfg.aux_policy}' is not valid for this command")
 
 
-def _via_specs(cfg, R_aux, lambda_a):
-    specs = []
-    for via in cfg.via_points:
-        variances = np.concatenate([via.orientation_variances(), via.velocity_var])
-        if lambda_a is not None:
-            acc = via.acceleration_var
-            if acc is None:
-                acc = np.full(3, 1.0 / lambda_a)
-            variances = np.concatenate([variances, acc])
-        specs.append(
-            kmp.ViaPointSpec(via.t, via.target_rotation(R_aux), via.omega, np.diag(variances))
-        )
-    return specs
-
-
 def _grid_times(demos, grid):
     t0 = min(float(d.times[0]) for d in demos)
     t1 = max(float(d.times[-1]) for d in demos)
     return np.linspace(t0, t1, grid)
-
-
-def _iovps_from_config(cfg, lambda_a=None, strict=False, target_override=None):
-    """(baseline, iovps) from a per-iovp config; via 0 is the baseline."""
-    if not cfg.via_points:
-        return None, []
-    entries = []
-    for idx, via in enumerate(cfg.via_points):
-        rotation = via.target_rotation()
-        if target_override is not None and idx == target_override[0]:
-            rotation = target_override[1]
-        entries.append(
-            fusion.IovpSpec(
-                via.t,
-                rotation,
-                via.omega,
-                relaxed_axis=None if strict else via.relaxed_axis,
-                eps_strict=via.eps_strict,
-                eps_loose=via.eps_loose,
-                delta_t=via.weight_half_width,
-                velocity_var=via.velocity_var,
-                orientation_var=None if (via.orientation_var is None or strict) else via.orientation_var,
-            )
-        )
-    return entries[0], entries[1:]
 
 
 def _cmd_gen_demos(args):
@@ -192,21 +152,20 @@ def _cmd_adapt(args):
     out = _out_dir(args)
     demos = io.load_demos(cfg.demo_paths)
     R_aux = _aux_frame(cfg, demos)
-    vias = _via_specs(cfg, R_aux, cfg.lambda_a)
     result = reproduce_with_via_points(
-        demos, R_aux, vias, _kernel_config(cfg), _grid_times(demos, grid),
+        demos, R_aux, cfg.via_points, _kernel_config(cfg), _grid_times(demos, grid),
         n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
     )
     traj = result.trajectory
     io.save_trajectory(out / "trajectory.csv", traj.times, traj.rotations, traj.omega_world)
     metrics = {"acceleration_cost": fusion.trajectory_acceleration_cost(traj)}
-    for idx, (via, spec) in enumerate(zip(cfg.via_points, vias)):
+    for idx, via in enumerate(cfg.via_points):
         i = int(np.argmin(np.abs(traj.times - via.t)))
         metrics[f"via{idx}_geodesic_err"] = so3.geodesic_distance(
-            traj.rotations[i], spec.rotation
+            traj.rotations[i], via.target_rotation(R_aux)
         )
         metrics[f"via{idx}_omega_err"] = float(
-            np.linalg.norm(traj.omega_world[i] - spec.omega)
+            np.linalg.norm(traj.omega_world[i] - via.omega)
         )
     io.save_metrics(out / "metrics.csv", metrics)
     print(f"adaptation written to {out}")
@@ -215,15 +174,24 @@ def _cmd_adapt(args):
 
 def _fusion_run(cfg, demos, seed, grid, memory, strict=False, target_override=None,
                 gmm_cache=None):
-    baseline, iovps = _iovps_from_config(cfg, strict=strict, target_override=target_override)
-    grid_times = _grid_times(demos, grid)
-    components, frames = fusion.build_component_trajectories(
-        demos, baseline, iovps, _kernel_config(cfg), grid_times,
+    """Fuse the per-iovp config's via-points; via 0 is the baseline.
+
+    strict drops every relaxed axis and orientation_var; target_override is
+    (via index, world rotation) replacing that via's target.
+    """
+    vias = list(cfg.via_points)
+    if target_override is not None:
+        index, target = target_override
+        vias[index] = replace(vias[index], rotation=target)
+    if strict:
+        vias = [replace(via, relaxed_axis=None, orientation_var=None) for via in vias]
+    baseline, iovps = (vias[0], vias[1:]) if vias else (None, [])
+    components, _ = fusion.build_component_trajectories(
+        demos, baseline, iovps, _kernel_config(cfg), _grid_times(demos, grid),
         n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
         gmm_cache=gmm_cache,
     )
-    curves = fusion.weight_curves_for(iovps)
-    fused = fusion.fuse(components, curves, memory=memory)
+    fused = fusion.fuse(components, fusion.weight_curves_for(iovps), memory=memory)
     return fused, components, iovps
 
 
@@ -267,6 +235,29 @@ def _cmd_fuse(args):
     return 0
 
 
+def _comparison(cfg, demos, seed, grid, target_override=None, gmm_cache=None):
+    """Relaxed and strict fusion runs plus their comparison row.
+
+    The row holds cost_iovp, cost_strict, max_axis_err,
+    continuity_ratio_iovp and continuity_ratio_strict.
+    """
+    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, cfg.memory,
+                                    target_override=target_override, gmm_cache=gmm_cache)
+    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, cfg.memory, strict=True,
+                                target_override=target_override, gmm_cache=gmm_cache)
+    m_i = _fusion_metrics(fused_i, iovps)
+    m_s = _fusion_metrics(fused_s, [])
+    axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
+    row = [m_i["acceleration_cost"], m_s["acceleration_cost"],
+           max(axis_errs) if axis_errs else 0.0,
+           m_i["continuity_ratio"], m_s["continuity_ratio"]]
+    return fused_i, fused_s, row
+
+
+_COMPARISON_COLUMNS = ["cost_iovp", "cost_strict", "max_axis_err", "continuity_ratio_iovp",
+                       "continuity_ratio_strict"]
+
+
 def _cmd_eval(args):
     cfg = io.load_config(args.config)
     if cfg.aux_policy != "per-iovp":
@@ -274,11 +265,7 @@ def _cmd_eval(args):
     seed, grid = _effective(args, cfg)
     out = _out_dir(args)
     demos = io.load_demos(cfg.demo_paths)
-    cache = {}
-    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, cfg.memory, gmm_cache=cache)
-    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, cfg.memory, strict=True, gmm_cache=cache)
-    m_i = _fusion_metrics(fused_i, iovps)
-    m_s = _fusion_metrics(fused_s, [])
+    fused_i, fused_s, row = _comparison(cfg, demos, seed, grid, gmm_cache={})
     io.save_trajectory(
         out / "trajectory_iovp.csv", fused_i.times, fused_i.rotations,
         fused_i.omega_world, fused_i.weights,
@@ -287,15 +274,7 @@ def _cmd_eval(args):
         out / "trajectory_strict.csv", fused_s.times, fused_s.rotations,
         fused_s.omega_world, fused_s.weights,
     )
-    axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
-    io.save_table(
-        out / "table.csv",
-        ["cost_iovp", "cost_strict", "max_axis_err", "continuity_ratio_iovp",
-         "continuity_ratio_strict"],
-        [[m_i["acceleration_cost"], m_s["acceleration_cost"],
-          max(axis_errs) if axis_errs else 0.0,
-          m_i["continuity_ratio"], m_s["continuity_ratio"]]],
-    )
+    io.save_table(out / "table.csv", _COMPARISON_COLUMNS, [row])
     print(f"comparison written to {out}")
     return 0
 
@@ -329,18 +308,18 @@ def _cmd_sweep(args):
 
         def trial(lam_a):
             run_cfg = kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=lam_a, order="pva")
-            vias = _via_specs(cfg, R_aux, lam_a)
             result = reproduce_with_via_points(
-                demos, R_aux, vias, run_cfg, grid_times,
+                demos, R_aux, cfg.via_points, run_cfg, grid_times,
                 n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
                 gmm_cache=cache,
             )
             traj = result.trajectory
             errs = [
                 so3.geodesic_distance(
-                    traj.rotations[int(np.argmin(np.abs(traj.times - v.t)))], v.rotation
+                    traj.rotations[int(np.argmin(np.abs(traj.times - v.t)))],
+                    v.target_rotation(R_aux),
                 )
-                for v in vias
+                for v in cfg.via_points
             ]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
 
@@ -352,38 +331,17 @@ def _cmd_sweep(args):
         via_index = cfg.sweep_via_index
         if via_index is None:
             via_index = len(cfg.via_points) - 1
-        base_rot = cfg.via_points[via_index].target_rotation()
+        base_rot = cfg.via_points[via_index].rotation
         cache = {}
 
         def trial(i):
             target = base_rot @ so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
-            override = (via_index, target)
-            fused_i, _, iovps = _fusion_run(
-                cfg, demos, seed, grid, cfg.memory, target_override=override, gmm_cache=cache
-            )
-            fused_s, _, _ = _fusion_run(
-                cfg, demos, seed, grid, cfg.memory, strict=True, target_override=override,
-                gmm_cache=cache,
-            )
-            m_i = _fusion_metrics(fused_i, iovps)
-            m_s = _fusion_metrics(fused_s, [])
-            axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
-            return [
-                int(i),
-                m_i["acceleration_cost"],
-                m_s["acceleration_cost"],
-                max(axis_errs) if axis_errs else 0.0,
-                m_i["continuity_ratio"],
-                m_s["continuity_ratio"],
-            ]
+            _, _, row = _comparison(cfg, demos, seed, grid, target_override=(via_index, target),
+                                    gmm_cache=cache)
+            return [int(i)] + row
 
         rows = _sweep_rows(trial, values, jobs)
-        io.save_table(
-            out / "table.csv",
-            ["i", "cost_iovp", "cost_strict", "max_axis_err",
-             "continuity_ratio_iovp", "continuity_ratio_strict"],
-            rows,
-        )
+        io.save_table(out / "table.csv", ["i"] + _COMPARISON_COLUMNS, rows)
     else:
         raise ConfigError("config has no sweep axis; set sweep.axis to "
                           "'lambda_a' or 'target-rotation'")

@@ -9,7 +9,6 @@ weighted rotation average that blends the components into one continuous
 trajectory dominated by component k near its time t_k.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,75 +20,25 @@ from ._kernels import (
     stateless_average_many,
 )
 from .errors import DomainOverlap, SeriesTooShort
-from .kmp import ViaPointSpec, angular_velocities
+from .kmp import AXES, ViaPointSpec, angular_velocities
 from .pipeline import reproduce_with_via_points
 from .rotavg import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY
 
-EPS_STRICT_DEFAULT = 1e-10
-EPS_LOOSE_DEFAULT = 1e3
-DELTA_T_DEFAULT = 2.4
+# An IOVP is a via-point with one relaxed axis; one spec type serves both.
+IovpSpec = ViaPointSpec
 # Under the non-interference principle the Gaussian leakage of the other
 # curves at any point stays near 2*exp(-4.5) ~ 0.022; anything above this
 # bound means the via domains genuinely overlap.
 WEIGHT_SUM_SLACK = 0.05
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
-@dataclass(frozen=True)
-class IovpSpec:
-    """A via-point with one optionally relaxed rotational degree of freedom.
-
-    relaxed_axis selects the orientation-covariance entry that gets eps_loose
-    (the remaining axes get eps_strict); None means a fully strict via-point.
-    delta_t is the half-width of the Gaussian weight domain.
-    """
-
-    t: float
-    rotation: np.ndarray
-    omega: np.ndarray
-    relaxed_axis: str | None = None
-    eps_strict: float = EPS_STRICT_DEFAULT
-    eps_loose: float = EPS_LOOSE_DEFAULT
-    delta_t: float = DELTA_T_DEFAULT
-    velocity_var: float | np.ndarray | None = None  # defaults to eps_strict
-    orientation_var: np.ndarray | None = None  # overrides the relaxed-axis pattern
-
-    def __post_init__(self):
-        R = so3.check_rotation(self.rotation, name="IOVP rotation")
-        omega = np.asarray(self.omega, dtype=float)
-        if omega.shape != (3,):
-            raise ValueError("omega must be a 3-vector")
-        if self.relaxed_axis is not None and self.relaxed_axis not in _AXIS_INDEX:
-            raise ValueError("relaxed_axis must be 'x', 'y', 'z' or None")
-        if self.eps_strict <= 0 or self.eps_loose <= 0:
-            raise ValueError("variance entries must be positive")
-        if self.eps_strict >= self.eps_loose and self.relaxed_axis is not None:
-            raise ValueError("eps_strict must be much smaller than eps_loose")
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "omega", omega)
-
-    def orientation_variances(self):
-        if self.orientation_var is not None:
-            return np.broadcast_to(np.asarray(self.orientation_var, dtype=float), (3,)).copy()
-        var = np.full(3, self.eps_strict)
-        if self.relaxed_axis is not None:
-            var[_AXIS_INDEX[self.relaxed_axis]] = self.eps_loose
-        return var
-
-    def velocity_variances(self):
-        v = self.eps_strict if self.velocity_var is None else self.velocity_var
-        return np.broadcast_to(np.asarray(v, dtype=float), (3,)).copy()
 
 
 @dataclass(frozen=True)
 class WeightCurveSet:
     """Gaussian weight curves W_k plus the complementary baseline weight.
 
-    W_k(t) = exp(-(t - t_k)^2 / (2 sigma_k^2)) with sigma_k = delta_t_k / 3;
-    W_0(t) = 1 - sum_k W_k(t), so the partition sums to one exactly.
+    W_k(t) = exp(-(t - t_k)^2 / (2 sigma_k^2)) with sigma_k = h_k / 3 for the
+    half-width h_k; W_0(t) = 1 - sum_k W_k(t), so the partition sums to one
+    exactly.
     """
 
     centers: np.ndarray      # (K,)
@@ -147,29 +96,21 @@ class FusedTrajectory:
         return self.times.shape[0]
 
 
-def gauss_weight(t, t_bar, delta_t):
-    """Gaussian weight with sigma = delta_t / 3; equals 1 at t = t_bar."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    sigma = delta_t / 3.0
-    return float(math.exp(-((t - t_bar) ** 2) / (2.0 * sigma**2)))
-
-
-def check_non_interference(iovps):
+def check_non_interference(vias):
     """Reject weight domains that reach into a neighbor's center."""
-    times = [vp.t for vp in iovps]
+    times = [vp.t for vp in vias]
     if sorted(times) != times:
         raise DomainOverlap("IOVP times must be sorted")
-    for k in range(len(iovps)):
-        if k + 1 < len(iovps) and iovps[k].t + iovps[k].delta_t > iovps[k + 1].t + 1e-12:
+    for k, vp in enumerate(vias):
+        if k + 1 < len(vias) and vp.t + vp.weight_half_width > vias[k + 1].t + 1e-12:
             raise DomainOverlap(
-                f"IOVP at t={iovps[k].t} has delta_t={iovps[k].delta_t} reaching past "
-                f"the next via time {iovps[k + 1].t}"
+                f"IOVP at t={vp.t} has weight_half_width={vp.weight_half_width} reaching "
+                f"past the next via time {vias[k + 1].t}"
             )
-        if k > 0 and iovps[k].t - iovps[k].delta_t < iovps[k - 1].t - 1e-12:
+        if k > 0 and vp.t - vp.weight_half_width < vias[k - 1].t - 1e-12:
             raise DomainOverlap(
-                f"IOVP at t={iovps[k].t} has delta_t={iovps[k].delta_t} reaching past "
-                f"the previous via time {iovps[k - 1].t}"
+                f"IOVP at t={vp.t} has weight_half_width={vp.weight_half_width} reaching "
+                f"past the previous via time {vias[k - 1].t}"
             )
 
 
@@ -177,65 +118,38 @@ def weight_curves_for(iovps):
     check_non_interference(iovps)
     return WeightCurveSet(
         np.array([vp.t for vp in iovps]),
-        np.array([vp.delta_t for vp in iovps]),
+        np.array([vp.weight_half_width for vp in iovps]),
     )
 
 
-def via_spec_from_iovp(iovp, lambda_a=None):
-    """Covariance-pattern translation of an IOVP into a via-point spec.
-
-    The orientation block carries eps_loose on the relaxed axis and
-    eps_strict elsewhere; the velocity block defaults to strict.  When
-    lambda_a is given the spec gains the default (1/lambda_a) I acceleration
-    block explicitly (9x9), keeping the augmented model well defined.
-    """
-    variances = np.concatenate([iovp.orientation_variances(), iovp.velocity_variances()])
-    if lambda_a is not None:
-        variances = np.concatenate([variances, np.full(3, 1.0 / lambda_a)])
-    return ViaPointSpec(iovp.t, iovp.rotation, iovp.omega, np.diag(variances))
-
-
 def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
-                                 n_components=5, seed=0, ref_size=200,
-                                 delta_t_via=1e-3, gmm_cache=None):
+                                 n_components=5, seed=0, delta_t_via=1e-3, gmm_cache=None):
     """One regression run per via-point, each in its own tangent chart.
 
     Component 0 is the baseline: the run around the baseline via-point's
     rotation (or the first demonstration's start when baseline_via is None),
     adapted only towards that starting point.  Component k re-projects all
-    demonstrations around the k-th via target and adapts towards it with the
-    relaxed-axis covariance pattern.  Returns (components, aux_frames).
+    demonstrations around the k-th via target and adapts towards it with its
+    own covariance, typically the relaxed-axis pattern.  Via targets must be
+    world-frame.  Returns (components, aux_frames).
     """
     check_non_interference(iovps)
-    lambda_a = cfg.lambda_a
-    components = []
-    aux_frames = []
-    if baseline_via is not None:
-        base_frame = baseline_via.rotation
-        base_vias = [via_spec_from_iovp(baseline_via, lambda_a)]
+    if baseline_via is None:
+        runs = [(demos[0].rotations[0], [])]
     else:
-        base_frame = demos[0].rotations[0]
-        base_vias = []
-    result = reproduce_with_via_points(
-        demos, base_frame, base_vias, cfg, grid_times,
-        n_components=n_components, seed=seed, ref_size=ref_size,
-        delta_t_via=delta_t_via, gmm_cache=gmm_cache,
-    )
-    components.append(result.trajectory)
-    aux_frames.append(base_frame)
-    for iovp in iovps:
-        frame = iovp.rotation
-        result = reproduce_with_via_points(
-            demos, frame, [via_spec_from_iovp(iovp, lambda_a)], cfg, grid_times,
-            n_components=n_components, seed=seed, ref_size=ref_size,
+        runs = [(baseline_via.target_rotation(), [baseline_via])]
+    runs += [(vp.target_rotation(), [vp]) for vp in iovps]
+    components = [
+        reproduce_with_via_points(
+            demos, frame, vias, cfg, grid_times, n_components=n_components, seed=seed,
             delta_t_via=delta_t_via, gmm_cache=gmm_cache,
-        )
-        components.append(result.trajectory)
-        aux_frames.append(frame)
-    return components, aux_frames
+        ).trajectory
+        for frame, vias in runs
+    ]
+    return components, [frame for frame, _ in runs]
 
 
-def fuse(components, curves, memory=True, d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT):
+def fuse(components, curves, memory=True):
     """Blend K+1 component trajectories into one, preserving continuity.
 
     components[0] is the baseline; components[1:] pair with curves' centers.
@@ -263,9 +177,6 @@ def fuse(components, curves, memory=True, d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT
     # Fold positions run one after another over the whole grid: the K - 1
     # chain folds add components 2..K to the running average of component 1,
     # and the last fold combines it with the baseline under (sum W_k, W_0).
-    # Fold histories start empty: the first step's traverse direction is its
-    # own alignment reference, which matches seeding with the initial
-    # direction of each fold pair.
     rotations = components[1].rotations
     acc_w = weights[:, 1]
     folds = list(range(2, n_via + 1)) + [0]
@@ -274,7 +185,7 @@ def fuse(components, curves, memory=True, d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT
         if memory:
             rotations, turn_counts[:, fold] = memory_average_many(
                 rotations, components[k].rotations, acc_w, weights[:, k],
-                d_th, e_psi, HISTORY_CAPACITY,
+                D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY,
             )
         else:
             rotations = stateless_average_many(
@@ -302,7 +213,7 @@ def trajectory_acceleration_cost(traj):
 
 def axis_alignment_error(R, R_target, axis):
     """Angle between the two frames' images of a coordinate axis (radians)."""
-    idx = _AXIS_INDEX[axis]
+    idx = AXES.index(axis)
     a = np.asarray(R, dtype=float)[:, idx]
     b = np.asarray(R_target, dtype=float)[:, idx]
     return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))

@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import so3
+from . import fusion, kmp, so3
 from .errors import (
     ConfigError,
-    DomainOverlap,
     InconsistentTiming,
     IoError,
     NotARotation,
@@ -29,7 +28,6 @@ DT_TOL = 1e-9
 
 _DEMO_MAGIC = "orifuse-demo"
 _TRAJ_MAGIC = "orifuse-trajectory"
-_AXES = ("x", "y", "z")
 
 
 def _fmt(x):
@@ -268,41 +266,6 @@ def load_mixture(path):
 
 
 @dataclass(frozen=True)
-class ViaConfig:
-    """One via-point entry of a run configuration."""
-
-    t: float
-    omega: np.ndarray
-    rotation: np.ndarray | None = None
-    psi: np.ndarray | None = None
-    frame: str = "world"
-    orientation_var: np.ndarray | None = None
-    velocity_var: np.ndarray = field(default_factory=lambda: np.full(3, 1e-10))
-    acceleration_var: np.ndarray | None = None
-    relaxed_axis: str | None = None
-    eps_strict: float = 1e-10
-    eps_loose: float = 1e3
-    weight_half_width: float = 2.4
-
-    def target_rotation(self, R_aux=None):
-        if self.rotation is not None:
-            return self.rotation
-        if self.frame == "aux":
-            if R_aux is None:
-                raise ConfigError(f"via at t={self.t} uses frame=aux but no frame is known")
-            return R_aux @ so3.exp_map(self.psi)
-        return so3.exp_map(self.psi)
-
-    def orientation_variances(self):
-        if self.orientation_var is not None:
-            return self.orientation_var
-        var = np.full(3, self.eps_strict)
-        if self.relaxed_axis is not None:
-            var[_AXES.index(self.relaxed_axis)] = self.eps_loose
-        return var
-
-
-@dataclass(frozen=True)
 class RunConfig:
     demo_paths: list
     components: int = 5
@@ -322,53 +285,28 @@ class RunConfig:
     sweep_via_index: int | None = None
 
 
-def _vector(doc, key, size, path, default=None):
-    if key not in doc or doc[key] is None:
-        return default
-    value = doc[key]
-    if np.isscalar(value):
-        return np.full(size, float(value))
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (size,):
-        raise ConfigError(f"{path}: '{key}' must be a scalar or a {size}-vector")
-    return arr
+# optional via-point entries passed to kmp.ViaPointSpec under the same name
+_VIA_KEYS = ("relaxed_axis", "eps_strict", "eps_loose", "orientation_var", "velocity_var",
+             "acceleration_var", "weight_half_width", "frame")
 
 
 def _parse_via(doc, path):
     if "t" not in doc:
         raise ConfigError(f"{path}: via-point entry is missing 't'")
-    rotation = None
-    psi = None
-    if "rotation" in doc and doc["rotation"] is not None:
-        rotation = np.asarray(doc["rotation"], dtype=float).reshape(3, 3)
-        if not so3.is_rotation(rotation):
-            raise ConfigError(f"{path}: via rotation at t={doc['t']} is not a rotation")
-    elif "psi" in doc and doc["psi"] is not None:
-        psi = np.asarray(doc["psi"], dtype=float)
-        if psi.shape != (3,):
-            raise ConfigError(f"{path}: via 'psi' must be a 3-vector")
-    else:
-        raise ConfigError(f"{path}: via-point needs 'rotation' or 'psi'")
-    frame = doc.get("frame", "world")
-    if frame not in ("world", "aux"):
-        raise ConfigError(f"{path}: via frame must be 'world' or 'aux'")
-    relaxed = doc.get("relaxed_axis")
-    if relaxed is not None and relaxed not in _AXES:
-        raise ConfigError(f"{path}: relaxed_axis must be one of {_AXES}")
-    return ViaConfig(
-        t=float(doc["t"]),
-        omega=_vector(doc, "omega", 3, path, default=np.zeros(3)),
-        rotation=rotation,
-        psi=psi,
-        frame=frame,
-        orientation_var=_vector(doc, "orientation_var", 3, path),
-        velocity_var=_vector(doc, "velocity_var", 3, path, default=np.full(3, 1e-10)),
-        acceleration_var=_vector(doc, "acceleration_var", 3, path),
-        relaxed_axis=relaxed,
-        eps_strict=float(doc.get("eps_strict", 1e-10)),
-        eps_loose=float(doc.get("eps_loose", 1e3)),
-        weight_half_width=float(doc.get("weight_half_width", 2.4)),
-    )
+    try:
+        if doc.get("rotation") is not None:
+            rotation = np.asarray(doc["rotation"], dtype=float).reshape(3, 3)
+        elif doc.get("psi") is not None:
+            rotation = so3.exp_map(doc["psi"])
+        else:
+            raise ConfigError(f"{path}: via-point needs 'rotation' or 'psi'")
+        omega = doc.get("omega")
+        return kmp.ViaPointSpec(
+            float(doc["t"]), rotation, np.zeros(3) if omega is None else omega,
+            **{key: doc[key] for key in _VIA_KEYS if doc.get(key) is not None},
+        )
+    except (NotARotation, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: via at t={doc['t']}: {exc}") from exc
 
 
 def load_config(path):
@@ -446,20 +384,6 @@ def _parse_config(doc, path):
     )
 
 
-def _validate_via(via, path):
-    where = f"{path}: via at t={via.t}"
-    if via.eps_strict <= 0 or via.eps_loose <= 0:
-        raise ConfigError(f"{where}: eps_strict and eps_loose must be positive")
-    if via.relaxed_axis is not None and via.eps_strict >= via.eps_loose:
-        raise ConfigError(f"{where}: a relaxed axis needs eps_strict < eps_loose")
-    if via.weight_half_width <= 0:
-        raise ConfigError(f"{where}: weight_half_width must be positive")
-    for name in ("orientation_var", "velocity_var", "acceleration_var"):
-        var = getattr(via, name)
-        if var is not None and np.any(var <= 0):
-            raise ConfigError(f"{where}: {name} entries must be positive")
-
-
 def validate_config(cfg, path):
     """Reject configurations the computation cannot run, as ConfigError.
 
@@ -478,8 +402,6 @@ def validate_config(cfg, path):
         raise ConfigError(f"{path}: grid must have at least 2 points")
     if cfg.delta_t_via <= 0:
         raise ConfigError(f"{path}: delta_t_via must be positive")
-    for via in cfg.via_points:
-        _validate_via(via, path)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.sweep_values):
         raise ConfigError(f"{path}: sweep values must be numbers")
     if cfg.sweep_axis == "lambda_a" and any(v <= 0 for v in cfg.sweep_values):
@@ -492,18 +414,8 @@ def validate_config(cfg, path):
             raise ConfigError(f"{path}: aux via index {cfg.aux_via_index} out of range")
     if cfg.aux_policy == "per-iovp":
         # the non-interference principle is checked before any computation
-        vias = cfg.via_points[1:]
-        for k, via in enumerate(vias):
-            if k + 1 < len(vias) and via.t + via.weight_half_width > vias[k + 1].t + 1e-12:
-                raise DomainOverlap(
-                    f"{path}: via at t={via.t} overlaps the next via's domain"
-                )
-            if k > 0 and via.t - via.weight_half_width < vias[k - 1].t - 1e-12:
-                raise DomainOverlap(
-                    f"{path}: via at t={via.t} overlaps the previous via's domain"
-                )
-        for via in vias:
-            if via.frame == "aux":
-                raise ConfigError(
-                    f"{path}: per-iovp runs need world-frame via targets (frame=aux is ambiguous)"
-                )
+        fusion.check_non_interference(cfg.via_points[1:])
+        if any(via.frame == "aux" for via in cfg.via_points):
+            raise ConfigError(
+                f"{path}: per-iovp runs need world-frame via targets (frame=aux is ambiguous)"
+            )

@@ -18,13 +18,18 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import so3
 from ._kernels import rot_exp, rot_exp_many, rot_log, rot_log_many
-from .errors import ChartBoundaryError, FactorizationFailure, SeriesTooShort
+from .errors import ChartBoundaryError, ConfigError, FactorizationFailure, SeriesTooShort
 
 DEFAULT_DELTA_T = 1e-3
+AXES = ("x", "y", "z")
+EPS_STRICT_DEFAULT = 1e-10
+EPS_LOOSE_DEFAULT = 1e3
+WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 # minimum chart-distance of a via-point from the ball boundary
 CHART_MARGIN = 1e-3
 VIA_TIME_TOL = 1e-9
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+_VARIANCE_BLOCKS = ("orientation_var", "velocity_var", "acceleration_var")
 
 
 @dataclass(frozen=True)
@@ -62,25 +67,77 @@ class KernelConfig:
         return 3 * self.n_blocks
 
 
+def _variances(value, name):
+    """A per-block variance as a 3-vector (a scalar applies to all axes)."""
+    if value is None:
+        return None
+    var = np.asarray(value, dtype=float)
+    if var.shape == ():
+        var = np.full(3, float(var))
+    if var.shape != (3,):
+        raise ValueError(f"{name} must be a scalar or a 3-vector")
+    if np.any(var <= 0):
+        raise ValueError(f"{name} entries must be positive")
+    return var
+
+
 @dataclass(frozen=True)
 class ViaPointSpec:
-    """Desired (time, orientation, world-frame angular velocity, covariance).
+    """A desired (time, orientation, world-frame angular velocity) with its covariance.
 
-    covariance is 6x6, or 9x9 (block diagonal) when an explicit acceleration
-    precision accompanies the point.
+    The covariance is either given explicitly (6x6, or 9x9 block diagonal
+    with an acceleration block) or built from a variance pattern: the
+    orientation block holds eps_loose on relaxed_axis and eps_strict on the
+    other axes, or orientation_var when given; the velocity block holds
+    velocity_var, which defaults to eps_strict; an acceleration block exists
+    only when acceleration_var is given, otherwise augment_for_acceleration
+    supplies (1/lambda_a) I.  A via-point with a relaxed axis is an
+    incomplete-orientation via-point (IOVP).
+
+    rotation is the target relative to frame: the world, or the auxiliary
+    frame of the run ("aux").  weight_half_width is the half-width of the
+    via's Gaussian weight domain when components are fused.
     """
 
     t: float
     rotation: np.ndarray
     omega: np.ndarray
-    covariance: np.ndarray
+    covariance: np.ndarray | None = None
+    relaxed_axis: str | None = None
+    eps_strict: float = EPS_STRICT_DEFAULT
+    eps_loose: float = EPS_LOOSE_DEFAULT
+    orientation_var: np.ndarray | None = None
+    velocity_var: np.ndarray | None = None
+    acceleration_var: np.ndarray | None = None
+    weight_half_width: float = WEIGHT_HALF_WIDTH_DEFAULT
+    frame: str = "world"
 
     def __post_init__(self):
         R = so3.check_rotation(self.rotation, name="via rotation")
         omega = np.asarray(self.omega, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
         if omega.shape != (3,):
             raise ValueError("omega must be a 3-vector")
+        if self.frame not in ("world", "aux"):
+            raise ValueError("frame must be 'world' or 'aux'")
+        if self.relaxed_axis is not None and self.relaxed_axis not in AXES:
+            raise ValueError("relaxed_axis must be 'x', 'y', 'z' or None")
+        if self.eps_strict <= 0 or self.eps_loose <= 0:
+            raise ValueError("eps_strict and eps_loose must be positive")
+        if self.relaxed_axis is not None and self.eps_strict >= self.eps_loose:
+            raise ValueError("a relaxed axis needs eps_strict < eps_loose")
+        if self.weight_half_width <= 0:
+            raise ValueError("weight_half_width must be positive")
+        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "omega", omega)
+        for name in _VARIANCE_BLOCKS:
+            object.__setattr__(self, name, _variances(getattr(self, name), name))
+        if self.covariance is None:
+            return
+        if self.relaxed_axis is not None or any(
+            getattr(self, name) is not None for name in _VARIANCE_BLOCKS
+        ):
+            raise ValueError("give either an explicit covariance or a variance pattern")
+        cov = np.asarray(self.covariance, dtype=float)
         if cov.shape not in ((6, 6), (9, 9)):
             raise ValueError("covariance must be 6x6 or 9x9")
         if not np.allclose(cov, cov.T):
@@ -91,9 +148,32 @@ class ViaPointSpec:
             np.any(cov[:6, 6:] != 0.0) or np.any(cov[6:, :6] != 0.0)
         ):
             raise ValueError("9x9 via covariance must be block diagonal")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "covariance", cov)
+
+    def covariance_matrix(self):
+        """The explicit covariance, or the diagonal of the variance pattern."""
+        if self.covariance is not None:
+            return self.covariance.copy()
+        orientation = self.orientation_var
+        if orientation is None:
+            orientation = np.full(3, self.eps_strict, dtype=float)
+            if self.relaxed_axis is not None:
+                orientation[AXES.index(self.relaxed_axis)] = self.eps_loose
+        velocity = self.velocity_var
+        if velocity is None:
+            velocity = np.full(3, self.eps_strict, dtype=float)
+        blocks = [orientation, velocity]
+        if self.acceleration_var is not None:
+            blocks.append(self.acceleration_var)
+        return np.diag(np.concatenate(blocks))
+
+    def target_rotation(self, R_aux=None):
+        """The target in the world frame; an aux-frame target is R_aux @ rotation."""
+        if self.frame == "world":
+            return self.rotation
+        if R_aux is None:
+            raise ConfigError(f"via at t={self.t} uses frame=aux but no frame is known")
+        return R_aux @ self.rotation
 
 
 @dataclass(frozen=True)
@@ -132,8 +212,9 @@ class OrientationTrajectory:
 def transform_via_point(vp, R_aux, delta_t=DEFAULT_DELTA_T):
     """Express a desired point in the chart of R_aux.
 
-    psi = log(R_aux^T R); the chart velocity comes from stepping the desired
-    motion forward by delta_t:
+    With R = vp.target_rotation(R_aux) the world target, psi = log(R_aux^T R);
+    the chart velocity comes from stepping the desired motion forward by
+    delta_t:
 
         R_plus = R * exp(R^T omega * delta_t)
         psi_dot = (log(R_aux^T R_plus) - psi) / delta_t
@@ -143,18 +224,19 @@ def transform_via_point(vp, R_aux, delta_t=DEFAULT_DELTA_T):
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
     R_aux = so3.check_rotation(R_aux, name="R_aux")
-    psi = rot_log(R_aux.T @ vp.rotation)
+    R = vp.target_rotation(R_aux)
+    psi = rot_log(R_aux.T @ R)
     margin = CHART_MARGIN + 2.0 * delta_t * float(np.linalg.norm(vp.omega))
     if np.linalg.norm(psi) > np.pi - margin:
         raise ChartBoundaryError(
             f"via-point at t={vp.t} lies {np.pi - np.linalg.norm(psi):.2e} rad from the "
             "chart boundary; choose an auxiliary frame closer to the target"
         )
-    body_step = vp.rotation.T @ vp.omega * delta_t
-    R_plus = vp.rotation @ rot_exp(body_step)
+    body_step = R.T @ vp.omega * delta_t
+    R_plus = R @ rot_exp(body_step)
     psi_plus = rot_log(R_aux.T @ R_plus)
     psi_dot = (psi_plus - psi) / delta_t
-    return vp.t, np.concatenate([psi, psi_dot]), vp.covariance.copy()
+    return vp.t, np.concatenate([psi, psi_dot]), vp.covariance_matrix()
 
 
 def extend_reference(ref, vias, R_aux, delta_t=DEFAULT_DELTA_T):
@@ -300,9 +382,8 @@ def build_model(ext, cfg, scalar_blocks=None):
     n = len(ext)
     s = scalar_blocks(ext.times, ext.times, nb)
     gram_small = np.ascontiguousarray(s.transpose(2, 0, 3, 1)).reshape(n * nb, n * nb)
-    gram = np.kron(gram_small, np.eye(3))
     dim = nb * 3
-    m = gram.copy()
+    m = np.kron(gram_small, np.eye(3))
     for i in range(n):
         m[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += cfg.lam * ext.covariances[i]
     mu = ext.means.reshape(n * dim)

@@ -13,6 +13,9 @@ import numpy as np
 from . import gmm as gmm_mod
 from . import kmp
 
+# points of the GMR reference grid spanning the demonstration duration
+REF_SIZE = 200
+
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -41,18 +44,17 @@ def fit_projected_mixture(demos, R_aux, n_components, seed, cache=None):
 
 def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
                               n_components=gmm_mod.DEFAULT_COMPONENTS, seed=0,
-                              ref_size=200, delta_t_via=kmp.DEFAULT_DELTA_T,
-                              gmm_cache=None):
+                              delta_t_via=kmp.DEFAULT_DELTA_T, gmm_cache=None):
     """Learn from demonstrations and adapt towards the given via-points.
 
     vias is a list of kmp.ViaPointSpec (may be empty for pure reproduction).
-    The reference grid spans the demonstration duration with ref_size points;
+    The reference grid spans the demonstration duration with REF_SIZE points;
     grid_times is the output grid.
     """
     mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
     t0 = min(float(d.times[0]) for d in demos)
     t1 = max(float(d.times[-1]) for d in demos)
-    ref_times = np.linspace(t0, t1, ref_size)
+    ref_times = np.linspace(t0, t1, REF_SIZE)
     reference = gmm_mod.extract_reference(mixture, ref_times)
     extended = kmp.extend_reference(reference, vias, R_aux, delta_t_via)
     if cfg.lambda_a is not None:

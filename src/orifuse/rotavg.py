@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from ._kernels import ZERO_DISTANCE, memory_average_step, rot_log, stateless_average
+from ._kernels import memory_average_step, stateless_average
 
 D_TH_DEFAULT = 0.15  # radians; splits pi-boundary from pole crossings
 E_PSI_DEFAULT = math.cos(50.0 * math.pi / 180.0)
@@ -45,41 +45,23 @@ class FusionState:
     n_turns: int
     history: np.ndarray  # (capacity, 3)
     n_hist: int
-    psi_default: np.ndarray
     d_th: float = D_TH_DEFAULT
     e_psi: float = E_PSI_DEFAULT
 
     def copy(self):
-        return FusionState(
-            self.n_turns, self.history.copy(), self.n_hist,
-            self.psi_default.copy(), self.d_th, self.e_psi,
-        )
+        return FusionState(self.n_turns, self.history.copy(), self.n_hist, self.d_th, self.e_psi)
 
 
-def init_fusion_state(Ri0, Rj0, d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT,
-                      capacity=HISTORY_CAPACITY):
+def init_fusion_state(Ri0, Rj0):
     """State for a fresh sweep starting from the pair (Ri0, Rj0).
 
-    The initial traverse direction seeds the history so the first update has
-    an alignment reference; coincident rotations store the zero sentinel.
+    It is the state fusion.fuse starts every fold from: no turns and an empty
+    history, so the first step's own traverse direction is its alignment
+    reference.  The pair is only checked to be rotations.
     """
-    if not 0.0 < d_th < math.pi:
-        raise ValueError("d_th must lie in (0, pi)")
-    if not -1.0 < e_psi < 1.0:
-        raise ValueError("e_psi must lie in (-1, 1)")
-    Ri0 = so3.check_rotation(Ri0, name="Ri0")
-    Rj0 = so3.check_rotation(Rj0, name="Rj0")
-    psi = rot_log(Ri0.T @ Rj0)
-    d = float(np.linalg.norm(psi))
-    history = np.zeros((capacity, 3))
-    if d < ZERO_DISTANCE:
-        psi_default = np.zeros(3)
-        n_hist = 0
-    else:
-        psi_default = psi / d
-        history[0] = psi_default
-        n_hist = 1
-    return FusionState(0, history, n_hist, psi_default, d_th, e_psi)
+    so3.check_rotation(Ri0, name="Ri0")
+    so3.check_rotation(Rj0, name="Rj0")
+    return FusionState(0, np.zeros((HISTORY_CAPACITY, 3)), 0)
 
 
 def weighted_average_stateless(pair):

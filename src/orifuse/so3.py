@@ -64,12 +64,6 @@ def orthonormalize(R):
     return out
 
 
-def hat(psi):
-    """Skew-symmetric matrix of a 3-vector."""
-    x, y, z = psi
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def exp_map(psi):
     """Rodrigues formula; total on R^3."""
     psi = np.asarray(psi, dtype=float)
@@ -103,11 +97,6 @@ def recover_orientation(psi, R_aux, tol=ORTHOGONALITY_TOL):
     R_aux = check_rotation(R_aux, tol=tol, name="R_aux")
     psi = np.asarray(psi, dtype=float)
     return R_aux @ _kernels.rot_exp(psi)
-
-
-def exp_map_many(psis):
-    psis = np.atleast_2d(np.asarray(psis, dtype=float))
-    return _kernels.rot_exp_many(psis)
 
 
 def log_map_many(Rs, tol=ORTHOGONALITY_TOL):

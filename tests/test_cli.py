@@ -96,16 +96,22 @@ def test_learn_outputs(tmp_path, demo_dir):
 
 
 def test_fuse_k0_matches_adapt_bitwise(tmp_path, demo_dir):
-    # a fuse run with no IOVPs degenerates to the baseline adaptation
-    single_via = [{"t": 0.0, "psi": [1.2614, 1.0512, 1.5767], "omega": [0, 0, 0]}]
-    fuse_cfg = write_config(tmp_path / "fuse.json", demo_dir,
-                            via_points=single_via, aux_frame="per-iovp")
-    adapt_cfg = write_config(tmp_path / "adapt.json", demo_dir, via_points=single_via,
-                             aux_frame={"policy": "via", "index": 0})
-    out_f, out_a = tmp_path / "f", tmp_path / "a"
-    assert run_cli("fuse", "--config", fuse_cfg, "--out", out_f) == 0
-    assert run_cli("adapt", "--config", adapt_cfg, "--out", out_a) == 0
-    assert (out_f / "trajectory.csv").read_text() == (out_a / "trajectory.csv").read_text()
+    # a fuse run with no IOVPs degenerates to the baseline adaptation, also
+    # when the via carries its own acceleration variance
+    start = {"t": 0.0, "psi": [1.2614, 1.0512, 1.5767], "omega": [0, 0, 0]}
+    cases = [
+        ({"l": 0.01, "lambda": 1.0}, start),
+        ({"l": 0.01, "lambda": 1.0, "lambda_a": 100.0}, dict(start, acceleration_var=1e-6)),
+    ]
+    for n, (kernel, via) in enumerate(cases):
+        fuse_cfg = write_config(tmp_path / f"fuse{n}.json", demo_dir, kernel=kernel,
+                                via_points=[via], aux_frame="per-iovp")
+        adapt_cfg = write_config(tmp_path / f"adapt{n}.json", demo_dir, kernel=kernel,
+                                 via_points=[via], aux_frame={"policy": "via", "index": 0})
+        out_f, out_a = tmp_path / f"f{n}", tmp_path / f"a{n}"
+        assert run_cli("fuse", "--config", fuse_cfg, "--out", out_f) == 0
+        assert run_cli("adapt", "--config", adapt_cfg, "--out", out_a) == 0
+        assert (out_f / "trajectory.csv").read_text() == (out_a / "trajectory.csv").read_text()
 
 
 def test_exit_codes(tmp_path, demo_dir):

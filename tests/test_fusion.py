@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,18 +36,20 @@ def multi_iovp_setup(demos):
 
 
 def test_gauss_weight_center_and_edges():
-    assert fusion.gauss_weight(5.0, 5.0, 2.4) == 1.0
-    edge = fusion.gauss_weight(5.0 + 2.4, 5.0, 2.4)
+    t = np.array([5.0, 5.0 + 2.4, 5.0 - 2.4])
+    w = WeightCurveSet(np.array([5.0]), np.array([2.4])).weight_matrix(t)[:, 1]
+    assert w[0] == 1.0
+    edge = w[1]
     assert abs(edge - np.exp(-4.5)) < 1e-15
     assert abs(edge - 0.011108996538242306) < 1e-15
-    assert abs(fusion.gauss_weight(5.0 - 2.4, 5.0, 2.4) - edge) < 1e-15
+    assert abs(w[2] - edge) < 1e-15
 
 
 def test_gauss_weight_curve_shape():
     # two curves: unit peaks at their centers, near-zero at the other's center
     t = np.linspace(0, 12, 400)
-    w1 = np.array([fusion.gauss_weight(x, 5.0, 2.4) for x in t])
-    w2 = np.array([fusion.gauss_weight(x, 10.0, 2.4) for x in t])
+    w = WeightCurveSet(np.array([5.0, 10.0]), np.array([2.4, 2.4])).weight_matrix(t)
+    w1, w2 = w[:, 1], w[:, 2]
     assert abs(w1[np.argmin(np.abs(t - 5.0))] - 1.0) < 1e-3
     assert abs(w2[np.argmin(np.abs(t - 10.0))] - 1.0) < 1e-3
     assert w1[np.argmin(np.abs(t - 10.0))] < 0.02
@@ -61,8 +65,8 @@ def test_weight_matrix_partition_is_exact():
 
 def test_overlapping_domains_rejected():
     iovps = [
-        IovpSpec(4.0, np.eye(3), np.zeros(3), delta_t=2.4),
-        IovpSpec(5.0, so3.exp_map([0.1, 0, 0]), np.zeros(3), delta_t=2.4),
+        IovpSpec(4.0, np.eye(3), np.zeros(3), weight_half_width=2.4),
+        IovpSpec(5.0, so3.exp_map([0.1, 0, 0]), np.zeros(3), weight_half_width=2.4),
     ]
     with pytest.raises(DomainOverlap):
         fusion.weight_curves_for(iovps)
@@ -221,12 +225,18 @@ def test_axis_alignment_error():
 
 
 def test_iovp_variance_patterns():
+    assert IovpSpec is kmp.ViaPointSpec
     iovp = IovpSpec(2.0, np.eye(3), np.zeros(3), relaxed_axis="y")
-    assert np.allclose(iovp.orientation_variances(), [1e-10, 1e3, 1e-10])
-    assert np.allclose(iovp.velocity_variances(), [1e-10] * 3)
-    spec = fusion.via_spec_from_iovp(iovp)
-    assert spec.covariance.shape == (6, 6)
-    assert np.allclose(np.diag(spec.covariance), [1e-10, 1e3, 1e-10, 1e-10, 1e-10, 1e-10])
-    spec9 = fusion.via_spec_from_iovp(iovp, lambda_a=100.0)
-    assert spec9.covariance.shape == (9, 9)
-    assert np.allclose(np.diag(spec9.covariance)[6:], 0.01)
+    cov = iovp.covariance_matrix()
+    assert cov.shape == (6, 6)
+    assert np.array_equal(np.diag(cov), [1e-10, 1e3, 1e-10, 1e-10, 1e-10, 1e-10])
+    assert np.array_equal(cov, np.diag(np.diag(cov)))
+    # velocity_var defaults to eps_strict; a 9x9 covariance needs acceleration_var
+    loose = replace(iovp, eps_strict=1e-8, acceleration_var=0.01)
+    cov9 = loose.covariance_matrix()
+    assert cov9.shape == (9, 9)
+    assert np.array_equal(np.diag(cov9), [1e-8, 1e3, 1e-8] + [1e-8] * 3 + [0.01] * 3)
+    explicit = IovpSpec(2.0, np.eye(3), np.zeros(3), np.diag([1e-6] * 6))
+    assert np.array_equal(explicit.covariance_matrix(), np.diag([1e-6] * 6))
+    with pytest.raises(ValueError):
+        replace(explicit, relaxed_axis="y")

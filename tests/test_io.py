@@ -208,6 +208,11 @@ def test_config_via_target_frames(tmp_path):
         _base_config(tmp_path, via_points=[{"t": 0.0, "psi": [0.3, 0.0, 0.0]}]))
     assert so3.geodesic_distance(
         world.via_points[0].target_rotation(), so3.exp_map([0.3, 0, 0])) < 1e-12
+    # an explicit rotation is taken relative to its frame too
+    rotated = [{"t": 0.0, "rotation": so3.exp_map([0.3, 0, 0]).tolist(), "frame": "aux"}]
+    cfg = io.load_config(_base_config(tmp_path, via_points=rotated))
+    target = cfg.via_points[0].target_rotation(R_aux)
+    assert so3.geodesic_distance(target, R_aux @ so3.exp_map([0.3, 0, 0])) < 1e-12
 
 
 RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from orifuse import rotavg, so3
-from orifuse.rotavg import FusionState, WeightedPair
+from orifuse._kernels import memory_average_many
+from orifuse.rotavg import (
+    D_TH_DEFAULT,
+    E_PSI_DEFAULT,
+    HISTORY_CAPACITY,
+    FusionState,
+    WeightedPair,
+)
 
 
 def rot_x(theta):
@@ -52,12 +59,10 @@ def test_init_state_defaults():
     assert state.d_th == 0.15
     assert abs(state.e_psi - math.cos(50 * math.pi / 180)) < 1e-15
     assert state.history.shape == (5, 3)
-    assert np.allclose(state.psi_default, [1, 0, 0])
 
 
 def test_init_state_zero_sentinel():
     state = rotavg.init_fusion_state(rot_x(0.4), rot_x(0.4))
-    assert np.array_equal(state.psi_default, np.zeros(3))
     assert state.n_hist == 0
 
 
@@ -137,6 +142,25 @@ def test_closed_multi_crossing_sweep_counter_integrity():
     assert state.n_turns == 0
     steps = [so3.geodesic_distance(outs[i], outs[i + 1]) for i in range(len(outs) - 1)]
     assert max(steps) <= 10 * np.median(steps)
+
+
+def test_step_api_is_one_memory_average_many_call():
+    # criterion 7's closed sweep across the pi boundary and the pole
+    thetas = np.concatenate([
+        np.linspace(0.5, 1.2 * np.pi, 600),
+        np.linspace(1.2 * np.pi, -0.3, 900),
+        np.linspace(-0.3, 0.5, 300),
+    ])
+    outs, turns, _ = sweep(thetas, rotavg.init_fusion_state(np.eye(3), rot_x(thetas[0])))
+    Ris = np.tile(np.eye(3), (thetas.size, 1, 1))
+    Rjs = np.stack([rot_x(th) for th in thetas])
+    w = np.full(thetas.size, 0.5)
+    many, many_turns = memory_average_many(
+        Ris, Rjs, w, w, D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY
+    )
+    assert np.array_equal(np.array(turns), many_turns)
+    assert len(set(turns)) > 1
+    assert np.abs(outs - many).max() <= 1e-12
 
 
 def test_continuity_theorem_bound_general_motion():
