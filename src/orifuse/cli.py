@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     SeriesTooShort,
 )
-from .pipeline import reproduce_with_via_points
+from .pipeline import demo_grid, reproduce_with_via_points
 
 _EXIT_CODES = (
     (ConfigError, 2),
@@ -71,48 +71,60 @@ def _add_common(sub):
     sub.add_argument("--grid", type=int, default=None, help="override the output grid size")
 
 
-def _out_dir(args):
-    out = args.out or _env_default("OUT", str)
-    if out is None:
-        raise ConfigError("an output directory is required (--out or ORIFUSE_OUT)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _load_run(args, per_iovp=None):
+    """(config, seed, grid, output dir, demos) of a command reading --config.
 
-
-def _effective(args, cfg):
-    """(seed, grid) after flag and environment overrides, validated like the config."""
+    per_iovp names the run when it needs the per-iovp aux_frame policy.  Seed
+    and grid come from the flag, else the environment, else the config, and
+    are validated like the config.
+    """
+    cfg = io.load_config(args.config)
+    if per_iovp is not None and cfg.aux_policy != "per-iovp":
+        raise ConfigError(f"{per_iovp} needs aux_frame policy 'per-iovp'")
     seed = args.seed if args.seed is not None else _env_default("SEED", int, cfg.seed)
     grid = args.grid if args.grid is not None else _env_default("GRID", int, cfg.grid)
     io.validate_config(replace(cfg, seed=seed, grid=grid), "overrides")
-    return seed, grid
+    out = args.out or _env_default("OUT", str)
+    if out is None:
+        raise ConfigError("an output directory is required (--out or ORIFUSE_OUT)")
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return cfg, seed, grid, Path(out), io.load_demos(cfg.demo_paths)
 
 
 def _kernel_config(cfg):
-    if cfg.lambda_a is None:
-        return kmp.KernelConfig(l=cfg.l, lam=cfg.lam)
-    return kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=cfg.lambda_a, order="pva")
+    return kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=cfg.lambda_a)
 
 
 def _aux_frame(cfg, demos):
+    if cfg.aux_rotation is not None:
+        return cfg.aux_rotation
     if cfg.aux_policy == "first-demo-start":
         return demos[0].rotations[0]
-    if cfg.aux_policy == "explicit":
-        return cfg.aux_rotation
-    if cfg.aux_policy == "via":
-        via = cfg.via_points[cfg.aux_via_index or 0]
-        return via.target_rotation()
     raise ConfigError(f"aux policy '{cfg.aux_policy}' is not valid for this command")
 
 
-def _grid_times(demos, grid):
-    t0 = min(float(d.times[0]) for d in demos)
-    t1 = max(float(d.times[-1]) for d in demos)
-    return np.linspace(t0, t1, grid)
+def _via_errors(traj, vias, R_aux):
+    """(geodesic, angular velocity) error at the grid time nearest to each via."""
+    errors = []
+    for via in vias:
+        i = int(np.argmin(np.abs(traj.times - via.t)))
+        errors.append((so3.geodesic_distance(traj.rotations[i], via.target_rotation(R_aux)),
+                       float(np.linalg.norm(traj.omega_world[i] - via.omega))))
+    return errors
+
+
+def _save_trajectory(path, traj):
+    """A regression or fused trajectory; fused ones carry their weight columns."""
+    io.save_trajectory(path, traj.times, traj.rotations, traj.omega_world,
+                       getattr(traj, "weights", None))
 
 
 def _cmd_gen_demos(args):
     seed = args.seed if args.seed is not None else _env_default("SEED", int, 0)
+    if args.count < 1 or args.samples < 2 or not args.duration > 0 or seed < 0:
+        raise ConfigError("gen-demos needs count >= 1, samples >= 2, duration > 0 and "
+                          f"seed >= 0; got {args.count}, {args.samples}, {args.duration} "
+                          f"and {seed}")
     out = Path(args.out or _env_default("OUT", str) or ".")
     out.mkdir(parents=True, exist_ok=True)
     demos = demo_gen.generate_demos(
@@ -125,18 +137,14 @@ def _cmd_gen_demos(args):
 
 
 def _cmd_learn(args):
-    cfg = io.load_config(args.config)
-    seed, grid = _effective(args, cfg)
-    out = _out_dir(args)
-    demos = io.load_demos(cfg.demo_paths)
-    R_aux = _aux_frame(cfg, demos)
+    cfg, seed, grid, out, demos = _load_run(args)
     result = reproduce_with_via_points(
-        demos, R_aux, [], _kernel_config(cfg), _grid_times(demos, grid),
+        demos, _aux_frame(cfg, demos), [], _kernel_config(cfg), demo_grid(demos, grid),
         n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
     )
     io.save_mixture(out / "mixture.json", result.mixture)
     traj = result.trajectory
-    io.save_trajectory(out / "trajectory.csv", traj.times, traj.rotations, traj.omega_world)
+    _save_trajectory(out / "trajectory.csv", traj)
     io.save_metrics(out / "metrics.csv", {
         "em_iterations": len(result.mixture.log_likelihoods),
         "log_likelihood": float(result.mixture.log_likelihoods[-1]),
@@ -147,32 +155,24 @@ def _cmd_learn(args):
 
 
 def _cmd_adapt(args):
-    cfg = io.load_config(args.config)
-    seed, grid = _effective(args, cfg)
-    out = _out_dir(args)
-    demos = io.load_demos(cfg.demo_paths)
+    cfg, seed, grid, out, demos = _load_run(args)
     R_aux = _aux_frame(cfg, demos)
     result = reproduce_with_via_points(
-        demos, R_aux, cfg.via_points, _kernel_config(cfg), _grid_times(demos, grid),
+        demos, R_aux, cfg.via_points, _kernel_config(cfg), demo_grid(demos, grid),
         n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
     )
     traj = result.trajectory
-    io.save_trajectory(out / "trajectory.csv", traj.times, traj.rotations, traj.omega_world)
+    _save_trajectory(out / "trajectory.csv", traj)
     metrics = {"acceleration_cost": fusion.trajectory_acceleration_cost(traj)}
-    for idx, via in enumerate(cfg.via_points):
-        i = int(np.argmin(np.abs(traj.times - via.t)))
-        metrics[f"via{idx}_geodesic_err"] = so3.geodesic_distance(
-            traj.rotations[i], via.target_rotation(R_aux)
-        )
-        metrics[f"via{idx}_omega_err"] = float(
-            np.linalg.norm(traj.omega_world[i] - via.omega)
-        )
+    for idx, (rot_err, omega_err) in enumerate(_via_errors(traj, cfg.via_points, R_aux)):
+        metrics[f"via{idx}_geodesic_err"] = rot_err
+        metrics[f"via{idx}_omega_err"] = omega_err
     io.save_metrics(out / "metrics.csv", metrics)
     print(f"adaptation written to {out}")
     return 0
 
 
-def _fusion_run(cfg, demos, seed, grid, memory, strict=False, target_override=None,
+def _fusion_run(cfg, demos, seed, grid, memory=True, strict=False, target_override=None,
                 gmm_cache=None):
     """Fuse the per-iovp config's via-points; via 0 is the baseline.
 
@@ -187,7 +187,7 @@ def _fusion_run(cfg, demos, seed, grid, memory, strict=False, target_override=No
         vias = [replace(via, relaxed_axis=None, orientation_var=None) for via in vias]
     baseline, iovps = (vias[0], vias[1:]) if vias else (None, [])
     components, _ = fusion.build_component_trajectories(
-        demos, baseline, iovps, _kernel_config(cfg), _grid_times(demos, grid),
+        demos, baseline, iovps, _kernel_config(cfg), demo_grid(demos, grid),
         n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
         gmm_cache=gmm_cache,
     )
@@ -213,21 +213,12 @@ def _fusion_metrics(fused, iovps):
 
 
 def _cmd_fuse(args):
-    cfg = io.load_config(args.config)
-    if cfg.aux_policy != "per-iovp":
-        raise ConfigError("fuse requires aux_frame policy 'per-iovp'")
-    seed, grid = _effective(args, cfg)
-    memory = cfg.memory and not (args.no_memory or _flag_env("NO_MEMORY"))
-    out = _out_dir(args)
-    demos = io.load_demos(cfg.demo_paths)
+    cfg, seed, grid, out, demos = _load_run(args, per_iovp="fuse")
+    memory = not (args.no_memory or _flag_env("NO_MEMORY"))
     fused, components, iovps = _fusion_run(cfg, demos, seed, grid, memory, gmm_cache={})
     for k, comp in enumerate(components):
-        io.save_trajectory(
-            out / f"component_{k}.csv", comp.times, comp.rotations, comp.omega_world
-        )
-    io.save_trajectory(
-        out / "trajectory.csv", fused.times, fused.rotations, fused.omega_world, fused.weights
-    )
+        _save_trajectory(out / f"component_{k}.csv", comp)
+    _save_trajectory(out / "trajectory.csv", fused)
     metrics = _fusion_metrics(fused, iovps)
     metrics["memory"] = memory
     io.save_metrics(out / "metrics.csv", metrics)
@@ -241,9 +232,9 @@ def _comparison(cfg, demos, seed, grid, target_override=None, gmm_cache=None):
     The row holds cost_iovp, cost_strict, max_axis_err,
     continuity_ratio_iovp and continuity_ratio_strict.
     """
-    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, cfg.memory,
-                                    target_override=target_override, gmm_cache=gmm_cache)
-    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, cfg.memory, strict=True,
+    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, target_override=target_override,
+                                    gmm_cache=gmm_cache)
+    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, strict=True,
                                 target_override=target_override, gmm_cache=gmm_cache)
     m_i = _fusion_metrics(fused_i, iovps)
     m_s = _fusion_metrics(fused_s, [])
@@ -259,21 +250,10 @@ _COMPARISON_COLUMNS = ["cost_iovp", "cost_strict", "max_axis_err", "continuity_r
 
 
 def _cmd_eval(args):
-    cfg = io.load_config(args.config)
-    if cfg.aux_policy != "per-iovp":
-        raise ConfigError("eval compares fusion runs; aux_frame policy must be 'per-iovp'")
-    seed, grid = _effective(args, cfg)
-    out = _out_dir(args)
-    demos = io.load_demos(cfg.demo_paths)
+    cfg, seed, grid, out, demos = _load_run(args, per_iovp="eval")
     fused_i, fused_s, row = _comparison(cfg, demos, seed, grid, gmm_cache={})
-    io.save_trajectory(
-        out / "trajectory_iovp.csv", fused_i.times, fused_i.rotations,
-        fused_i.omega_world, fused_i.weights,
-    )
-    io.save_trajectory(
-        out / "trajectory_strict.csv", fused_s.times, fused_s.rotations,
-        fused_s.omega_world, fused_s.weights,
-    )
+    _save_trajectory(out / "trajectory_iovp.csv", fused_i)
+    _save_trajectory(out / "trajectory_strict.csv", fused_s)
     io.save_table(out / "table.csv", _COMPARISON_COLUMNS, [row])
     print(f"comparison written to {out}")
     return 0
@@ -293,41 +273,29 @@ def _sweep_rows(trial, values, jobs):
 
 
 def _cmd_sweep(args):
-    cfg = io.load_config(args.config)
-    seed, grid = _effective(args, cfg)
-    out = _out_dir(args)
-    demos = io.load_demos(cfg.demo_paths)
+    cfg, seed, grid, out, demos = _load_run(args)
     values = cfg.sweep_values
     jobs = args.jobs or _env_default("JOBS", int, min(4, os.cpu_count() or 1))
     if jobs < 1:
         raise ConfigError(f"the sweep needs at least one job, got {jobs}")
     if cfg.sweep_axis == "lambda_a":
         R_aux = _aux_frame(cfg, demos)
-        grid_times = _grid_times(demos, grid)
+        grid_times = demo_grid(demos, grid)
         cache = {}
 
         def trial(lam_a):
-            run_cfg = kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=lam_a, order="pva")
-            result = reproduce_with_via_points(
+            run_cfg = kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=lam_a)
+            traj = reproduce_with_via_points(
                 demos, R_aux, cfg.via_points, run_cfg, grid_times,
                 n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
                 gmm_cache=cache,
-            )
-            traj = result.trajectory
-            errs = [
-                so3.geodesic_distance(
-                    traj.rotations[int(np.argmin(np.abs(traj.times - v.t)))],
-                    v.target_rotation(R_aux),
-                )
-                for v in cfg.via_points
-            ]
+            ).trajectory
+            errs = [rot_err for rot_err, _ in _via_errors(traj, cfg.via_points, R_aux)]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
 
         rows = _sweep_rows(trial, [float(v) for v in values], jobs)
         io.save_table(out / "table.csv", ["lambda_a", "acceleration_cost", "max_via_err"], rows)
     elif cfg.sweep_axis == "target-rotation":
-        if cfg.aux_policy != "per-iovp":
-            raise ConfigError("target-rotation sweeps need aux_frame policy 'per-iovp'")
         via_index = cfg.sweep_via_index
         if via_index is None:
             via_index = len(cfg.via_points) - 1
@@ -397,12 +365,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except OrifuseError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
 
 
 if __name__ == "__main__":

@@ -101,16 +101,11 @@ def check_non_interference(vias):
     times = [vp.t for vp in vias]
     if sorted(times) != times:
         raise DomainOverlap("IOVP times must be sorted")
-    for k, vp in enumerate(vias):
-        if k + 1 < len(vias) and vp.t + vp.weight_half_width > vias[k + 1].t + 1e-12:
+    for a, b in zip(vias, vias[1:]):
+        if a.t + a.weight_half_width > b.t + 1e-12 or b.t - b.weight_half_width < a.t - 1e-12:
             raise DomainOverlap(
-                f"IOVP at t={vp.t} has weight_half_width={vp.weight_half_width} reaching "
-                f"past the next via time {vias[k + 1].t}"
-            )
-        if k > 0 and vp.t - vp.weight_half_width < vias[k - 1].t - 1e-12:
-            raise DomainOverlap(
-                f"IOVP at t={vp.t} has weight_half_width={vp.weight_half_width} reaching "
-                f"past the previous via time {vias[k - 1].t}"
+                f"IOVPs at t={a.t} and t={b.t} (weight_half_width {a.weight_half_width} and "
+                f"{b.weight_half_width}) reach past each other's time"
             )
 
 

@@ -147,13 +147,13 @@ def _kmeanspp_init(data, k, rng):
     return priors, means, covs
 
 
-def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0, max_iter=EM_MAX_ITER,
-            rel_tol=EM_REL_TOL, cov_floor=COVARIANCE_FLOOR):
+def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
     """Fit a Gaussian mixture over (t, eta) rows by EM.
 
     k-means++ initialization from the given seed, responsibilities computed in
-    log space, a cov_floor * I added in every M-step.  Stops when the relative
-    log-likelihood improvement drops below rel_tol.  The per-iteration
+    log space, a COVARIANCE_FLOOR * I added in every M-step.  Stops after
+    EM_MAX_ITER iterations or when the relative log-likelihood improvement
+    drops below EM_REL_TOL.  The per-iteration
     log-likelihood trace is kept on the returned mixture.
     """
     data = np.asarray(data, dtype=float)
@@ -171,7 +171,7 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0, max_iter=EM_MAX_ITER,
     eye = np.eye(dim)
     trace = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         # E-step in log space
         log_prob = np.log(priors) + _log_gaussians(data, means, covs)
         top = log_prob.max(axis=1, keepdims=True)
@@ -187,8 +187,8 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0, max_iter=EM_MAX_ITER,
         means = (resp.T @ data) / weights[:, None]
         for k in range(n_components):
             diff = data - means[k]
-            covs[k] = (resp[:, k][:, None] * diff).T @ diff / weights[k] + cov_floor * eye
-        if np.isfinite(prev_ll) and ll - prev_ll < rel_tol * max(abs(prev_ll), 1.0):
+            covs[k] = (resp[:, k][:, None] * diff).T @ diff / weights[k] + COVARIANCE_FLOOR * eye
+        if np.isfinite(prev_ll) and ll - prev_ll < EM_REL_TOL * max(abs(prev_ll), 1.0):
             break
         prev_ll = ll
     priors = priors / priors.sum()
@@ -205,16 +205,11 @@ def _conditioning_terms(gmm):
     Returns (slopes (K,6), cond_covs (K,6,6)): the conditional mean is
     mu_eta + slope * (t - mu_t) and the conditional covariance is constant.
     """
-    k = gmm.n_components
-    slopes = np.empty((k, 6))
-    cond_covs = np.empty((k, 6, 6))
-    for j in range(k):
-        var_t = gmm.covariances[j, 0, 0]
-        cross = gmm.covariances[j, 1:, 0]
-        slopes[j] = cross / var_t
-        cond_covs[j] = gmm.covariances[j, 1:, 1:] - np.outer(cross, cross) / var_t
-        cond_covs[j] = 0.5 * (cond_covs[j] + cond_covs[j].T)
-    return slopes, cond_covs
+    covs = gmm.covariances
+    var_t = covs[:, 0, 0, None]
+    cross = covs[:, 1:, 0]
+    cond_covs = covs[:, 1:, 1:] - cross[:, :, None] * cross[:, None, :] / var_t[:, :, None]
+    return cross / var_t, 0.5 * (cond_covs + cond_covs.transpose(0, 2, 1))
 
 
 def _gmr_batch(gmm, times):

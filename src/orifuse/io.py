@@ -34,11 +34,27 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _cell(value):
+    """A metric or table cell: integers and booleans as integers, other numbers as _fmt."""
+    if isinstance(value, (bool, int, np.integer)):
+        return str(int(value))
+    return _fmt(value)
+
+
+def _numeric_rows(*blocks):
+    """One line of comma-separated _fmt cells per row of the column-stacked blocks."""
+    return [",".join(map(_fmt, row)) for row in np.column_stack(blocks).tolist()]
+
+
 def _write_text(path, text):
     try:
         Path(path).write_text(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_lines(path, lines):
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_header(path, line, magic):
@@ -88,34 +104,32 @@ def _read_table(path, magic):
     return header, data
 
 
-def _quat_to_matrix(q):
-    w, x, y, z = q
+def _quats_to_matrices(quats, path):
+    """Rotation matrices of (N, 4) wxyz quaternion rows; a zero row is named."""
+    w, x, y, z = quats.T
     n = w * w + x * x + y * y + z * z
-    if n < 1e-12:
-        raise ValueError("zero quaternion")
+    zero = np.flatnonzero(n < 1e-12)
+    if zero.size:
+        raise NotARotation(f"{path}: row {zero[0]}: zero quaternion")
     s = 2.0 / n
-    return np.array(
+    return np.stack(
         [
-            [1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y)],
-            [s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x)],
-            [s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y)],
-        ]
-    )
+            1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y),
+            s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x),
+            s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y),
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
 
 
 def save_demo(path, demo):
     """Write a demonstration as rows of t plus the row-major rotation."""
     n = len(demo)
-    has_pos = demo.positions is not None
-    lines = [
-        f"# {_DEMO_MAGIC} v{SCHEMA_VERSION} dt={_fmt(demo.dt)} n={n} frame=world rep=matrix"
-    ]
-    for i in range(n):
-        cells = [_fmt(demo.times[i])] + [_fmt(v) for v in demo.rotations[i].ravel()]
-        if has_pos:
-            cells += [_fmt(v) for v in demo.positions[i]]
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    blocks = [demo.times, demo.rotations.reshape(n, 9)]
+    if demo.positions is not None:
+        blocks.append(demo.positions)
+    header = f"# {_DEMO_MAGIC} v{SCHEMA_VERSION} dt={_fmt(demo.dt)} n={n} frame=world rep=matrix"
+    _write_lines(path, [header] + _numeric_rows(*blocks))
 
 
 def load_demo(path, reorthonormalize=False):
@@ -137,21 +151,15 @@ def load_demo(path, reorthonormalize=False):
     times = data[:, 0]
     if times.shape[0] >= 2 and np.any(np.diff(times) <= 0):
         raise ParseError("timestamps must be strictly increasing", path=path)
-    rotations = np.empty((data.shape[0], 3, 3))
-    for i in range(data.shape[0]):
-        if rep == "quat":
-            try:
-                R = _quat_to_matrix(data[i, 1:5])
-            except ValueError as exc:
-                raise NotARotation(f"{path}: row {i}: {exc}") from exc
-        else:
-            R = data[i, 1:10].reshape(3, 3)
-        if not so3.is_rotation(R):
-            if reorthonormalize:
-                R = so3.orthonormalize(R)
-            else:
-                raise NotARotation(f"{path}: row {i} fails the rotation check")
-        rotations[i] = R
+    if rep == "quat":
+        rotations = _quats_to_matrices(data[:, 1:5], path)
+    else:
+        rotations = data[:, 1:10].reshape(-1, 3, 3)
+    bad = np.flatnonzero(so3.non_rotations(rotations))
+    if bad.size and not reorthonormalize:
+        raise NotARotation(f"{path}: row {bad[0]} fails the rotation check")
+    for i in bad:
+        rotations[i] = so3.orthonormalize(rotations[i], name=f"{path}: row {i}")
     positions = data[:, 1 + rot_cols:] if data.shape[1] == 1 + rot_cols + 3 else None
     return Demonstration(times, rotations, positions)
 
@@ -184,18 +192,9 @@ def save_trajectory(path, times, rotations, omega_world, weights=None):
         weights = np.ones((n, 1))
     weights = np.asarray(weights, dtype=float)
     k = weights.shape[1] - 1
-    lines = [f"# {_TRAJ_MAGIC} v{SCHEMA_VERSION} n={n} k={k}"]
     psis = so3.log_map_many(rotations) if n else np.empty((0, 3))
-    for i in range(n):
-        cells = (
-            [_fmt(times[i])]
-            + [_fmt(v) for v in psis[i]]
-            + [_fmt(v) for v in rotations[i].ravel()]
-            + [_fmt(v) for v in omega_world[i]]
-            + [_fmt(v) for v in weights[i]]
-        )
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = _numeric_rows(times, psis, rotations.reshape(n, 9), omega_world, weights)
+    _write_lines(path, [f"# {_TRAJ_MAGIC} v{SCHEMA_VERSION} n={n} k={k}"] + rows)
 
 
 def load_trajectory(path):
@@ -217,29 +216,14 @@ def load_trajectory(path):
 
 def save_metrics(path, metrics):
     """Write scalar metrics as deterministic key,value rows."""
-    lines = ["# orifuse-metrics v1"]
-    for key, value in metrics.items():
-        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-            lines.append(f"{key},{int(value)}")
-        elif isinstance(value, bool):
-            lines.append(f"{key},{int(value)}")
-        else:
-            lines.append(f"{key},{_fmt(value)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    lines = [f"{key},{_cell(value)}" for key, value in metrics.items()]
+    _write_lines(path, ["# orifuse-metrics v1"] + lines)
 
 
 def save_table(path, columns, rows):
     """Write a comparison table with named columns (sweep/eval output)."""
-    lines = ["# orifuse-table v1", ",".join(columns)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                cells.append(str(int(value)))
-            else:
-                cells.append(_fmt(value))
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    lines = [",".join(map(_cell, row)) for row in rows]
+    _write_lines(path, ["# orifuse-table v1", ",".join(columns)] + lines)
 
 
 def save_mixture(path, mixture):
@@ -274,11 +258,10 @@ class RunConfig:
     lam: float = 1.0
     lambda_a: float | None = None
     grid: int = 200
-    memory: bool = True
     delta_t_via: float = 1e-3
     aux_policy: str = "first-demo-start"
+    # the chart frame of the "explicit" and "via" policies, resolved at load
     aux_rotation: np.ndarray | None = None
-    aux_via_index: int | None = None
     via_points: list = field(default_factory=list)
     sweep_axis: str | None = None
     sweep_values: list = field(default_factory=list)
@@ -335,31 +318,31 @@ def _parse_config(doc, path):
     demos = doc.get("demos")
     if not isinstance(demos, list) or not demos:
         raise ConfigError(f"{path}: 'demos' must be a non-empty list of paths")
+    if "memory" in doc:
+        raise ConfigError(f"{path}: 'memory' is not a configuration key: the memory average "
+                          "always runs; 'fuse --no-memory' is the diagnostic ablation")
     demo_paths = [path.parent / p for p in demos]
-    aux = doc.get("aux_frame", "first-demo-start")
-    aux_rotation = None
-    aux_via_index = None
-    if isinstance(aux, dict):
-        policy = aux.get("policy")
-        if policy == "explicit":
-            aux_rotation = np.asarray(aux.get("rotation"), dtype=float).reshape(3, 3)
-            if not so3.is_rotation(aux_rotation):
-                raise ConfigError(f"{path}: explicit aux_frame is not a rotation")
-        elif policy == "via":
-            aux_via_index = int(aux.get("index", 0))
-        elif policy not in ("first-demo-start", "per-iovp"):
-            raise ConfigError(f"{path}: unknown aux_frame policy {policy!r}")
-    else:
-        policy = aux
-        if policy not in ("first-demo-start", "per-iovp"):
-            raise ConfigError(f"{path}: unknown aux_frame policy {policy!r}")
-    gmm_doc = doc.get("gmm", {})
-    kernel_doc = doc.get("kernel", {})
-    lambda_a = kernel_doc.get("lambda_a")
     vias = [_parse_via(v, path) for v in doc.get("via_points", [])]
     times = [v.t for v in vias]
     if times != sorted(times):
         raise ConfigError(f"{path}: via-point times must be sorted")
+    aux = doc.get("aux_frame", "first-demo-start")
+    policy = aux.get("policy") if isinstance(aux, dict) else aux
+    aux_rotation = None
+    if policy == "explicit":
+        aux_rotation = np.asarray(aux.get("rotation"), dtype=float).reshape(3, 3)
+        if not so3.is_rotation(aux_rotation):
+            raise ConfigError(f"{path}: explicit aux_frame is not a rotation")
+    elif policy == "via":
+        index = aux.get("index", 0)
+        if not (isinstance(index, int) and 0 <= index < len(vias)):
+            raise ConfigError(f"{path}: aux_frame via index {index!r} out of range")
+        aux_rotation = vias[index].target_rotation()
+    elif policy not in ("first-demo-start", "per-iovp"):
+        raise ConfigError(f"{path}: unknown aux_frame policy {policy!r}")
+    gmm_doc = doc.get("gmm", {})
+    kernel_doc = doc.get("kernel", {})
+    lambda_a = kernel_doc.get("lambda_a")
     sweep = doc.get("sweep") or {}
     sweep_axis = sweep.get("axis")
     if sweep_axis not in (None, "lambda_a", "target-rotation"):
@@ -372,11 +355,9 @@ def _parse_config(doc, path):
         lam=float(kernel_doc.get("lambda", 1.0)),
         lambda_a=None if lambda_a is None else float(lambda_a),
         grid=int(doc.get("grid", 200)),
-        memory=bool(doc.get("memory", True)),
         delta_t_via=float(doc.get("delta_t_via", 1e-3)),
         aux_policy=policy,
         aux_rotation=aux_rotation,
-        aux_via_index=aux_via_index,
         via_points=vias,
         sweep_axis=sweep_axis,
         sweep_values=list(sweep.get("values", [])),
@@ -409,9 +390,8 @@ def validate_config(cfg, path):
     index = cfg.sweep_via_index
     if index is not None and not (isinstance(index, int) and 0 <= index < len(cfg.via_points)):
         raise ConfigError(f"{path}: sweep via_index {index!r} out of range")
-    if cfg.aux_policy == "via" and cfg.aux_via_index is not None:
-        if not 0 <= cfg.aux_via_index < len(cfg.via_points):
-            raise ConfigError(f"{path}: aux via index {cfg.aux_via_index} out of range")
+    if cfg.sweep_axis == "target-rotation" and cfg.aux_policy != "per-iovp":
+        raise ConfigError(f"{path}: target-rotation sweeps need aux_frame policy 'per-iovp'")
     if cfg.aux_policy == "per-iovp":
         # the non-interference principle is checked before any computation
         fusion.check_non_interference(cfg.via_points[1:])

@@ -11,7 +11,7 @@ Gaussian kernel g(a, b) = exp(-l (a - b)^2) the (p, q) block entry is
 d^p/da^p d^q/db^q g, tensored with I_3.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -29,6 +29,8 @@ WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 CHART_MARGIN = 1e-3
 VIA_TIME_TOL = 1e-9
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+# query times per slab of the scalar kernel table in predict_many
+PREDICT_CHUNK = 2048
 _VARIANCE_BLOCKS = ("orientation_var", "velocity_var", "acceleration_var")
 
 
@@ -37,30 +39,30 @@ class KernelConfig:
     """Kernel and regularization parameters.
 
     l is the inverse squared length scale of the Gaussian kernel, lam the
-    ridge factor, lambda_a the optional acceleration weight.  order selects
-    the derivative blocks: "pv" couples (psi, psi_dot), "pva" adds psi_ddot.
+    ridge factor, lambda_a the optional acceleration weight.  lambda_a alone
+    selects the derivative blocks: without it the state couples
+    (psi, psi_dot), with it psi_ddot is added.  order ("pv" or "pva") may
+    still be passed but must agree with lambda_a.
     """
 
     l: float = 0.01
     lam: float = 1.0
     lambda_a: float | None = None
-    order: str = "pv"
+    order: InitVar[str | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, order):
         if self.l <= 0:
             raise ValueError("l must be positive")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if self.lambda_a is not None and self.lambda_a <= 0:
             raise ValueError("lambda_a must be positive when given")
-        if self.order not in ("pv", "pva"):
-            raise ValueError("order must be 'pv' or 'pva'")
-        if self.order == "pva" and self.lambda_a is None:
-            raise ValueError("order 'pva' requires lambda_a")
+        if order is not None and order != ("pv" if self.lambda_a is None else "pva"):
+            raise ValueError("order must be 'pva' with lambda_a and 'pv' without")
 
     @property
     def n_blocks(self):
-        return 3 if self.order == "pva" else 2
+        return 2 if self.lambda_a is None else 3
 
     @property
     def state_dim(self):
@@ -294,12 +296,10 @@ def augment_for_acceleration(ext, lambda_a):
     means[:, :6] = ext.means
     covs = np.zeros((n, 9, 9))
     covs[:, :6, :6] = ext.covariances
-    default = np.eye(3) / lambda_a
-    for i in range(n):
-        block = default
-        if ext.acc_covariances is not None and not np.any(np.isnan(ext.acc_covariances[i])):
-            block = ext.acc_covariances[i]
-        covs[i, 6:, 6:] = block
+    covs[:, 6:, 6:] = np.eye(3) / lambda_a
+    if ext.acc_covariances is not None:
+        explicit = ~np.isnan(ext.acc_covariances).any(axis=(1, 2))
+        covs[explicit, 6:, 6:] = ext.acc_covariances[explicit]
     return ExtendedReference(ext.times.copy(), means, covs, None)
 
 
@@ -341,7 +341,7 @@ class KmpModel:
         """Stacked (psi, psi_dot[, psi_ddot]) at a single query time."""
         return self.predict_many(np.array([float(t_star)]))[0]
 
-    def predict_many(self, t_stars, chunk=2048):
+    def predict_many(self, t_stars):
         """Predictions on a batch of query times, shape (Q, state_dim)."""
         t_stars = np.asarray(t_stars, dtype=float)
         nb = self.cfg.n_blocks
@@ -349,8 +349,8 @@ class KmpModel:
         # eta_p(t*) = sum_q S[p, q](t*, times) @ alpha[:, q, :], one matmul per
         # (p, q) slab of the scalar table
         alpha = [np.ascontiguousarray(self.alpha[:, q, :]) for q in range(nb)]
-        for lo in range(0, t_stars.shape[0], chunk):
-            hi = min(lo + chunk, t_stars.shape[0])
+        for lo in range(0, t_stars.shape[0], PREDICT_CHUNK):
+            hi = min(lo + PREDICT_CHUNK, t_stars.shape[0])
             s = self._scalar_blocks(t_stars[lo:hi], self.times, nb)
             for p in range(nb):
                 eta = s[p, 0] @ alpha[0]
@@ -368,10 +368,14 @@ def build_model(ext, cfg, scalar_blocks=None):
     """
     if len(ext) < 1:
         raise ValueError("need at least one reference point")
+    if ext.acc_covariances is not None and cfg.lambda_a is None:
+        t = ext.times[~np.isnan(ext.acc_covariances).any(axis=(1, 2))][0]
+        raise ConfigError(f"via at t={t:g} has an acceleration block but the kernel has "
+                          "no lambda_a")
     if ext.state_dim != cfg.state_dim:
         raise ValueError(
-            f"reference state dim {ext.state_dim} does not match kernel order "
-            f"'{cfg.order}' (expects {cfg.state_dim})"
+            f"reference state dim {ext.state_dim} does not match the kernel "
+            f"(expects {cfg.state_dim})"
         )
     if np.any(np.diff(ext.times) <= 0):
         raise ValueError("reference times must be strictly increasing")

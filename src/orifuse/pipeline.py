@@ -20,10 +20,14 @@ REF_SIZE = 200
 @dataclass(frozen=True)
 class PipelineResult:
     trajectory: kmp.OrientationTrajectory
-    model: kmp.KmpModel
-    reference: gmm_mod.ReferenceTrajectory
     mixture: gmm_mod.GaussianMixture
-    aux_frame: np.ndarray
+
+
+def demo_grid(demos, n):
+    """n uniform times spanning the demonstrations, first start to last end."""
+    t0 = min(float(d.times[0]) for d in demos)
+    t1 = max(float(d.times[-1]) for d in demos)
+    return np.linspace(t0, t1, n)
 
 
 def fit_projected_mixture(demos, R_aux, n_components, seed, cache=None):
@@ -52,15 +56,10 @@ def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
     grid_times is the output grid.
     """
     mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
-    t0 = min(float(d.times[0]) for d in demos)
-    t1 = max(float(d.times[-1]) for d in demos)
-    ref_times = np.linspace(t0, t1, REF_SIZE)
-    reference = gmm_mod.extract_reference(mixture, ref_times)
+    reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
     extended = kmp.extend_reference(reference, vias, R_aux, delta_t_via)
     if cfg.lambda_a is not None:
-        if cfg.order != "pva":
-            raise ValueError("lambda_a requires a 'pva' kernel order")
         extended = kmp.augment_for_acceleration(extended, cfg.lambda_a)
     model = kmp.build_model(extended, cfg)
     trajectory = kmp.reproduce_orientation_trajectory(model, R_aux, grid_times)
-    return PipelineResult(trajectory, model, reference, mixture, np.asarray(R_aux, dtype=float))
+    return PipelineResult(trajectory, mixture)

@@ -45,11 +45,9 @@ class FusionState:
     n_turns: int
     history: np.ndarray  # (capacity, 3)
     n_hist: int
-    d_th: float = D_TH_DEFAULT
-    e_psi: float = E_PSI_DEFAULT
 
     def copy(self):
-        return FusionState(self.n_turns, self.history.copy(), self.n_hist, self.d_th, self.e_psi)
+        return FusionState(self.n_turns, self.history.copy(), self.n_hist)
 
 
 def init_fusion_state(Ri0, Rj0):
@@ -76,14 +74,14 @@ def weighted_average_memory(pair, state):
 
     The input state is not mutated.  Sampling contract: between consecutive
     calls the relative motion of Rj with respect to Ri must stay below
-    min(d_th, pi - d_th), otherwise a crossing can be misclassified.
+    min(D_TH_DEFAULT, pi - D_TH_DEFAULT), otherwise a crossing can be misclassified.
     """
     Ri = so3.check_rotation(pair.Ri, name="Ri")
     Rj = so3.check_rotation(pair.Rj, name="Rj")
     next_state = state.copy()
     Rij, n_turns, n_hist = memory_average_step(
         Ri, Rj, float(pair.Wi), float(pair.Wj), next_state.n_turns,
-        next_state.history, next_state.n_hist, next_state.d_th, next_state.e_psi,
+        next_state.history, next_state.n_hist, D_TH_DEFAULT, E_PSI_DEFAULT,
     )
     next_state.n_turns = int(n_turns)
     next_state.n_hist = int(n_hist)

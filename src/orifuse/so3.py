@@ -13,54 +13,53 @@ from .errors import NotARotation, SeriesTooShort
 
 # Frobenius tolerance for R^T R - I and |det(R) - 1|
 ORTHOGONALITY_TOL = 1e-8
-# allowed overshoot of ||log(R)|| beyond pi from rounding
-BALL_TOL = 1e-9
 
 _IDENTITY = np.eye(3)
 
 
-def _as_matrix(R, name):
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise NotARotation(f"{name} has shape {R.shape}, expected (3, 3)")
-    return R
+def non_rotations(Rs, tol=ORTHOGONALITY_TOL):
+    """Mask of the entries of an (N, 3, 3) stack that are not rotations.
+
+    An entry fails when it is not finite, when ||R^T R - I||_F > tol or when
+    |det(R) - 1| > tol; the checks run on the whole stack at once.
+    """
+    Rs = np.asarray(Rs, dtype=float)
+    if Rs.ndim != 3 or Rs.shape[1:] != (3, 3):
+        raise NotARotation(f"expected an (N, 3, 3) stack, got shape {Rs.shape}")
+    finite = np.isfinite(Rs).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], Rs, _IDENTITY)
+    gram_err = np.linalg.norm(np.matmul(safe.transpose(0, 2, 1), safe) - _IDENTITY, axis=(1, 2))
+    det_err = np.abs(np.linalg.det(safe) - 1.0)
+    return ~finite | (gram_err > tol) | (det_err > tol)
 
 
 def is_rotation(R, tol=ORTHOGONALITY_TOL):
     """True when R is special orthogonal within the Frobenius tolerance."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-        return False
-    return (
-        np.linalg.norm(R.T @ R - _IDENTITY) <= tol
-        and abs(np.linalg.det(R) - 1.0) <= tol
-    )
+    return R.shape == (3, 3) and not non_rotations(R[None], tol)[0]
 
 
-def check_rotation(R, tol=ORTHOGONALITY_TOL, name="R"):
-    R = _as_matrix(R, name)
-    if not np.all(np.isfinite(R)):
-        raise NotARotation(f"{name} contains non-finite entries")
-    err = np.linalg.norm(R.T @ R - _IDENTITY)
-    if err > tol:
-        raise NotARotation(f"{name} is not orthogonal: ||R^T R - I||_F = {err:.3e}")
-    det = np.linalg.det(R)
-    if abs(det - 1.0) > tol:
-        raise NotARotation(f"{name} has det = {det:.6f}, expected +1")
+def check_rotation(R, name="R"):
+    R = np.asarray(R, dtype=float)
+    if not is_rotation(R):
+        raise NotARotation(f"{name} is not a rotation (shape {R.shape})")
     return R
 
 
-def orthonormalize(R):
+def orthonormalize(R, name="R"):
     """Nearest rotation by polar decomposition.
 
     Explicit repair step for finite-precision inputs; never applied silently.
-    Rejects reflections (det < 0).
+    Rejects non-finite entries, on which the SVD fails or never returns, and
+    reflections (det < 0).
     """
-    R = _as_matrix(R, "R")
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3) or not np.isfinite(R).all():
+        raise NotARotation(f"{name} is not a finite (3, 3) matrix (shape {R.shape})")
     u, _, vt = np.linalg.svd(R)
     out = u @ vt
     if np.linalg.det(out) < 0:
-        raise NotARotation("input is closer to a reflection than a rotation")
+        raise NotARotation(f"{name} is closer to a reflection than a rotation")
     return out
 
 
@@ -72,50 +71,42 @@ def exp_map(psi):
     return _kernels.rot_exp(psi)
 
 
-def log_map(R, tol=ORTHOGONALITY_TOL):
+def log_map(R):
     """Angle-axis chart coordinates of R, inside the closed pi-ball."""
-    R = check_rotation(R, tol=tol)
+    R = check_rotation(R)
     return _kernels.rot_log(R)
 
 
-def geodesic_distance(Ri, Rj, tol=ORTHOGONALITY_TOL):
+def geodesic_distance(Ri, Rj):
     """Rotation angle of Ri^T Rj, the intrinsic metric on SO(3)."""
-    Ri = check_rotation(Ri, tol=tol, name="Ri")
-    Rj = check_rotation(Rj, tol=tol, name="Rj")
+    Ri = check_rotation(Ri, name="Ri")
+    Rj = check_rotation(Rj, name="Rj")
     return float(_kernels.rot_geodesic(Ri, Rj))
 
 
-def project_to_frame(R, R_aux, tol=ORTHOGONALITY_TOL):
+def project_to_frame(R, R_aux):
     """Chart coordinates of R in the chart extended around R_aux."""
-    R = check_rotation(R, tol=tol)
-    R_aux = check_rotation(R_aux, tol=tol, name="R_aux")
+    R = check_rotation(R)
+    R_aux = check_rotation(R_aux, name="R_aux")
     return _kernels.rot_log(R_aux.T @ R)
 
 
-def recover_orientation(psi, R_aux, tol=ORTHOGONALITY_TOL):
+def recover_orientation(psi, R_aux):
     """R_aux * exp(psi); psi may lie outside the pi-ball."""
-    R_aux = check_rotation(R_aux, tol=tol, name="R_aux")
+    R_aux = check_rotation(R_aux, name="R_aux")
     psi = np.asarray(psi, dtype=float)
     return R_aux @ _kernels.rot_exp(psi)
 
 
-def log_map_many(Rs, tol=ORTHOGONALITY_TOL):
+def log_map_many(Rs):
     """Chart coordinates of an (N, 3, 3) stack, checked like is_rotation.
 
-    The orthogonality and determinant checks run on the whole stack at once;
-    the first failing entry is named in the error.
+    The first entry that fails the check is named in the error.
     """
-    Rs = np.asarray(Rs, dtype=float)
-    if Rs.ndim != 3 or Rs.shape[1:] != (3, 3):
-        raise NotARotation(f"expected an (N, 3, 3) stack, got shape {Rs.shape}")
-    finite = np.isfinite(Rs).all(axis=(1, 2))
-    safe = np.where(finite[:, None, None], Rs, _IDENTITY)
-    gram_err = np.linalg.norm(np.matmul(safe.transpose(0, 2, 1), safe) - _IDENTITY, axis=(1, 2))
-    det_err = np.abs(np.linalg.det(safe) - 1.0)
-    bad = np.flatnonzero(~finite | (gram_err > tol) | (det_err > tol))
+    bad = np.flatnonzero(non_rotations(Rs))
     if bad.size:
         raise NotARotation(f"entry {bad[0]} is not a rotation")
-    return _kernels.rot_log_many(Rs)
+    return _kernels.rot_log_many(np.asarray(Rs, dtype=float))
 
 
 def finite_difference_velocity(psi_series, dt):

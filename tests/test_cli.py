@@ -263,3 +263,50 @@ def test_sweep_needs_a_positive_job_count(tmp_path, demo_dir, monkeypatch):
                        sweep={"axis": "lambda_a", "values": [10.0]})
     monkeypatch.setenv("ORIFUSE_JOBS", "0")
     assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 2
+
+
+def test_acceleration_block_needs_lambda_a(tmp_path, demo_dir, capsys):
+    start = {"t": 0.0, "psi": [1.2614, 1.0512, 1.5767], "omega": [0, 0, 0]}
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       via_points=[dict(start, acceleration_var=1e-6)])
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "no lambda_a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--count", "0"),
+    ("--samples", "1"),
+    ("--duration", "0"),
+    ("--duration", "-1"),
+    ("--duration", "nan"),
+    ("--seed", "-1"),
+])
+def test_gen_demos_rejects_values_it_cannot_use(tmp_path, capsys, flags):
+    assert run_cli("gen-demos", "--out", tmp_path, *flags) == 2
+    assert "gen-demos needs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("demo_*.csv"))
+
+
+def test_aux_frame_forms(tmp_path, demo_dir, capsys):
+    doc = json.loads(write_config(tmp_path / "x.json", demo_dir).read_text())
+    for k in range(3):
+        via_cfg = write_config(tmp_path / f"via{k}.json", demo_dir,
+                               aux_frame={"policy": "via", "index": k})
+        target = so3.exp_map(doc["via_points"][k]["psi"])
+        assert np.array_equal(io.load_config(via_cfg).aux_rotation, target)
+    # the via-anchored chart is the explicit chart at that via's world target
+    explicit = write_config(tmp_path / "explicit.json", demo_dir,
+                            aux_frame={"policy": "explicit", "rotation": target.tolist()})
+    for cfg, out in [(via_cfg, "v"), (explicit, "e")]:
+        assert run_cli("adapt", "--config", cfg, "--out", tmp_path / out) == 0
+    assert (tmp_path / "v" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "e" / "trajectory.csv").read_bytes()
+    cfg = io.load_config(write_config(tmp_path / "first.json", demo_dir,
+                                      aux_frame={"policy": "first-demo-start"}))
+    assert cfg.aux_policy == "first-demo-start" and cfg.aux_rotation is None
+    for name, overrides in [("index", {"aux_frame": {"policy": "via", "index": 3}}),
+                            ("negative", {"aux_frame": {"policy": "via", "index": -1}}),
+                            ("memory", {"memory": False})]:
+        cfg = write_config(tmp_path / f"{name}.json", demo_dir, **overrides)
+        assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "--no-memory" in capsys.readouterr().err

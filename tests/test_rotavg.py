@@ -56,8 +56,8 @@ def test_stateless_coincident_pair():
 def test_init_state_defaults():
     state = rotavg.init_fusion_state(np.eye(3), rot_x(0.8))
     assert state.n_turns == 0
-    assert state.d_th == 0.15
-    assert abs(state.e_psi - math.cos(50 * math.pi / 180)) < 1e-15
+    assert D_TH_DEFAULT == 0.15
+    assert abs(E_PSI_DEFAULT - math.cos(50 * math.pi / 180)) < 1e-15
     assert state.history.shape == (5, 3)
 
 
