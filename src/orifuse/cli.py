@@ -103,14 +103,19 @@ def _aux_frame(cfg, demos):
     raise ConfigError(f"aux policy '{cfg.aux_policy}' is not valid for this command")
 
 
-def _via_errors(traj, vias, R_aux):
-    """(geodesic, angular velocity) error at the grid time nearest to each via."""
+def _adaptation(cfg, demos, seed, grid, gmm_cache=None):
+    """The adapted trajectory and each via's (geodesic, omega) error at its nearest grid time."""
+    R_aux = _aux_frame(cfg, demos)
+    traj = reproduce_with_via_points(
+        demos, R_aux, cfg.via_points, _kernel_config(cfg), demo_grid(demos, grid),
+        n_components=cfg.components, seed=seed, gmm_cache=gmm_cache,
+    ).trajectory
     errors = []
-    for via in vias:
+    for via in cfg.via_points:
         i = int(np.argmin(np.abs(traj.times - via.t)))
         errors.append((so3.geodesic_distance(traj.rotations[i], via.target_rotation(R_aux)),
                        float(np.linalg.norm(traj.omega_world[i] - via.omega))))
-    return errors
+    return traj, errors
 
 
 def _save_trajectory(path, traj):
@@ -140,7 +145,7 @@ def _cmd_learn(args):
     cfg, seed, grid, out, demos = _load_run(args)
     result = reproduce_with_via_points(
         demos, _aux_frame(cfg, demos), [], _kernel_config(cfg), demo_grid(demos, grid),
-        n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
+        n_components=cfg.components, seed=seed,
     )
     io.save_mixture(out / "mixture.json", result.mixture)
     traj = result.trajectory
@@ -156,15 +161,10 @@ def _cmd_learn(args):
 
 def _cmd_adapt(args):
     cfg, seed, grid, out, demos = _load_run(args)
-    R_aux = _aux_frame(cfg, demos)
-    result = reproduce_with_via_points(
-        demos, R_aux, cfg.via_points, _kernel_config(cfg), demo_grid(demos, grid),
-        n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
-    )
-    traj = result.trajectory
+    traj, errors = _adaptation(cfg, demos, seed, grid)
     _save_trajectory(out / "trajectory.csv", traj)
     metrics = {"acceleration_cost": fusion.trajectory_acceleration_cost(traj)}
-    for idx, (rot_err, omega_err) in enumerate(_via_errors(traj, cfg.via_points, R_aux)):
+    for idx, (rot_err, omega_err) in enumerate(errors):
         metrics[f"via{idx}_geodesic_err"] = rot_err
         metrics[f"via{idx}_omega_err"] = omega_err
     io.save_metrics(out / "metrics.csv", metrics)
@@ -172,24 +172,18 @@ def _cmd_adapt(args):
     return 0
 
 
-def _fusion_run(cfg, demos, seed, grid, memory=True, strict=False, target_override=None,
-                gmm_cache=None):
+def _fusion_run(cfg, demos, seed, grid, memory=True, strict=False, gmm_cache=None):
     """Fuse the per-iovp config's via-points; via 0 is the baseline.
 
-    strict drops every relaxed axis and orientation_var; target_override is
-    (via index, world rotation) replacing that via's target.
+    strict drops every relaxed axis and orientation_var.
     """
-    vias = list(cfg.via_points)
-    if target_override is not None:
-        index, target = target_override
-        vias[index] = replace(vias[index], rotation=target)
+    vias = cfg.via_points
     if strict:
         vias = [replace(via, relaxed_axis=None, orientation_var=None) for via in vias]
     baseline, iovps = (vias[0], vias[1:]) if vias else (None, [])
     components, _ = fusion.build_component_trajectories(
         demos, baseline, iovps, _kernel_config(cfg), demo_grid(demos, grid),
-        n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
-        gmm_cache=gmm_cache,
+        n_components=cfg.components, seed=seed, gmm_cache=gmm_cache,
     )
     fused = fusion.fuse(components, fusion.weight_curves_for(iovps), memory=memory)
     return fused, components, iovps
@@ -226,16 +220,14 @@ def _cmd_fuse(args):
     return 0
 
 
-def _comparison(cfg, demos, seed, grid, target_override=None, gmm_cache=None):
+def _comparison(cfg, demos, seed, grid, gmm_cache=None):
     """Relaxed and strict fusion runs plus their comparison row.
 
     The row holds cost_iovp, cost_strict, max_axis_err,
     continuity_ratio_iovp and continuity_ratio_strict.
     """
-    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, target_override=target_override,
-                                    gmm_cache=gmm_cache)
-    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, strict=True,
-                                target_override=target_override, gmm_cache=gmm_cache)
+    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, gmm_cache=gmm_cache)
+    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, strict=True, gmm_cache=gmm_cache)
     m_i = _fusion_metrics(fused_i, iovps)
     m_s = _fusion_metrics(fused_s, [])
     axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
@@ -278,19 +270,11 @@ def _cmd_sweep(args):
     jobs = args.jobs or _env_default("JOBS", int, min(4, os.cpu_count() or 1))
     if jobs < 1:
         raise ConfigError(f"the sweep needs at least one job, got {jobs}")
+    cache = {}
     if cfg.sweep_axis == "lambda_a":
-        R_aux = _aux_frame(cfg, demos)
-        grid_times = demo_grid(demos, grid)
-        cache = {}
-
         def trial(lam_a):
-            run_cfg = kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=lam_a)
-            traj = reproduce_with_via_points(
-                demos, R_aux, cfg.via_points, run_cfg, grid_times,
-                n_components=cfg.components, seed=seed, delta_t_via=cfg.delta_t_via,
-                gmm_cache=cache,
-            ).trajectory
-            errs = [rot_err for rot_err, _ in _via_errors(traj, cfg.via_points, R_aux)]
+            traj, errors = _adaptation(replace(cfg, lambda_a=lam_a), demos, seed, grid, cache)
+            errs = [rot_err for rot_err, _ in errors]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
 
         rows = _sweep_rows(trial, [float(v) for v in values], jobs)
@@ -299,13 +283,13 @@ def _cmd_sweep(args):
         via_index = cfg.sweep_via_index
         if via_index is None:
             via_index = len(cfg.via_points) - 1
-        base_rot = cfg.via_points[via_index].rotation
-        cache = {}
+        base = cfg.via_points[via_index]
 
         def trial(i):
-            target = base_rot @ so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
-            _, _, row = _comparison(cfg, demos, seed, grid, target_override=(via_index, target),
-                                    gmm_cache=cache)
+            vias = list(cfg.via_points)
+            vias[via_index] = replace(base, rotation=base.rotation @ so3.exp_map(
+                [0.0, (int(i) - 6) * np.pi / 6.0, 0.0]))
+            _, _, row = _comparison(replace(cfg, via_points=vias), demos, seed, grid, cache)
             return [int(i)] + row
 
         rows = _sweep_rows(trial, values, jobs)

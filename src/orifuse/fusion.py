@@ -118,7 +118,7 @@ def weight_curves_for(iovps):
 
 
 def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
-                                 n_components=5, seed=0, delta_t_via=1e-3, gmm_cache=None):
+                                 n_components=5, seed=0, gmm_cache=None):
     """One regression run per via-point, each in its own tangent chart.
 
     Component 0 is the baseline: the run around the baseline via-point's
@@ -126,9 +126,9 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     adapted only towards that starting point.  Component k re-projects all
     demonstrations around the k-th via target and adapts towards it with its
     own covariance, typically the relaxed-axis pattern.  Via targets must be
-    world-frame.  Returns (components, aux_frames).
+    world-frame; weight_curves_for checks their domains.  Returns
+    (components, aux_frames).
     """
-    check_non_interference(iovps)
     if baseline_via is None:
         runs = [(demos[0].rotations[0], [])]
     else:
@@ -137,7 +137,7 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     components = [
         reproduce_with_via_points(
             demos, frame, vias, cfg, grid_times, n_components=n_components, seed=seed,
-            delta_t_via=delta_t_via, gmm_cache=gmm_cache,
+            gmm_cache=gmm_cache,
         ).trajectory
         for frame, vias in runs
     ]

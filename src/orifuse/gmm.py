@@ -68,12 +68,18 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
+    """Time-sorted regression rows; D = 6 for (psi, psi_dot), 9 with psi_ddot."""
+
     times: np.ndarray        # (N,)
-    means: np.ndarray        # (N, 6)
-    covariances: np.ndarray  # (N, 6, 6)
+    means: np.ndarray        # (N, D)
+    covariances: np.ndarray  # (N, D, D)
 
     def __len__(self):
         return self.times.shape[0]
+
+    @property
+    def state_dim(self):
+        return self.means.shape[1]
 
 
 def project_demonstrations(demos, R_aux):

@@ -258,7 +258,6 @@ class RunConfig:
     lam: float = 1.0
     lambda_a: float | None = None
     grid: int = 200
-    delta_t_via: float = 1e-3
     aux_policy: str = "first-demo-start"
     # the chart frame of the "explicit" and "via" policies, resolved at load
     aux_rotation: np.ndarray | None = None
@@ -321,11 +320,14 @@ def _parse_config(doc, path):
     if "memory" in doc:
         raise ConfigError(f"{path}: 'memory' is not a configuration key: the memory average "
                           "always runs; 'fuse --no-memory' is the diagnostic ablation")
+    if "delta_t_via" in doc:
+        raise ConfigError(f"{path}: 'delta_t_via' is not a configuration key: via velocities "
+                          f"are stepped by the fixed {kmp.DEFAULT_DELTA_T:g} s")
     demo_paths = [path.parent / p for p in demos]
     vias = [_parse_via(v, path) for v in doc.get("via_points", [])]
-    times = [v.t for v in vias]
-    if times != sorted(times):
-        raise ConfigError(f"{path}: via-point times must be sorted")
+    if np.any(np.diff([v.t for v in vias]) <= kmp.VIA_TIME_TOL):
+        raise ConfigError(f"{path}: via-point times must be increasing; two via-points "
+                          f"may not share a time (within {kmp.VIA_TIME_TOL:g} s)")
     aux = doc.get("aux_frame", "first-demo-start")
     policy = aux.get("policy") if isinstance(aux, dict) else aux
     aux_rotation = None
@@ -355,7 +357,6 @@ def _parse_config(doc, path):
         lam=float(kernel_doc.get("lambda", 1.0)),
         lambda_a=None if lambda_a is None else float(lambda_a),
         grid=int(doc.get("grid", 200)),
-        delta_t_via=float(doc.get("delta_t_via", 1e-3)),
         aux_policy=policy,
         aux_rotation=aux_rotation,
         via_points=vias,
@@ -381,8 +382,6 @@ def validate_config(cfg, path):
         raise ConfigError(f"{path}: lambda_a must be positive")
     if cfg.grid < 2:
         raise ConfigError(f"{path}: grid must have at least 2 points")
-    if cfg.delta_t_via <= 0:
-        raise ConfigError(f"{path}: delta_t_via must be positive")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.sweep_values):
         raise ConfigError(f"{path}: sweep values must be numbers")
     if cfg.sweep_axis == "lambda_a" and any(v <= 0 for v in cfg.sweep_values):

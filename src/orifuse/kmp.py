@@ -19,6 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 from . import so3
 from ._kernels import rot_exp, rot_exp_many, rot_log, rot_log_many
 from .errors import ChartBoundaryError, ConfigError, FactorizationFailure, SeriesTooShort
+from .gmm import ReferenceTrajectory
 
 DEFAULT_DELTA_T = 1e-3
 AXES = ("x", "y", "z")
@@ -32,6 +33,8 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 # query times per slab of the scalar kernel table in predict_many
 PREDICT_CHUNK = 2048
 _VARIANCE_BLOCKS = ("orientation_var", "velocity_var", "acceleration_var")
+# the reference plus via-points is a reference too; the old name stays for callers
+ExtendedReference = ReferenceTrajectory
 
 
 @dataclass(frozen=True)
@@ -179,27 +182,6 @@ class ViaPointSpec:
 
 
 @dataclass(frozen=True)
-class ExtendedReference:
-    """Reference rows plus transformed via-points, time sorted.
-
-    acc_covariances keeps explicit per-row acceleration blocks coming from
-    9x9 via covariances; NaN rows mean "use the default (1/lambda_a) I".
-    """
-
-    times: np.ndarray        # (N,)
-    means: np.ndarray        # (N, D) with D in {6, 9}
-    covariances: np.ndarray  # (N, D, D)
-    acc_covariances: np.ndarray | None = None  # (N, 3, 3)
-
-    def __len__(self):
-        return self.times.shape[0]
-
-    @property
-    def state_dim(self):
-        return self.means.shape[1]
-
-
-@dataclass(frozen=True)
 class OrientationTrajectory:
     """Recovered orientation trajectory with world-frame angular velocity."""
 
@@ -241,66 +223,61 @@ def transform_via_point(vp, R_aux, delta_t=DEFAULT_DELTA_T):
     return vp.t, np.concatenate([psi, psi_dot]), vp.covariance_matrix()
 
 
-def extend_reference(ref, vias, R_aux, delta_t=DEFAULT_DELTA_T):
-    """Union of the reference trajectory and transformed via-points.
+def extend_reference(ref, vias, R_aux, lambda_a=None):
+    """The regression rows: the reference plus the transformed via-points.
 
-    A via-point whose time coincides with a reference time (within 1e-9 s)
-    replaces that reference row: the user's tighter covariance wins.
+    With lambda_a every row gains a psi_ddot block: the reference rows through
+    augment_for_acceleration, a via row its own acceleration block or
+    (1/lambda_a) I.  A via-point within VIA_TIME_TOL of a reference time
+    replaces that row: the user's tighter covariance wins.  Via-points that
+    close to each other raise ValueError.
     """
-    times = list(ref.times)
-    means = [m for m in ref.means]
-    covs = [c for c in ref.covariances]
-    acc = [np.full((3, 3), np.nan) for _ in times]
-    for vp in vias:
-        t, eta, cov = transform_via_point(vp, R_aux, delta_t)
-        if cov.shape == (9, 9):
-            cov6 = cov[:6, :6]
-            acc_block = cov[6:, 6:]
-        else:
-            cov6 = cov
-            acc_block = np.full((3, 3), np.nan)
-        hits = [i for i, ti in enumerate(times) if abs(ti - t) <= VIA_TIME_TOL]
-        if hits:
-            i = hits[0]
-            times[i], means[i], covs[i], acc[i] = t, eta, cov6, acc_block
-        else:
-            times.append(t)
-            means.append(eta)
-            covs.append(cov6)
-            acc.append(acc_block)
-    order = np.argsort(np.asarray(times), kind="stable")
-    times = np.asarray(times)[order]
-    if times.size >= 2 and np.any(np.diff(times) <= 0):
-        raise ValueError("reference times must be strictly increasing after the merge")
-    means = np.asarray(means)[order]
-    covs = np.asarray(covs)[order]
-    acc = np.asarray(acc)[order]
-    if np.all(np.isnan(acc)):
-        acc = None
-    return ExtendedReference(times, means, covs, acc)
+    if ref.state_dim != 6:
+        raise ValueError("the reference must hold (psi, psi_dot) rows")
+    if lambda_a is not None:
+        ref = augment_for_acceleration(ref, lambda_a)
+    dim = ref.state_dim
+    via_t = np.array([vp.t for vp in vias], dtype=float)
+    ordered = np.sort(via_t)
+    close = np.flatnonzero(np.diff(ordered) <= VIA_TIME_TOL)
+    if close.size:
+        raise ValueError(f"via-points at t={ordered[close[0]]:g} and "
+                         f"t={ordered[close[0] + 1]:g} share one time")
+    means = np.zeros((len(vias), dim))
+    covs = np.zeros((len(vias), dim, dim))
+    if lambda_a is not None:
+        covs[:, 6:, 6:] = np.eye(3) / lambda_a
+    for i, vp in enumerate(vias):
+        _, eta, cov = transform_via_point(vp, R_aux)
+        if cov.shape[0] > dim:
+            raise ConfigError(f"via at t={vp.t:g} has an acceleration block but the kernel "
+                              "has no lambda_a")
+        means[i, :6] = eta
+        covs[i, :cov.shape[0], :cov.shape[0]] = cov
+    keep = ~(np.abs(ref.times[:, None] - via_t) <= VIA_TIME_TOL).any(axis=1)
+    times = np.concatenate([ref.times[keep], via_t])
+    order = np.argsort(times, kind="stable")
+    return ReferenceTrajectory(times[order], np.concatenate([ref.means[keep], means])[order],
+                               np.concatenate([ref.covariances[keep], covs])[order])
 
 
-def augment_for_acceleration(ext, lambda_a):
+def augment_for_acceleration(ref, lambda_a):
     """Add zero acceleration targets weighted by lambda_a.
 
-    Every mean gains a zero psi_ddot block; every covariance gains a
-    (1/lambda_a) I_3 block, except rows that carry an explicit acceleration
-    covariance from a 9x9 via specification.
+    Every mean gains a zero psi_ddot block and every covariance a
+    (1/lambda_a) I_3 block.
     """
     if lambda_a <= 0:
         raise ValueError("lambda_a must be positive")
-    if ext.state_dim != 6:
+    if ref.state_dim != 6:
         raise ValueError("reference is already acceleration-augmented")
-    n = len(ext)
+    n = len(ref)
     means = np.zeros((n, 9))
-    means[:, :6] = ext.means
+    means[:, :6] = ref.means
     covs = np.zeros((n, 9, 9))
-    covs[:, :6, :6] = ext.covariances
+    covs[:, :6, :6] = ref.covariances
     covs[:, 6:, 6:] = np.eye(3) / lambda_a
-    if ext.acc_covariances is not None:
-        explicit = ~np.isnan(ext.acc_covariances).any(axis=(1, 2))
-        covs[explicit, 6:, 6:] = ext.acc_covariances[explicit]
-    return ExtendedReference(ext.times.copy(), means, covs, None)
+    return ReferenceTrajectory(ref.times.copy(), means, covs)
 
 
 def gaussian_scalar_blocks(a, b, l, order):
@@ -368,10 +345,6 @@ def build_model(ext, cfg, scalar_blocks=None):
     """
     if len(ext) < 1:
         raise ValueError("need at least one reference point")
-    if ext.acc_covariances is not None and cfg.lambda_a is None:
-        t = ext.times[~np.isnan(ext.acc_covariances).any(axis=(1, 2))][0]
-        raise ConfigError(f"via at t={t:g} has an acceleration block but the kernel has "
-                          "no lambda_a")
     if ext.state_dim != cfg.state_dim:
         raise ValueError(
             f"reference state dim {ext.state_dim} does not match the kernel "

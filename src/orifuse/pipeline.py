@@ -47,8 +47,7 @@ def fit_projected_mixture(demos, R_aux, n_components, seed, cache=None):
 
 
 def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
-                              n_components=gmm_mod.DEFAULT_COMPONENTS, seed=0,
-                              delta_t_via=kmp.DEFAULT_DELTA_T, gmm_cache=None):
+                              n_components=gmm_mod.DEFAULT_COMPONENTS, seed=0, gmm_cache=None):
     """Learn from demonstrations and adapt towards the given via-points.
 
     vias is a list of kmp.ViaPointSpec (may be empty for pure reproduction).
@@ -57,9 +56,7 @@ def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
     """
     mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
     reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
-    extended = kmp.extend_reference(reference, vias, R_aux, delta_t_via)
-    if cfg.lambda_a is not None:
-        extended = kmp.augment_for_acceleration(extended, cfg.lambda_a)
+    extended = kmp.extend_reference(reference, vias, R_aux, cfg.lambda_a)
     model = kmp.build_model(extended, cfg)
     trajectory = kmp.reproduce_orientation_trajectory(model, R_aux, grid_times)
     return PipelineResult(trajectory, mixture)

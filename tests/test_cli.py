@@ -310,3 +310,21 @@ def test_aux_frame_forms(tmp_path, demo_dir, capsys):
         cfg = write_config(tmp_path / f"{name}.json", demo_dir, **overrides)
         assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
     assert "--no-memory" in capsys.readouterr().err
+
+
+def test_via_points_may_not_share_a_time(tmp_path, demo_dir, capsys):
+    # the second via would replace the first one's regression row
+    first = {"t": 5.0, "psi": [1.7639, 0.7560, 2.0159], "omega": [0.1, 0.0, 0.0]}
+    second = {"t": 5.0, "psi": [0.7935, 1.3224, 0.0], "omega": [-0.1, 0.0, 0.0]}
+    for n, t in enumerate([5.0, 5.0 + 0.5e-9]):
+        cfg = write_config(tmp_path / f"cfg{n}.json", demo_dir,
+                           via_points=[first, dict(second, t=t)])
+        assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "may not share a time" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_delta_t_via_is_not_a_config_key(tmp_path, demo_dir, capsys):
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, delta_t_via=1e-3)
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "'delta_t_via' is not a configuration key" in capsys.readouterr().err

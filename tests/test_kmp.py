@@ -179,8 +179,7 @@ def test_augment_keeps_user_acceleration_block():
     target = so3.exp_map([0.2, 0.0, 0.1])
     cov9 = np.diag([1e-10] * 3 + [1e3] * 3 + [0.25] * 3)
     vp = kmp.ViaPointSpec(3.3, target, np.zeros(3), cov9)
-    ext = kmp.extend_reference(ref, [vp], R_aux)
-    aug = kmp.augment_for_acceleration(ext, 10.0)
+    aug = kmp.extend_reference(ref, [vp], R_aux, lambda_a=10.0)
     i = np.argmin(np.abs(aug.times - 3.3))
     assert np.allclose(aug.covariances[i, 6:, 6:], 0.25 * np.eye(3))
     others = [j for j in range(len(aug)) if j != i]
