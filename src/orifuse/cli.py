@@ -3,8 +3,9 @@
 Subcommands cover the desk-scale experiment protocols: demonstration
 generation, learning, via-point adaptation, multi-via fusion, and comparison
 sweeps.  Identical configuration and seed produce bitwise-identical output
-files.  Flags can also be supplied through ORIFUSE_* environment variables
-(see _env_default); explicit flags win over both environment and config.
+files.  Every command but gen-demos reads its settings from one validated
+io.RunConfig: --config and --out are required, and --seed and --grid
+override the config's gmm seed and grid.
 
 Exit codes: 0 success, 2 configuration, 3 input parsing, 4 numeric failure,
 5 via-domain overlap, 6 output I/O, 1 anything else.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import demo_gen, fusion, io, kmp, so3
+from . import demo_gen, fusion, io, so3
 from .errors import (
     ChartBoundaryError,
     ConfigError,
@@ -49,71 +50,49 @@ _EXIT_CODES = (
 )
 
 
-def _env_default(name, cast, fallback=None):
-    raw = os.environ.get(f"ORIFUSE_{name}")
-    if raw is None or raw == "":
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable ORIFUSE_{name}={raw!r} is invalid") from None
-
-
-def _flag_env(name):
-    raw = os.environ.get(f"ORIFUSE_{name}", "")
-    return raw.strip().lower() in ("1", "true", "yes")
-
-
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="JSON run configuration")
-    sub.add_argument("--out", default=None, help="output directory (env ORIFUSE_OUT)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--grid", type=int, default=None, help="override the output grid size")
+    sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--seed", type=int, default=None, help="override the config's gmm seed")
+    sub.add_argument("--grid", type=int, default=None, help="override the config's grid size")
 
 
-def _load_run(args, per_iovp=None):
-    """(config, seed, grid, output dir, demos) of a command reading --config.
+def _load_run(args):
+    """(config, output dir, demos) of a command reading --config.
 
-    per_iovp names the run when it needs the per-iovp aux_frame policy.  Seed
-    and grid come from the flag, else the environment, else the config, and
-    are validated like the config.
+    --seed and --grid are applied to the config and validated like it.  fuse,
+    eval and target-rotation sweeps take one chart per via-point (per-iovp);
+    every other command takes one chart, and a first-demo-start chart is
+    resolved into aux_rotation here.
     """
     cfg = io.load_config(args.config)
-    if per_iovp is not None and cfg.aux_policy != "per-iovp":
-        raise ConfigError(f"{per_iovp} needs aux_frame policy 'per-iovp'")
-    seed = args.seed if args.seed is not None else _env_default("SEED", int, cfg.seed)
-    grid = args.grid if args.grid is not None else _env_default("GRID", int, cfg.grid)
-    io.validate_config(replace(cfg, seed=seed, grid=grid), "overrides")
-    out = args.out or _env_default("OUT", str)
-    if out is None:
-        raise ConfigError("an output directory is required (--out or ORIFUSE_OUT)")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    return cfg, seed, grid, Path(out), io.load_demos(cfg.demo_paths)
-
-
-def _kernel_config(cfg):
-    return kmp.KernelConfig(l=cfg.l, lam=cfg.lam, lambda_a=cfg.lambda_a)
-
-
-def _aux_frame(cfg, demos):
-    if cfg.aux_rotation is not None:
-        return cfg.aux_rotation
+    cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                  grid=cfg.grid if args.grid is None else args.grid)
+    io.validate_config(cfg, "overrides")
+    per_iovp = args.command in ("fuse", "eval") or (
+        args.command == "sweep" and cfg.sweep_axis == "target-rotation")
+    if per_iovp != (cfg.aux_policy == "per-iovp"):
+        raise ConfigError(f"{args.command} needs aux_frame policy 'per-iovp'" if per_iovp else
+                          f"{args.command} needs one chart, not aux_frame policy 'per-iovp'")
+    demos = io.load_demos(cfg.demo_paths)
     if cfg.aux_policy == "first-demo-start":
-        return demos[0].rotations[0]
-    raise ConfigError(f"aux policy '{cfg.aux_policy}' is not valid for this command")
+        cfg = replace(cfg, aux_rotation=demos[0].rotations[0])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out, demos
 
 
-def _adaptation(cfg, demos, seed, grid, gmm_cache=None):
+def _adaptation(cfg, demos, gmm_cache=None):
     """The adapted trajectory and each via's (geodesic, omega) error at its nearest grid time."""
-    R_aux = _aux_frame(cfg, demos)
     traj = reproduce_with_via_points(
-        demos, R_aux, cfg.via_points, _kernel_config(cfg), demo_grid(demos, grid),
-        n_components=cfg.components, seed=seed, gmm_cache=gmm_cache,
+        demos, cfg.aux_rotation, cfg.via_points, cfg.kernel, demo_grid(demos, cfg.grid),
+        n_components=cfg.components, seed=cfg.seed, gmm_cache=gmm_cache,
     ).trajectory
     errors = []
     for via in cfg.via_points:
         i = int(np.argmin(np.abs(traj.times - via.t)))
-        errors.append((so3.geodesic_distance(traj.rotations[i], via.target_rotation(R_aux)),
+        errors.append((so3.geodesic_distance(traj.rotations[i],
+                                             via.target_rotation(cfg.aux_rotation)),
                        float(np.linalg.norm(traj.omega_world[i] - via.omega))))
     return traj, errors
 
@@ -125,15 +104,14 @@ def _save_trajectory(path, traj):
 
 
 def _cmd_gen_demos(args):
-    seed = args.seed if args.seed is not None else _env_default("SEED", int, 0)
-    if args.count < 1 or args.samples < 2 or not args.duration > 0 or seed < 0:
+    if args.count < 1 or args.samples < 2 or not args.duration > 0 or args.seed < 0:
         raise ConfigError("gen-demos needs count >= 1, samples >= 2, duration > 0 and "
                           f"seed >= 0; got {args.count}, {args.samples}, {args.duration} "
-                          f"and {seed}")
-    out = Path(args.out or _env_default("OUT", str) or ".")
+                          f"and {args.seed}")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     demos = demo_gen.generate_demos(
-        args.profile, args.count, seed, duration=args.duration, samples=args.samples
+        args.profile, args.count, args.seed, duration=args.duration, samples=args.samples
     )
     for i, demo in enumerate(demos):
         io.save_demo(out / f"demo_{i:02d}.csv", demo)
@@ -142,10 +120,10 @@ def _cmd_gen_demos(args):
 
 
 def _cmd_learn(args):
-    cfg, seed, grid, out, demos = _load_run(args)
+    cfg, out, demos = _load_run(args)
     result = reproduce_with_via_points(
-        demos, _aux_frame(cfg, demos), [], _kernel_config(cfg), demo_grid(demos, grid),
-        n_components=cfg.components, seed=seed,
+        demos, cfg.aux_rotation, [], cfg.kernel, demo_grid(demos, cfg.grid),
+        n_components=cfg.components, seed=cfg.seed,
     )
     io.save_mixture(out / "mixture.json", result.mixture)
     traj = result.trajectory
@@ -160,8 +138,8 @@ def _cmd_learn(args):
 
 
 def _cmd_adapt(args):
-    cfg, seed, grid, out, demos = _load_run(args)
-    traj, errors = _adaptation(cfg, demos, seed, grid)
+    cfg, out, demos = _load_run(args)
+    traj, errors = _adaptation(cfg, demos)
     _save_trajectory(out / "trajectory.csv", traj)
     metrics = {"acceleration_cost": fusion.trajectory_acceleration_cost(traj)}
     for idx, (rot_err, omega_err) in enumerate(errors):
@@ -172,7 +150,7 @@ def _cmd_adapt(args):
     return 0
 
 
-def _fusion_run(cfg, demos, seed, grid, memory=True, strict=False, gmm_cache=None):
+def _fusion_run(cfg, demos, memory=True, strict=False, gmm_cache=None):
     """Fuse the per-iovp config's via-points; via 0 is the baseline.
 
     strict drops every relaxed axis and orientation_var.
@@ -182,8 +160,8 @@ def _fusion_run(cfg, demos, seed, grid, memory=True, strict=False, gmm_cache=Non
         vias = [replace(via, relaxed_axis=None, orientation_var=None) for via in vias]
     baseline, iovps = (vias[0], vias[1:]) if vias else (None, [])
     components, _ = fusion.build_component_trajectories(
-        demos, baseline, iovps, _kernel_config(cfg), demo_grid(demos, grid),
-        n_components=cfg.components, seed=seed, gmm_cache=gmm_cache,
+        demos, baseline, iovps, cfg.kernel, demo_grid(demos, cfg.grid),
+        n_components=cfg.components, seed=cfg.seed, gmm_cache=gmm_cache,
     )
     fused = fusion.fuse(components, fusion.weight_curves_for(iovps), memory=memory)
     return fused, components, iovps
@@ -207,9 +185,9 @@ def _fusion_metrics(fused, iovps):
 
 
 def _cmd_fuse(args):
-    cfg, seed, grid, out, demos = _load_run(args, per_iovp="fuse")
-    memory = not (args.no_memory or _flag_env("NO_MEMORY"))
-    fused, components, iovps = _fusion_run(cfg, demos, seed, grid, memory, gmm_cache={})
+    cfg, out, demos = _load_run(args)
+    memory = not args.no_memory
+    fused, components, iovps = _fusion_run(cfg, demos, memory, gmm_cache={})
     for k, comp in enumerate(components):
         _save_trajectory(out / f"component_{k}.csv", comp)
     _save_trajectory(out / "trajectory.csv", fused)
@@ -220,14 +198,14 @@ def _cmd_fuse(args):
     return 0
 
 
-def _comparison(cfg, demos, seed, grid, gmm_cache=None):
+def _comparison(cfg, demos, gmm_cache=None):
     """Relaxed and strict fusion runs plus their comparison row.
 
     The row holds cost_iovp, cost_strict, max_axis_err,
     continuity_ratio_iovp and continuity_ratio_strict.
     """
-    fused_i, _, iovps = _fusion_run(cfg, demos, seed, grid, gmm_cache=gmm_cache)
-    fused_s, _, _ = _fusion_run(cfg, demos, seed, grid, strict=True, gmm_cache=gmm_cache)
+    fused_i, _, iovps = _fusion_run(cfg, demos, gmm_cache=gmm_cache)
+    fused_s, _, _ = _fusion_run(cfg, demos, strict=True, gmm_cache=gmm_cache)
     m_i = _fusion_metrics(fused_i, iovps)
     m_s = _fusion_metrics(fused_s, [])
     axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
@@ -242,8 +220,8 @@ _COMPARISON_COLUMNS = ["cost_iovp", "cost_strict", "max_axis_err", "continuity_r
 
 
 def _cmd_eval(args):
-    cfg, seed, grid, out, demos = _load_run(args, per_iovp="eval")
-    fused_i, fused_s, row = _comparison(cfg, demos, seed, grid, gmm_cache={})
+    cfg, out, demos = _load_run(args)
+    fused_i, fused_s, row = _comparison(cfg, demos, gmm_cache={})
     _save_trajectory(out / "trajectory_iovp.csv", fused_i)
     _save_trajectory(out / "trajectory_strict.csv", fused_s)
     io.save_table(out / "table.csv", _COMPARISON_COLUMNS, [row])
@@ -265,15 +243,16 @@ def _sweep_rows(trial, values, jobs):
 
 
 def _cmd_sweep(args):
-    cfg, seed, grid, out, demos = _load_run(args)
-    values = cfg.sweep_values
-    jobs = args.jobs or _env_default("JOBS", int, min(4, os.cpu_count() or 1))
+    jobs = min(4, os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise ConfigError(f"the sweep needs at least one job, got {jobs}")
+    cfg, out, demos = _load_run(args)
+    values = cfg.sweep_values
     cache = {}
     if cfg.sweep_axis == "lambda_a":
         def trial(lam_a):
-            traj, errors = _adaptation(replace(cfg, lambda_a=lam_a), demos, seed, grid, cache)
+            kernel = replace(cfg.kernel, lambda_a=lam_a)
+            traj, errors = _adaptation(replace(cfg, kernel=kernel), demos, cache)
             errs = [rot_err for rot_err, _ in errors]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
 
@@ -289,7 +268,7 @@ def _cmd_sweep(args):
             vias = list(cfg.via_points)
             vias[via_index] = replace(base, rotation=base.rotation @ so3.exp_map(
                 [0.0, (int(i) - 6) * np.pi / 6.0, 0.0]))
-            _, _, row = _comparison(replace(cfg, via_points=vias), demos, seed, grid, cache)
+            _, _, row = _comparison(replace(cfg, via_points=vias), demos, cache)
             return [int(i)] + row
 
         rows = _sweep_rows(trial, values, jobs)
@@ -312,8 +291,8 @@ def build_parser():
     gen.add_argument("--profile", default="s61-like",
                      choices=["s61-like", "single-axis", "random-geodesic"])
     gen.add_argument("--count", type=int, default=5)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--out", default=None)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out", default=".")
     gen.add_argument("--duration", type=float, default=demo_gen.DURATION)
     gen.add_argument("--samples", type=int, default=demo_gen.SAMPLES)
     gen.set_defaults(func=_cmd_gen_demos)

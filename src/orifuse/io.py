@@ -8,6 +8,7 @@ locale-independent (``.`` decimal separator).
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -254,12 +255,11 @@ class RunConfig:
     demo_paths: list
     components: int = 5
     seed: int = 0
-    l: float = 0.01
-    lam: float = 1.0
-    lambda_a: float | None = None
+    kernel: kmp.KernelConfig = field(default_factory=kmp.KernelConfig)
     grid: int = 200
     aux_policy: str = "first-demo-start"
-    # the chart frame of the "explicit" and "via" policies, resolved at load
+    # the one chart of the run: "explicit" and "via" resolve at load, "first-demo-start"
+    # once the demonstrations are loaded; None for "per-iovp"
     aux_rotation: np.ndarray | None = None
     via_points: list = field(default_factory=list)
     sweep_axis: str | None = None
@@ -267,6 +267,8 @@ class RunConfig:
     sweep_via_index: int | None = None
 
 
+# kernel entries of a run config and the kmp.KernelConfig fields they set
+_KERNEL_KEYS = {"l": "l", "lambda": "lam", "lambda_a": "lambda_a"}
 # optional via-point entries passed to kmp.ViaPointSpec under the same name
 _VIA_KEYS = ("relaxed_axis", "eps_strict", "eps_loose", "orientation_var", "velocity_var",
              "acceleration_var", "weight_half_width", "frame")
@@ -344,7 +346,12 @@ def _parse_config(doc, path):
         raise ConfigError(f"{path}: unknown aux_frame policy {policy!r}")
     gmm_doc = doc.get("gmm", {})
     kernel_doc = doc.get("kernel", {})
-    lambda_a = kernel_doc.get("lambda_a")
+    try:
+        kernel = kmp.KernelConfig(**{name: float(kernel_doc[key])
+                                     for key, name in _KERNEL_KEYS.items()
+                                     if kernel_doc.get(key) is not None})
+    except ValueError as exc:
+        raise ConfigError(f"{path}: kernel: {exc}") from exc
     sweep = doc.get("sweep") or {}
     sweep_axis = sweep.get("axis")
     if sweep_axis not in (None, "lambda_a", "target-rotation"):
@@ -353,9 +360,7 @@ def _parse_config(doc, path):
         demo_paths=demo_paths,
         components=int(gmm_doc.get("components", 5)),
         seed=int(gmm_doc.get("seed", 0)),
-        l=float(kernel_doc.get("l", 0.01)),
-        lam=float(kernel_doc.get("lambda", 1.0)),
-        lambda_a=None if lambda_a is None else float(lambda_a),
+        kernel=kernel,
         grid=int(doc.get("grid", 200)),
         aux_policy=policy,
         aux_rotation=aux_rotation,
@@ -369,21 +374,19 @@ def _parse_config(doc, path):
 def validate_config(cfg, path):
     """Reject configurations the computation cannot run, as ConfigError.
 
-    Also called on the effective configuration after flag and environment
-    overrides, so an override cannot skip a check.
+    Also called on the configuration after the --seed and --grid overrides,
+    so an override cannot skip a check.  The kernel parameters are checked
+    by kmp.KernelConfig itself.
     """
     if cfg.components < 1:
         raise ConfigError(f"{path}: gmm components must be >= 1")
     if cfg.seed < 0:
         raise ConfigError(f"{path}: seed must be non-negative")
-    if cfg.l <= 0 or cfg.lam <= 0:
-        raise ConfigError(f"{path}: kernel parameters must be positive")
-    if cfg.lambda_a is not None and cfg.lambda_a <= 0:
-        raise ConfigError(f"{path}: lambda_a must be positive")
     if cfg.grid < 2:
         raise ConfigError(f"{path}: grid must have at least 2 points")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.sweep_values):
-        raise ConfigError(f"{path}: sweep values must be numbers")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+               for v in cfg.sweep_values):
+        raise ConfigError(f"{path}: sweep values must be finite numbers")
     if cfg.sweep_axis == "lambda_a" and any(v <= 0 for v in cfg.sweep_values):
         raise ConfigError(f"{path}: lambda_a sweep values must be positive")
     index = cfg.sweep_via_index

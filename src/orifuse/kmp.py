@@ -54,12 +54,12 @@ class KernelConfig:
     order: InitVar[str | None] = None
 
     def __post_init__(self, order):
-        if self.l <= 0:
-            raise ValueError("l must be positive")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.lambda_a is not None and self.lambda_a <= 0:
-            raise ValueError("lambda_a must be positive when given")
+        if not 0 < self.l < np.inf:
+            raise ValueError("l must be positive and finite")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lambda must be positive and finite")
+        if self.lambda_a is not None and not 0 < self.lambda_a < np.inf:
+            raise ValueError("lambda_a must be positive and finite when given")
         if order is not None and order != ("pv" if self.lambda_a is None else "pva"):
             raise ValueError("order must be 'pva' with lambda_a and 'pv' without")
 
@@ -81,8 +81,8 @@ def _variances(value, name):
         var = np.full(3, float(var))
     if var.shape != (3,):
         raise ValueError(f"{name} must be a scalar or a 3-vector")
-    if np.any(var <= 0):
-        raise ValueError(f"{name} entries must be positive")
+    if not np.all((0 < var) & (var < np.inf)):
+        raise ValueError(f"{name} entries must be positive and finite")
     return var
 
 
@@ -118,20 +118,22 @@ class ViaPointSpec:
     frame: str = "world"
 
     def __post_init__(self):
+        if not np.isfinite(self.t):
+            raise ValueError("t must be finite")
         R = so3.check_rotation(self.rotation, name="via rotation")
         omega = np.asarray(self.omega, dtype=float)
-        if omega.shape != (3,):
-            raise ValueError("omega must be a 3-vector")
+        if omega.shape != (3,) or not np.all(np.isfinite(omega)):
+            raise ValueError("omega must be a finite 3-vector")
         if self.frame not in ("world", "aux"):
             raise ValueError("frame must be 'world' or 'aux'")
         if self.relaxed_axis is not None and self.relaxed_axis not in AXES:
             raise ValueError("relaxed_axis must be 'x', 'y', 'z' or None")
-        if self.eps_strict <= 0 or self.eps_loose <= 0:
-            raise ValueError("eps_strict and eps_loose must be positive")
+        if not (0 < self.eps_strict < np.inf and 0 < self.eps_loose < np.inf):
+            raise ValueError("eps_strict and eps_loose must be positive and finite")
         if self.relaxed_axis is not None and self.eps_strict >= self.eps_loose:
             raise ValueError("a relaxed axis needs eps_strict < eps_loose")
-        if self.weight_half_width <= 0:
-            raise ValueError("weight_half_width must be positive")
+        if not 0 < self.weight_half_width < np.inf:
+            raise ValueError("weight_half_width must be positive and finite")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "omega", omega)
         for name in _VARIANCE_BLOCKS:
@@ -143,8 +145,8 @@ class ViaPointSpec:
         ):
             raise ValueError("give either an explicit covariance or a variance pattern")
         cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape not in ((6, 6), (9, 9)):
-            raise ValueError("covariance must be 6x6 or 9x9")
+        if cov.shape not in ((6, 6), (9, 9)) or not np.all(np.isfinite(cov)):
+            raise ValueError("covariance must be a finite 6x6 or 9x9 matrix")
         if not np.allclose(cov, cov.T):
             raise ValueError("covariance must be symmetric")
         if np.any(np.linalg.eigvalsh(cov) <= 0):

@@ -193,14 +193,15 @@ def test_eval_compares_relaxed_and_strict(tmp_path, demo_dir):
     assert (out / "trajectory_strict.csv").exists()
 
 
-def test_env_override_seed(tmp_path, demo_dir, monkeypatch):
+def test_seed_override_lands_in_the_config(tmp_path, demo_dir):
     config = write_config(tmp_path / "config.json", demo_dir, via_points=[])
-    out1, out2 = tmp_path / "e1", tmp_path / "e2"
-    monkeypatch.setenv("ORIFUSE_SEED", "123")
-    assert run_cli("learn", "--config", config, "--out", out1) == 0
-    monkeypatch.delenv("ORIFUSE_SEED")
-    assert run_cli("learn", "--config", config, "--seed", "123", "--out", out2) == 0
-    assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
+    seeded = write_config(tmp_path / "seeded.json", demo_dir, via_points=[],
+                          gmm={"components": 5, "seed": 123})
+    out1, out2 = tmp_path / "flag", tmp_path / "config"
+    assert run_cli("learn", "--config", config, "--seed", "123", "--out", out1) == 0
+    assert run_cli("learn", "--config", seeded, "--out", out2) == 0
+    for name in ("mixture.json", "trajectory.csv", "metrics.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 FUSE_VIAS = [
@@ -229,14 +230,11 @@ def test_zero_weight_half_width_is_a_config_error(tmp_path, demo_dir, capsys):
     assert "weight_half_width" in err
 
 
-def test_grid_override_is_validated(tmp_path, demo_dir, capsys, monkeypatch):
-    monkeypatch.setenv("ORIFUSE_GRID", "1")
-    code, err = fuse_exit_code(tmp_path, demo_dir, capsys)
-    assert code == 2
-    assert "grid must have at least 2 points" in err
-    monkeypatch.delenv("ORIFUSE_GRID")
-    cfg = tmp_path / "fuse.json"
+def test_grid_override_is_validated(tmp_path, demo_dir, capsys):
+    cfg = write_config(tmp_path / "fuse.json", demo_dir, via_points=FUSE_VIAS,
+                       aux_frame="per-iovp")
     assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out", "--grid", "1") == 2
+    assert "grid must have at least 2 points" in capsys.readouterr().err
 
 
 def test_sweep_runs_each_trial_once(tmp_path, demo_dir, monkeypatch):
@@ -258,11 +256,38 @@ def test_sweep_runs_each_trial_once(tmp_path, demo_dir, monkeypatch):
     assert [float(r.split(",")[0]) for r in rows] == [10.0, 1e3, 1e5]
 
 
-def test_sweep_needs_a_positive_job_count(tmp_path, demo_dir, monkeypatch):
+def test_sweep_needs_a_positive_job_count(tmp_path, demo_dir, capsys):
     cfg = write_config(tmp_path / "cfg.json", demo_dir,
                        sweep={"axis": "lambda_a", "values": [10.0]})
-    monkeypatch.setenv("ORIFUSE_JOBS", "0")
-    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 2
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep", "--jobs", "0") == 2
+    assert "at least one job" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "table.csv").exists()
+
+
+@pytest.mark.parametrize("command, aux_frame, sweep", [
+    ("fuse", "first-demo-start", None),
+    ("eval", "first-demo-start", None),
+    ("sweep", "first-demo-start", {"axis": "target-rotation", "values": [0]}),
+    ("learn", "per-iovp", None),
+    ("adapt", "per-iovp", None),
+    ("sweep", "per-iovp", {"axis": "lambda_a", "values": [10.0]}),
+])
+def test_each_command_needs_its_chart_policy(tmp_path, demo_dir, command, aux_frame, sweep):
+    # fuse, eval and target-rotation sweeps take one chart per via; the rest one chart
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, aux_frame=aux_frame, sweep=sweep)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert not list(out.glob("*"))
+
+
+def test_sweep_table_does_not_depend_on_the_job_count(tmp_path, demo_dir):
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
+    for jobs in (1, 2):
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"j{jobs}",
+                       "--jobs", jobs) == 0
+    assert (tmp_path / "j1" / "table.csv").read_bytes() == \
+        (tmp_path / "j2" / "table.csv").read_bytes()
 
 
 def test_acceleration_block_needs_lambda_a(tmp_path, demo_dir, capsys):
@@ -322,6 +347,14 @@ def test_via_points_may_not_share_a_time(tmp_path, demo_dir, capsys):
         assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "may not share a time" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_non_finite_via_time_is_a_config_error(tmp_path, demo_dir, capsys):
+    vias = [{"t": 0.0, "psi": [1.2614, 1.0512, 1.5767]},
+            {"t": float("inf"), "psi": [0.9137, 1.3705, 0.9137]}]
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, via_points=vias)
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "via at t=inf: t must be finite" in capsys.readouterr().err
 
 
 def test_delta_t_via_is_not_a_config_key(tmp_path, demo_dir, capsys):

@@ -229,6 +229,16 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"sweep": {"axis": "lambda_a", "values": [10.0, "a"]}},
     {"sweep": {"axis": "lambda_a", "values": [10.0, 0.0]}},
     {"sweep": {"axis": "target-rotation", "values": [0, 1], "via_index": 3}},
+    {"via_points": [dict(RELAXED_VIA, t=float("inf"))]},
+    {"via_points": [dict(RELAXED_VIA, omega=[float("nan"), 0.0, 0.0])]},
+    {"via_points": [dict(RELAXED_VIA, velocity_var=float("nan"))]},
+    {"via_points": [dict(RELAXED_VIA, eps_strict=float("nan"))]},
+    {"via_points": [dict(RELAXED_VIA, eps_loose=float("inf"))]},
+    {"via_points": [dict(RELAXED_VIA, weight_half_width=float("inf"))]},
+    {"kernel": {"l": float("nan"), "lambda": 1.0}},
+    {"kernel": {"l": 0.01, "lambda": float("inf")}},
+    {"kernel": {"l": 0.01, "lambda": 1.0, "lambda_a": float("nan")}},
+    {"sweep": {"axis": "lambda_a", "values": [10.0, float("nan")]}},
 ])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
     with pytest.raises(ConfigError):

@@ -265,3 +265,11 @@ def test_angular_velocities_exact_for_constant_rate():
     omega = kmp.angular_velocities(Rs, dt)
     expected = np.stack([Rs[i] @ w_body for i in range(len(times))])
     assert np.abs(omega - expected).max() < 1e-10
+
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_explicit_covariance_must_be_finite(bad):
+    # run configs have no covariance key; the variance-pattern cases are in test_io
+    with pytest.raises(ValueError, match="finite"):
+        kmp.ViaPointSpec(1.0, np.eye(3), np.zeros(3), np.diag([1e-6] * 5 + [bad]))
