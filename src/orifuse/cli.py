@@ -60,15 +60,12 @@ def _add_common(sub):
 def _load_run(args):
     """(config, output dir, demos) of a command reading --config.
 
-    --seed and --grid are applied to the config and validated like it.  fuse,
-    eval and target-rotation sweeps take one chart per via-point (per-iovp);
-    every other command takes one chart, and a first-demo-start chart is
-    resolved into aux_rotation here.
+    io.load_config applies --seed and --grid before its checks.  fuse, eval and
+    target-rotation sweeps take one chart per via-point (per-iovp); every other
+    command takes one chart, and a first-demo-start chart is resolved into
+    aux_rotation here.
     """
-    cfg = io.load_config(args.config)
-    cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
-                  grid=cfg.grid if args.grid is None else args.grid)
-    io.validate_config(cfg, "overrides")
+    cfg = io.load_config(args.config, seed=args.seed, grid=args.grid)
     per_iovp = args.command in ("fuse", "eval") or (
         args.command == "sweep" and cfg.sweep_axis == "target-rotation")
     if per_iovp != (cfg.aux_policy == "per-iovp"):
@@ -259,15 +256,12 @@ def _cmd_sweep(args):
         rows = _sweep_rows(trial, [float(v) for v in values], jobs)
         io.save_table(out / "table.csv", ["lambda_a", "acceleration_cost", "max_via_err"], rows)
     elif cfg.sweep_axis == "target-rotation":
-        via_index = cfg.sweep_via_index
-        if via_index is None:
-            via_index = len(cfg.via_points) - 1
-        base = cfg.via_points[via_index]
+        *fixed, last = cfg.via_points
 
         def trial(i):
-            vias = list(cfg.via_points)
-            vias[via_index] = replace(base, rotation=base.rotation @ so3.exp_map(
-                [0.0, (int(i) - 6) * np.pi / 6.0, 0.0]))
+            # step i turns the last via's target by (i - 6) pi / 6 about its y axis
+            turn = so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
+            vias = fixed + [replace(last, rotation=last.rotation @ turn)]
             _, _, row = _comparison(replace(cfg, via_points=vias), demos, cache)
             return [int(i)] + row
 

@@ -264,18 +264,41 @@ class RunConfig:
     via_points: list = field(default_factory=list)
     sweep_axis: str | None = None
     sweep_values: list = field(default_factory=list)
-    sweep_via_index: int | None = None
 
 
-# kernel entries of a run config and the kmp.KernelConfig fields they set
-_KERNEL_KEYS = {"l": "l", "lambda": "lam", "lambda_a": "lambda_a"}
-# optional via-point entries passed to kmp.ViaPointSpec under the same name
-_VIA_KEYS = ("relaxed_axis", "eps_strict", "eps_loose", "orientation_var", "velocity_var",
-             "acceleration_var", "weight_half_width", "frame")
+# the keys each section of a run configuration may hold; a kernel key maps to its
+# kmp.KernelConfig field, a via key but t, rotation, psi and omega to the ViaPointSpec one
+_KEYS = {
+    "top level": ("schema_version", "demos", "aux_frame", "gmm", "kernel", "grid",
+                  "via_points", "sweep"),
+    "gmm": ("components", "seed"),
+    "kernel": {"l": "l", "lambda": "lam", "lambda_a": "lambda_a"},
+    "aux_frame": ("policy", "rotation", "index"),
+    "sweep": ("axis", "values"),
+    "via_points": ("t", "rotation", "psi", "omega", "relaxed_axis", "eps_strict",
+                   "eps_loose", "orientation_var", "velocity_var", "acceleration_var",
+                   "weight_half_width", "frame"),
+}
+# why a retired key is gone, appended to its unknown-key message
+_RETIRED = {
+    "memory": "the memory average always runs; 'fuse --no-memory' is the diagnostic ablation",
+    "delta_t_via": f"via velocities are stepped by the fixed {kmp.DEFAULT_DELTA_T:g} s",
+}
+
+
+def _section(doc, section, path):
+    """doc, once it is a JSON object holding only keys that _KEYS lists for section."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {section} must be a JSON object")
+    for key in doc:
+        if key not in _KEYS[section]:
+            hint = f": {_RETIRED[key]}" if key in _RETIRED else ""
+            raise ConfigError(f"{path}: {section}: {key!r} is not a configuration key{hint}")
+    return doc
 
 
 def _parse_via(doc, path):
-    if "t" not in doc:
+    if "t" not in _section(doc, "via_points", path):
         raise ConfigError(f"{path}: via-point entry is missing 't'")
     try:
         if doc.get("rotation") is not None:
@@ -287,14 +310,15 @@ def _parse_via(doc, path):
         omega = doc.get("omega")
         return kmp.ViaPointSpec(
             float(doc["t"]), rotation, np.zeros(3) if omega is None else omega,
-            **{key: doc[key] for key in _VIA_KEYS if doc.get(key) is not None},
+            **{key: value for key, value in doc.items()
+               if key not in ("t", "rotation", "psi", "omega") and value is not None},
         )
-    except (NotARotation, TypeError, ValueError) as exc:
+    except (NotARotation, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: via at t={doc['t']}: {exc}") from exc
 
 
-def load_config(path):
-    """Parse and validate a JSON run configuration."""
+def load_config(path, seed=None, grid=None):
+    """Parse and check a JSON run configuration in one pass; seed and grid override its own."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -302,36 +326,40 @@ def load_config(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: the configuration must be a JSON object")
-    version = doc.get("schema_version")
+    version = _section(doc, "top level", path).get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
     try:
-        cfg = _parse_config(doc, path)
-    except (AttributeError, TypeError, ValueError) as exc:
+        return _parse_config(doc, path, seed, grid)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed value: {exc}") from exc
-    validate_config(cfg, path)
-    return cfg
 
 
-def _parse_config(doc, path):
+def _parse_config(doc, path, seed, grid):
     demos = doc.get("demos")
     if not isinstance(demos, list) or not demos:
         raise ConfigError(f"{path}: 'demos' must be a non-empty list of paths")
-    if "memory" in doc:
-        raise ConfigError(f"{path}: 'memory' is not a configuration key: the memory average "
-                          "always runs; 'fuse --no-memory' is the diagnostic ablation")
-    if "delta_t_via" in doc:
-        raise ConfigError(f"{path}: 'delta_t_via' is not a configuration key: via velocities "
-                          f"are stepped by the fixed {kmp.DEFAULT_DELTA_T:g} s")
     demo_paths = [path.parent / p for p in demos]
+    gmm_doc = _section(doc.get("gmm", {}), "gmm", path)
+    components = int(gmm_doc.get("components", 5))
+    seed = int(gmm_doc.get("seed", 0)) if seed is None else seed
+    grid = int(doc.get("grid", 200)) if grid is None else grid
+    if components < 1 or seed < 0 or grid < 2:
+        raise ConfigError(f"{path}: gmm components must be >= 1, the seed >= 0, and the grid "
+                          f"must have at least 2 points; got {components}, {seed} and {grid}")
+    kernel_doc = _section(doc.get("kernel", {}), "kernel", path)
+    try:
+        kernel = kmp.KernelConfig(**{name: float(kernel_doc[key])
+                                     for key, name in _KEYS["kernel"].items()
+                                     if kernel_doc.get(key) is not None})
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: kernel: {exc}") from exc
     vias = [_parse_via(v, path) for v in doc.get("via_points", [])]
     if np.any(np.diff([v.t for v in vias]) <= kmp.VIA_TIME_TOL):
         raise ConfigError(f"{path}: via-point times must be increasing; two via-points "
                           f"may not share a time (within {kmp.VIA_TIME_TOL:g} s)")
     aux = doc.get("aux_frame", "first-demo-start")
-    policy = aux.get("policy") if isinstance(aux, dict) else aux
+    policy = _section(aux, "aux_frame", path).get("policy") if isinstance(aux, dict) else aux
     aux_rotation = None
     if policy == "explicit":
         aux_rotation = np.asarray(aux.get("rotation"), dtype=float).reshape(3, 3)
@@ -342,62 +370,37 @@ def _parse_config(doc, path):
         if not (isinstance(index, int) and 0 <= index < len(vias)):
             raise ConfigError(f"{path}: aux_frame via index {index!r} out of range")
         aux_rotation = vias[index].target_rotation()
-    elif policy not in ("first-demo-start", "per-iovp"):
+    elif policy == "per-iovp":
+        # the non-interference principle is checked before any computation
+        fusion.check_non_interference(vias[1:])
+        if any(via.frame == "aux" for via in vias):
+            raise ConfigError(
+                f"{path}: per-iovp runs need world-frame via targets (frame=aux is ambiguous)"
+            )
+    elif policy != "first-demo-start":
         raise ConfigError(f"{path}: unknown aux_frame policy {policy!r}")
-    gmm_doc = doc.get("gmm", {})
-    kernel_doc = doc.get("kernel", {})
-    try:
-        kernel = kmp.KernelConfig(**{name: float(kernel_doc[key])
-                                     for key, name in _KERNEL_KEYS.items()
-                                     if kernel_doc.get(key) is not None})
-    except ValueError as exc:
-        raise ConfigError(f"{path}: kernel: {exc}") from exc
-    sweep = doc.get("sweep") or {}
-    sweep_axis = sweep.get("axis")
+    sweep = _section(doc.get("sweep") or {}, "sweep", path)
+    sweep_axis, values = sweep.get("axis"), sweep.get("values", [])
     if sweep_axis not in (None, "lambda_a", "target-rotation"):
         raise ConfigError(f"{path}: unknown sweep axis {sweep_axis!r}")
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values):
+        raise ConfigError(f"{path}: sweep values must be a list of finite numbers")
+    if sweep_axis == "lambda_a" and any(v <= 0 for v in values):
+        raise ConfigError(f"{path}: lambda_a sweep values must be positive")
+    if sweep_axis == "target-rotation" and not (vias and all(v == int(v) for v in values)):
+        raise ConfigError(f"{path}: a target-rotation sweep needs whole-number values and "
+                          "a via-point to turn")
     return RunConfig(
         demo_paths=demo_paths,
-        components=int(gmm_doc.get("components", 5)),
-        seed=int(gmm_doc.get("seed", 0)),
+        components=components,
+        seed=seed,
         kernel=kernel,
-        grid=int(doc.get("grid", 200)),
+        grid=grid,
         aux_policy=policy,
         aux_rotation=aux_rotation,
         via_points=vias,
         sweep_axis=sweep_axis,
-        sweep_values=list(sweep.get("values", [])),
-        sweep_via_index=sweep.get("via_index"),
+        sweep_values=values,
     )
-
-
-def validate_config(cfg, path):
-    """Reject configurations the computation cannot run, as ConfigError.
-
-    Also called on the configuration after the --seed and --grid overrides,
-    so an override cannot skip a check.  The kernel parameters are checked
-    by kmp.KernelConfig itself.
-    """
-    if cfg.components < 1:
-        raise ConfigError(f"{path}: gmm components must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError(f"{path}: seed must be non-negative")
-    if cfg.grid < 2:
-        raise ConfigError(f"{path}: grid must have at least 2 points")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-               for v in cfg.sweep_values):
-        raise ConfigError(f"{path}: sweep values must be finite numbers")
-    if cfg.sweep_axis == "lambda_a" and any(v <= 0 for v in cfg.sweep_values):
-        raise ConfigError(f"{path}: lambda_a sweep values must be positive")
-    index = cfg.sweep_via_index
-    if index is not None and not (isinstance(index, int) and 0 <= index < len(cfg.via_points)):
-        raise ConfigError(f"{path}: sweep via_index {index!r} out of range")
-    if cfg.sweep_axis == "target-rotation" and cfg.aux_policy != "per-iovp":
-        raise ConfigError(f"{path}: target-rotation sweeps need aux_frame policy 'per-iovp'")
-    if cfg.aux_policy == "per-iovp":
-        # the non-interference principle is checked before any computation
-        fusion.check_non_interference(cfg.via_points[1:])
-        if any(via.frame == "aux" for via in cfg.via_points):
-            raise ConfigError(
-                f"{path}: per-iovp runs need world-frame via targets (frame=aux is ambiguous)"
-            )

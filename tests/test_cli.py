@@ -169,18 +169,22 @@ def test_sweep_lambda_a_cost_column_non_increasing(tmp_path, demo_dir):
     assert costs[0] >= costs[1] >= costs[2]
 
 
+_PSI3 = np.array([0.0, 2.2214, -2.2214])
+# the baseline and the three IOVPs of the acceptance fusion protocol; the last
+# target lies on the pi-shell
+IOVP_VIAS = [
+    {"t": 0.0, "psi": [1.2614, 1.0512, 1.5767], "omega": [0, 0, 0]},
+    {"t": 4.0, "psi": [0.7028, 1.1713, 0.4685], "omega": [0.0069, 0.2103, 0.2138],
+     "relaxed_axis": "y"},
+    {"t": 7.0, "psi": [-0.5236, 0.0, 0.0], "omega": [0.0, 0.15, 0.2598],
+     "relaxed_axis": "z"},
+    {"t": 10.0, "psi": (_PSI3 / np.linalg.norm(_PSI3) * np.pi).tolist(), "omega": [0, 0, 0],
+     "relaxed_axis": "y"},
+]
+
+
 def test_eval_compares_relaxed_and_strict(tmp_path, demo_dir):
-    psi3 = np.array([0.0, 2.2214, -2.2214])
-    psi3 = (psi3 / np.linalg.norm(psi3) * np.pi).tolist()
-    vias = [
-        {"t": 0.0, "psi": [1.2614, 1.0512, 1.5767], "omega": [0, 0, 0]},
-        {"t": 4.0, "psi": [0.7028, 1.1713, 0.4685], "omega": [0.0069, 0.2103, 0.2138],
-         "relaxed_axis": "y"},
-        {"t": 7.0, "psi": [-0.5236, 0.0, 0.0], "omega": [0.0, 0.15, 0.2598],
-         "relaxed_axis": "z"},
-        {"t": 10.0, "psi": psi3, "omega": [0, 0, 0], "relaxed_axis": "y"},
-    ]
-    cfg = write_config(tmp_path / "cfg.json", demo_dir, via_points=vias,
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, via_points=IOVP_VIAS,
                        aux_frame="per-iovp", grid=1001)
     out = tmp_path / "eval"
     assert run_cli("eval", "--config", cfg, "--out", out) == 0
@@ -216,6 +220,47 @@ def fuse_exit_code(tmp_path, demo_dir, capsys, **via_overrides):
     cfg = write_config(tmp_path / "fuse.json", demo_dir, via_points=vias, aux_frame="per-iovp")
     code = run_cli("fuse", "--config", cfg, "--out", tmp_path / "out")
     return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides, key, section", [
+    ("adapt", {"grdi": 301}, "grdi", "top level"),
+    ("adapt", {"gmm": {"component": 3, "seed": 0}}, "component", "gmm"),
+    ("adapt", {"kernel": {"l": 0.01, "lamda": 10.0}}, "lamda", "kernel"),
+    ("adapt", {"aux_frame": {"policy": "via", "indx": 1}}, "indx", "aux_frame"),
+    ("sweep", {"sweep": {"axis": "lambda_a", "value": [10.0]}}, "value", "sweep"),
+    ("fuse", {"aux_frame": "per-iovp", "via_points": [
+        FUSE_VIAS[0], {"t": 4.0, "psi": [0.7028, 1.1713, 0.4685], "relaxed_axes": "y"}]},
+     "relaxed_axes", "via_points"),
+])
+def test_unknown_key_names_itself_and_its_section(tmp_path, demo_dir, capsys, command,
+                                                  overrides, key, section):
+    # each typo would otherwise fall back to a default: a strict via, the default
+    # lambda, 5 components, a 200-point grid, the chart at via 0, a sweep with no trials
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, **overrides)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert f"{section}: '{key}' is not a configuration key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_sweep_value_is_a_config_error(tmp_path, demo_dir, capsys):
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "lambda_a", "values": [10.0, 10**400]})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_target_rotation_step_6_is_the_eval_row(tmp_path, demo_dir):
+    # step i turns the last via's target by (i - 6) pi / 6, so step 6 leaves it as it is
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, via_points=IOVP_VIAS,
+                       aux_frame="per-iovp", sweep={"axis": "target-rotation", "values": [6, 0]})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep", "--grid", 201) == 0
+    assert run_cli("eval", "--config", cfg, "--out", tmp_path / "eval", "--grid", 201) == 0
+    sweep = (tmp_path / "sweep" / "table.csv").read_text().splitlines()
+    header, row = (tmp_path / "eval" / "table.csv").read_text().splitlines()[1:]
+    assert sweep[1:3] == ["i," + header, "6," + row]
+    assert sweep[3].startswith("0,") and sweep[3] != "0," + row
 
 
 def test_relaxed_via_needs_eps_strict_below_eps_loose(tmp_path, demo_dir, capsys):
@@ -278,6 +323,12 @@ def test_each_command_needs_its_chart_policy(tmp_path, demo_dir, command, aux_fr
     out = tmp_path / "out"
     assert run_cli(command, "--config", cfg, "--out", out) == 2
     assert not list(out.glob("*"))
+
+
+def test_an_unused_sweep_section_does_not_pick_the_chart(tmp_path, demo_dir):
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "target-rotation", "values": [0]})
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 0
 
 
 def test_sweep_table_does_not_depend_on_the_job_count(tmp_path, demo_dir):

@@ -1,7 +1,11 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orifuse import gmm, io, so3
 from orifuse.demo_gen import generate_demos
@@ -10,6 +14,7 @@ from orifuse.errors import (
     DomainOverlap,
     InconsistentTiming,
     NotARotation,
+    OrifuseError,
     ParseError,
 )
 
@@ -239,7 +244,123 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"kernel": {"l": 0.01, "lambda": float("inf")}},
     {"kernel": {"l": 0.01, "lambda": 1.0, "lambda_a": float("nan")}},
     {"sweep": {"axis": "lambda_a", "values": [10.0, float("nan")]}},
+    {"grid": float("inf")},
+    {"gmm": {"components": float("inf"), "seed": 0}},
+    {"via_points": [dict(RELAXED_VIA, t=10**400)]},
+    {"via_points": [dict(RELAXED_VIA, psi=[10**400, 0, 0])]},
+    {"kernel": {"l": 10**400, "lambda": 1.0}},
+    {"sweep": {"axis": "lambda_a", "values": [10.0, 10**400]}},
+    {"aux_frame": "per-iovp", "via_points": [RELAXED_VIA],
+     "sweep": {"axis": "target-rotation", "values": [1.5, 1]}},
+    {"aux_frame": "per-iovp", "sweep": {"axis": "target-rotation", "values": [0]}},
 ])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
     with pytest.raises(ConfigError):
         io.load_config(_base_config(tmp_path, **overrides))
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the README's example is a valid configuration, and it names every key the loader takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("A run configuration is JSON")[1].split("```json\n")[1]
+    path = tmp_path / "run.json"
+    path.write_text(example.split("```")[0])
+    cfg = io.load_config(path)
+    assert [via.relaxed_axis for via in cfg.via_points] == [None, "y"]
+    for section, keys in io._KEYS.items():
+        for key in keys:
+            assert f"`{key}`" in readme or f'"{key}"' in readme, (section, key)
+
+
+# the documented keys of each section of a run configuration
+FUZZ_KEYS = {
+    "top level": ["schema_version", "demos", "aux_frame", "gmm", "kernel", "grid", "via_points",
+                  "sweep"],
+    "gmm": ["components", "seed"],
+    "kernel": ["l", "lambda", "lambda_a"],
+    "aux_frame": ["policy", "rotation", "index"],
+    "sweep": ["axis", "values"],
+    "via_points": ["t", "rotation", "psi", "omega", "relaxed_axis", "eps_strict", "eps_loose",
+                   "orientation_var", "velocity_var", "acceleration_var", "weight_half_width",
+                   "frame"],
+}
+DELETE = object()
+FUZZ_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.sampled_from([10**400, 0.5, 1.5, -1, 0]),
+)
+FUZZ_VALUES = st.one_of(
+    FUZZ_NUMBERS,
+    st.lists(FUZZ_NUMBERS, max_size=4),
+    st.sampled_from([DELETE, None, True, "", "y", "aux", "world", "per-iovp", "explicit", "via",
+                     "first-demo-start", "lambda_a", "target-rotation", [], {}, ["demo.csv"],
+                     np.eye(3).tolist(), [[float("nan")] * 3] * 3]),
+)
+
+
+def _fuzz_base():
+    """A valid document with every section present: a via-anchored chart and a sweep."""
+    return {
+        "schema_version": 1,
+        "demos": ["demo_0.csv", "demo_1.csv"],
+        "aux_frame": {"policy": "via", "index": 1},
+        "gmm": {"components": 2, "seed": 0},
+        "kernel": {"l": 0.01, "lambda": 1.0, "lambda_a": 100.0},
+        "grid": 50,
+        "via_points": [{"t": 0.0, "psi": [0.1, 0.0, 0.0], "omega": [0.0, 0.0, 0.0]},
+                       dict(RELAXED_VIA, omega=[0.1, 0.0, 0.0], weight_half_width=1.0)],
+        "sweep": {"axis": "target-rotation", "values": [0, 6, 11]},
+    }
+
+
+def _fuzz_section(doc, section, via):
+    if section == "top level":
+        return doc
+    if section == "via_points":
+        vias = doc.get("via_points")
+        return vias[via] if isinstance(vias, list) and len(vias) > via else None
+    return doc.get(section)
+
+
+@st.composite
+def mutated_configs(draw):
+    """(document, whether an unknown key was added) after 1-3 value mutations.
+
+    A value mutation sets or deletes a key the section may hold; the unknown key,
+    if any, is added last so no later mutation can drop its section.
+    """
+    doc = _fuzz_base()
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(list(FUZZ_KEYS)))
+        target = _fuzz_section(doc, section, draw(st.integers(0, 1)))
+        key = draw(st.sampled_from(FUZZ_KEYS[section]))
+        value = draw(FUZZ_VALUES)
+        if isinstance(target, dict) and value is DELETE:
+            target.pop(key, None)
+        elif isinstance(target, dict):
+            target[key] = copy.deepcopy(value)
+    section = draw(st.sampled_from(list(FUZZ_KEYS)))
+    target = _fuzz_section(doc, section, draw(st.integers(0, 1)))
+    key = draw(st.sampled_from(["grdi", "component", "lamda", "indx", "value", "relaxed_axes",
+                                "memory", "delta_t_via", "covariance"]) | st.text(max_size=6))
+    unknown = draw(st.booleans()) and isinstance(target, dict) and key not in FUZZ_KEYS[section]
+    if unknown:
+        target[key] = 1
+    return doc, unknown
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_configs())
+def test_config_fuzz_ends_in_a_run_config_or_an_orifuse_error(tmp_path, case):
+    # no document, however malformed, escapes load_config as another exception
+    doc, unknown = case
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = io.load_config(path)
+    except OrifuseError:
+        return
+    assert isinstance(cfg, io.RunConfig)
+    assert not unknown, "an unknown key was accepted"
