@@ -1,17 +1,16 @@
 """Numeric kernels for SO(3) maps and the memory-based rotation average.
 
-Each chart map exists in two forms.  ``rot_exp`` and ``rot_log`` map one
-vector or matrix in plain floats; ``rot_exp_many`` and ``rot_log_many`` apply
-the same formulas to a whole (N, 3) or (N, 3, 3) stack with numpy, choosing
-the small-angle branch with boolean masks.  The rare near-pi rows of
-``rot_log_many`` go through the scalar ``rot_log``, so one piece of code
-applies the half-sphere rule.
+Each chart map has one implementation.  ``rot_exp_many`` and
+``rot_log_many`` map a whole (N, 3) or (N, 3, 3) stack with numpy, choosing
+the small-angle and near-pi branches with boolean masks; ``rot_exp`` and
+``rot_log`` are their one-row calls.
 
 The memory-based average is split the same way.  ``_memory_turn`` is its
-turn-counter and history state machine, in plain floats.  The one-pair
-``memory_average_step`` and the whole-grid ``memory_average_many`` both call
-it; the latter computes the relative logs of every grid point before its
-sequential loop and all the exps after it.
+turn-counter and history state machine, in plain floats.  ``_memory_run``
+computes the relative logs of a time-ordered run of pairs, feeds them through
+that state machine row by row and computes all the exps after it; the
+whole-grid ``memory_average_many`` and the one-pair ``memory_average_step``
+are both runs of it.
 """
 
 import math
@@ -25,118 +24,8 @@ USING_NUMBA = False
 ZERO_DISTANCE = 1e-12
 
 
-def rot_exp(psi):
-    """Rodrigues map: 3-vector (axis * angle) -> rotation matrix.
-
-    Total on R^3; a 2nd-order series replaces sin(t)/t and (1-cos(t))/t^2
-    below t = 1e-8 to avoid 0/0.
-    """
-    x, y, z = psi[0], psi[1], psi[2]
-    t2 = x * x + y * y + z * z
-    t = math.sqrt(t2)
-    if t < 1e-8:
-        a = 1.0 - t2 / 6.0
-        b = 0.5 - t2 / 24.0
-    else:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / t2
-    # I + a*hat(psi) + b*(psi psi^T - t^2 I)
-    R = np.empty((3, 3))
-    R[0, 0] = 1.0 + b * (x * x - t2)
-    R[0, 1] = -a * z + b * x * y
-    R[0, 2] = a * y + b * x * z
-    R[1, 0] = a * z + b * x * y
-    R[1, 1] = 1.0 + b * (y * y - t2)
-    R[1, 2] = -a * x + b * y * z
-    R[2, 0] = -a * y + b * x * z
-    R[2, 1] = a * x + b * y * z
-    R[2, 2] = 1.0 + b * (z * z - t2)
-    return R
-
-
-def rot_log(R):
-    """Inverse of rot_exp with range inside the closed pi-ball.
-
-    Assumes R is a valid rotation (validation happens at the API layer).
-    Output on the boundary obeys the positive-half-sphere convention:
-    never (x < 0) nor (x = 0, y < 0) nor (x = y = 0, z < 0).
-    """
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    c = (tr - 1.0) / 2.0
-    if c > 1.0:
-        c = 1.0
-    elif c < -1.0:
-        c = -1.0
-    # vee(R - R^T) / 2 = sin(theta) * axis
-    sx = 0.5 * (R[2, 1] - R[1, 2])
-    sy = 0.5 * (R[0, 2] - R[2, 0])
-    sz = 0.5 * (R[1, 0] - R[0, 1])
-    sn = math.sqrt(sx * sx + sy * sy + sz * sz)
-    # atan2 keeps the angle well conditioned where arccos degenerates (near pi)
-    theta = math.atan2(sn, c)
-    out = np.empty(3)
-    if theta < 1e-8:
-        # theta/sin(theta) = 1 to machine precision here
-        out[0] = sx
-        out[1] = sy
-        out[2] = sz
-        return out
-    if tr < -1.0 + 1e-7:
-        # Near pi the skew part degenerates; recover the axis from the
-        # symmetric part, axis_i^2 = (R_ii - c) / (1 - c), using the largest
-        # diagonal entry for the anchor component.
-        one_c = 1.0 - c
-        d0 = (R[0, 0] - c) / one_c
-        d1 = (R[1, 1] - c) / one_c
-        d2 = (R[2, 2] - c) / one_c
-        if d0 >= d1 and d0 >= d2:
-            a0 = math.sqrt(d0 if d0 > 0.0 else 0.0)
-            a1 = (R[0, 1] + R[1, 0]) / (2.0 * one_c * a0)
-            a2 = (R[0, 2] + R[2, 0]) / (2.0 * one_c * a0)
-        elif d1 >= d0 and d1 >= d2:
-            a1 = math.sqrt(d1 if d1 > 0.0 else 0.0)
-            a0 = (R[0, 1] + R[1, 0]) / (2.0 * one_c * a1)
-            a2 = (R[1, 2] + R[2, 1]) / (2.0 * one_c * a1)
-        else:
-            a2 = math.sqrt(d2 if d2 > 0.0 else 0.0)
-            a0 = (R[0, 2] + R[2, 0]) / (2.0 * one_c * a2)
-            a1 = (R[1, 2] + R[2, 1]) / (2.0 * one_c * a2)
-        n = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-        a0 /= n
-        a1 /= n
-        a2 /= n
-        dot = sx * a0 + sy * a1 + sz * a2  # = sin(theta) when aligned
-        if dot < -1e-12:
-            a0 = -a0
-            a1 = -a1
-            a2 = -a2
-        elif dot <= 1e-12:
-            # angle is pi within noise: sign fixed by the half-sphere rule,
-            # with z >= 0 breaking the exact pole tie
-            if a0 < 0.0 or (a0 == 0.0 and a1 < 0.0) or (a0 == 0.0 and a1 == 0.0 and a2 < 0.0):
-                a0 = -a0
-                a1 = -a1
-                a2 = -a2
-        out[0] = theta * a0
-        out[1] = theta * a1
-        out[2] = theta * a2
-        return out
-    s = theta / sn
-    out[0] = s * sx
-    out[1] = s * sy
-    out[2] = s * sz
-    return out
-
-
-def rot_geodesic(Ri, Rj):
-    """Geodesic distance ||log(Ri^T Rj)|| in [0, pi]."""
-    rel = Ri.T @ Rj
-    psi = rot_log(rel)
-    return math.sqrt(psi[0] * psi[0] + psi[1] * psi[1] + psi[2] * psi[2])
-
-
 def _norms(v):
-    """Row norms of an (N, 3) array, summed in the scalar kernels' order."""
+    """Row norms of an (N, 3) array, the squares summed x, y, z in that order."""
     return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
 
 
@@ -146,7 +35,11 @@ def _relative(Ris, Rjs):
 
 
 def rot_exp_many(psis):
-    """rot_exp over an (N, 3) stack; row i equals rot_exp(psis[i]) bit for bit."""
+    """Rodrigues map over an (N, 3) stack of vectors (axis * angle).
+
+    Total on R^3; a 2nd-order series replaces sin(t)/t and (1-cos(t))/t^2
+    below t = 1e-8 to avoid 0/0.
+    """
     psis = np.asarray(psis, dtype=float)
     x, y, z = psis[:, 0], psis[:, 1], psis[:, 2]
     t2 = x * x + y * y + z * z
@@ -159,6 +52,7 @@ def rot_exp_many(psis):
     b[small] = 0.5 - t2[small] / 24.0
     a[big] = np.sin(t[big]) / t[big]
     b[big] = (1.0 - np.cos(t[big])) / t2[big]
+    # I + a*hat(psi) + b*(psi psi^T - t^2 I)
     R = np.empty((psis.shape[0], 3, 3))
     R[:, 0, 0] = 1.0 + b * (x * x - t2)
     R[:, 0, 1] = -a * z + b * x * y
@@ -172,20 +66,28 @@ def rot_exp_many(psis):
     return R
 
 
-def rot_log_many(Rs):
-    """rot_log over an (N, 3, 3) stack.
+def rot_exp(psi):
+    """rot_exp_many for one 3-vector."""
+    return rot_exp_many(np.reshape(psi, (1, 3)))[0]
 
-    Rows away from pi follow rot_log's formulas with numpy's arctan2 (within
-    an ulp of math.atan2); near-pi rows are delegated to rot_log itself.
+
+def rot_log_many(Rs):
+    """Inverse of rot_exp_many over an (N, 3, 3) stack, inside the closed pi-ball.
+
+    Assumes valid rotations (validation happens at the API layer).  Output on
+    the boundary obeys the positive-half-sphere convention: never (x < 0) nor
+    (x = 0, y < 0) nor (x = y = 0, z < 0).
     """
     Rs = np.asarray(Rs, dtype=float)
     tr = Rs[:, 0, 0] + Rs[:, 1, 1] + Rs[:, 2, 2]
     c = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+    # vee(R - R^T) / 2 = sin(theta) * axis
     s = np.empty((Rs.shape[0], 3))
     s[:, 0] = 0.5 * (Rs[:, 2, 1] - Rs[:, 1, 2])
     s[:, 1] = 0.5 * (Rs[:, 0, 2] - Rs[:, 2, 0])
     s[:, 2] = 0.5 * (Rs[:, 1, 0] - Rs[:, 0, 1])
     sn = _norms(s)
+    # arctan2 keeps the angle well conditioned where arccos degenerates (near pi)
     theta = np.arctan2(sn, c)
     small = theta < 1e-8
     near_pi = (tr < -1.0 + 1e-7) & ~small
@@ -193,15 +95,40 @@ def rot_log_many(Rs):
     scale = np.ones_like(theta)  # theta/sin(theta) = 1 on small rows
     scale[general] = theta[general] / sn[general]
     out = s * scale[:, None]
-    for i in np.flatnonzero(near_pi):
-        out[i] = rot_log(Rs[i])
+    if near_pi.any():
+        # Near pi the skew part degenerates; recover the axis from the symmetric
+        # part, axis_i^2 = (R_ii - c) / (1 - c), anchored at the largest diagonal
+        # entry (the first on ties).  The three terms sum to 1, so the anchor is
+        # at least 1/3.
+        P, one_c = Rs[near_pi], 1.0 - c[near_pi]
+        d = (np.diagonal(P, axis1=1, axis2=2) - c[near_pi, None]) / one_c[:, None]
+        k = np.argmax(d, axis=1)
+        rows = np.arange(k.size)
+        anchor = np.sqrt(d[rows, k])
+        axis = (P[rows, k, :] + P[rows, :, k]) / (2.0 * one_c * anchor)[:, None]
+        axis[rows, k] = anchor
+        axis /= _norms(axis)[:, None]
+        sp = s[near_pi]
+        dot = sp[:, 0] * axis[:, 0] + sp[:, 1] * axis[:, 1] + sp[:, 2] * axis[:, 2]
+        # the skew part fixes the sign unless the angle is pi within noise; there
+        # the half-sphere rule does, with z >= 0 breaking the exact pole tie
+        x, y, z = axis[:, 0], axis[:, 1], axis[:, 2]
+        lower = (x < 0.0) | ((x == 0.0) & (y < 0.0)) | ((x == 0.0) & (y == 0.0) & (z < 0.0))
+        flip = (dot < -1e-12) | ((np.abs(dot) <= 1e-12) & lower)
+        axis[flip] = -axis[flip]
+        out[near_pi] = theta[near_pi, None] * axis
     return out
 
 
+def rot_log(R):
+    """rot_log_many for one rotation matrix."""
+    return rot_log_many(np.reshape(R, (1, 3, 3)))[0]
+
+
 def consecutive_geodesic_steps(Rs):
-    """Distances between consecutive rotations of a trajectory."""
+    """Distances between consecutive rotations; pi-shell norms that round above pi are clipped."""
     Rs = np.asarray(Rs, dtype=float)
-    return _norms(rot_log_many(_relative(Rs[:-1], Rs[1:])))
+    return np.minimum(_norms(rot_log_many(_relative(Rs[:-1], Rs[1:]))), np.pi)
 
 
 def stateless_average_many(Ris, Rjs, Wis, Wjs):
@@ -297,44 +224,19 @@ def _memory_turn(d_ij, psi_c, Wi, Wj, n_turns, hist, cap, d_th, e_psi):
     return scale, direction, n_turns
 
 
-def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
-    """One step of the memory-based weighted rotation average.
+def _memory_run(Ris, Rjs, Wis, Wjs, n_turns, past, capacity, d_th, e_psi):
+    """_memory_turn over a time-ordered run of pairs, from a given state.
 
-    hist is a (capacity, 3) array whose first n_hist rows are the past
-    traverse directions; it is updated in place.  Returns
-    ``(Rij, n_turns, n_hist)``; the dispatch is described in _memory_turn.
-    """
-    psi = rot_log(Ri.T @ Rj)
-    d_ij = math.sqrt(psi[0] * psi[0] + psi[1] * psi[1] + psi[2] * psi[2])
-    psi_c = (0.0, 0.0, 0.0)
-    if d_ij >= ZERO_DISTANCE:
-        psi_c = (psi[0] / d_ij, psi[1] / d_ij, psi[2] / d_ij)
-    past = [tuple(row) for row in hist[:n_hist].tolist()]
-    scale, direction, n_turns = _memory_turn(
-        d_ij, psi_c, Wi, Wj, n_turns, past, hist.shape[0], d_th, e_psi
-    )
-    hist[:len(past)] = past
-    if scale is None:
-        return Ri.copy(), n_turns, len(past)
-    return Ri @ rot_exp(np.multiply(scale, direction)), n_turns, len(past)
-
-
-def memory_average_many(Ris, Rjs, Wis, Wjs, d_th, e_psi, capacity):
-    """memory_average_step over a time-ordered grid of pairs.
-
-    Starts from a fresh state (no turns, empty history of the given
-    capacity), and row i continues from the state row i - 1 left.  The
-    relative logs of all rows come first, then the state machine runs row by
-    row in plain floats, then all the exps.  Returns ``(Rs, turns)``, turns
-    holding the turn count after each row.
+    past is the history list, oldest first, updated in place.  The relative
+    logs of all rows come first, then the state machine runs row by row in
+    plain floats, then all the exps.  Returns ``(Rs, turns)``, turns holding
+    the turn count after each row.
     """
     Ris = np.asarray(Ris, dtype=float)
     psi = rot_log_many(_relative(Ris, Rjs))
     d_ij = _norms(psi)
     unit = np.zeros_like(psi)
     np.divide(psi, d_ij[:, None], out=unit, where=(d_ij >= ZERO_DISTANCE)[:, None])
-    n_turns = 0
-    past = []
     scales, directions, turns, keep = [], [], [], []
     rows = zip(d_ij.tolist(), map(tuple, unit.tolist()), np.asarray(Wis).tolist(),
                np.asarray(Wjs).tolist())
@@ -352,3 +254,27 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, d_th, e_psi, capacity):
     out = np.matmul(Ris, rot_exp_many(steps))
     out[keep] = Ris[keep]
     return out, np.array(turns, dtype=np.int64)
+
+
+def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
+    """One step of the memory-based weighted rotation average.
+
+    hist is a (capacity, 3) array whose first n_hist rows are the past
+    traverse directions; it is updated in place.  Returns
+    ``(Rij, n_turns, n_hist)``; the dispatch is described in _memory_turn.
+    """
+    past = [tuple(row) for row in hist[:n_hist].tolist()]
+    out, turns = _memory_run(Ri[None], Rj[None], [Wi], [Wj], n_turns, past,
+                             hist.shape[0], d_th, e_psi)
+    hist[:len(past)] = past
+    return out[0], int(turns[0]), len(past)
+
+
+def memory_average_many(Ris, Rjs, Wis, Wjs, d_th, e_psi, capacity):
+    """memory_average_step over a time-ordered grid of pairs.
+
+    Starts from a fresh state (no turns, empty history of the given
+    capacity), and row i continues from the state row i - 1 left.  Returns
+    ``(Rs, turns)``, turns holding the turn count after each row.
+    """
+    return _memory_run(Ris, Rjs, Wis, Wjs, 0, [], capacity, d_th, e_psi)

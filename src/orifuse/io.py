@@ -341,9 +341,15 @@ def _parse_config(doc, path, seed, grid):
         raise ConfigError(f"{path}: 'demos' must be a non-empty list of paths")
     demo_paths = [path.parent / p for p in demos]
     gmm_doc = _section(doc.get("gmm", {}), "gmm", path)
-    components = int(gmm_doc.get("components", 5))
-    seed = int(gmm_doc.get("seed", 0)) if seed is None else seed
-    grid = int(doc.get("grid", 200)) if grid is None else grid
+    # JSON integers only: 2.9, "300" and true are errors, not 2, 300 and 1
+    ints = {"gmm.components": gmm_doc.get("components", 5), "gmm.seed": gmm_doc.get("seed", 0),
+            "grid": doc.get("grid", 200)}
+    for key, value in ints.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
+    components = ints["gmm.components"]
+    seed = ints["gmm.seed"] if seed is None else seed
+    grid = ints["grid"] if grid is None else grid
     if components < 1 or seed < 0 or grid < 2:
         raise ConfigError(f"{path}: gmm components must be >= 1, the seed >= 0, and the grid "
                           f"must have at least 2 points; got {components}, {seed} and {grid}")

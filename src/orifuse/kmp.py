@@ -128,6 +128,9 @@ class ViaPointSpec:
             raise ValueError("frame must be 'world' or 'aux'")
         if self.relaxed_axis is not None and self.relaxed_axis not in AXES:
             raise ValueError("relaxed_axis must be 'x', 'y', 'z' or None")
+        # as floats, an integer too large for a float fails here, not in covariance_matrix
+        for name in ("eps_strict", "eps_loose", "weight_half_width"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0 < self.eps_strict < np.inf and 0 < self.eps_loose < np.inf):
             raise ValueError("eps_strict and eps_loose must be positive and finite")
         if self.relaxed_axis is not None and self.eps_strict >= self.eps_loose:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orifuse import gmm, io, so3
+from orifuse._kernels import rot_exp_many
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import (
     ConfigError,
@@ -109,19 +111,40 @@ def test_load_demos_inconsistent_dt(tmp_path):
         io.load_demos([tmp_path / "a.csv", tmp_path / "b.csv"])
 
 
-def test_trajectory_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    times = np.linspace(0, 1, 7)
-    rotations = np.stack([so3.exp_map(rng.normal(size=3)) for _ in times])
-    omega = rng.normal(size=(7, 3))
-    weights = rng.random(size=(7, 3))
+# finite floats, with the edge cases a text round trip can lose drawn often:
+# signed zeros, subnormals and the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308]
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+
+
+def float_arrays(shape):
+    return arrays(np.float64, shape, elements=finite)
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 3))
+    psis = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=3 * n, max_size=3 * n)))
+    return (draw(float_arrays((n,))), rot_exp_many(psis.reshape(n, 3)),
+            draw(float_arrays((n, 3))), draw(float_arrays((n, k + 1))))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trajectories())
+def test_trajectory_roundtrip(tmp_path, arrays):
     path = tmp_path / "traj.csv"
-    io.save_trajectory(path, times, rotations, omega, weights)
-    t2, r2, w2, wt2 = io.load_trajectory(path)
-    assert np.array_equal(t2, times)
-    assert np.array_equal(r2, rotations)
-    assert np.array_equal(w2, omega)
-    assert np.array_equal(wt2, weights)
+    io.save_trajectory(path, *arrays)
+    for loaded, saved in zip(io.load_trajectory(path), arrays):
+        assert loaded.tobytes() == saved.tobytes()  # -0.0 must stay -0.0
+
+
+@st.composite
+def mixtures(draw):
+    k = draw(st.integers(1, 4))
+    return gmm.GaussianMixture(draw(float_arrays((k,))), draw(float_arrays((k, 7))),
+                               draw(float_arrays((k, 7, 7))))
 
 
 def test_empty_trajectory_is_header_only(tmp_path):
@@ -142,16 +165,15 @@ def test_metrics_and_table_deterministic(tmp_path):
     assert table.read_text().splitlines()[1] == "i,cost"
 
 
-def test_mixture_roundtrip(tmp_path):
-    demos = generate_demos("s61-like", 3, seed=1)
-    rows = gmm.stack_training_rows(gmm.project_demonstrations(demos, demos[0].rotations[0]))
-    mix = gmm.fit_gmm(rows, n_components=2, seed=2)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mixtures())
+def test_mixture_roundtrip(tmp_path, mix):
     path = tmp_path / "mix.json"
     io.save_mixture(path, mix)
     loaded = io.load_mixture(path)
-    assert np.array_equal(loaded.priors, mix.priors)
-    assert np.array_equal(loaded.means, mix.means)
-    assert np.array_equal(loaded.covariances, mix.covariances)
+    for name in ("priors", "means", "covariances"):
+        assert getattr(loaded, name).tobytes() == getattr(mix, name).tobytes()
 
 
 def _base_config(tmp_path, **overrides):
@@ -253,6 +275,13 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"aux_frame": "per-iovp", "via_points": [RELAXED_VIA],
      "sweep": {"axis": "target-rotation", "values": [1.5, 1]}},
     {"aux_frame": "per-iovp", "sweep": {"axis": "target-rotation", "values": [0]}},
+    {"via_points": [dict(RELAXED_VIA, relaxed_axis=None, eps_strict=10**400)]},
+    {"via_points": [dict(RELAXED_VIA, eps_loose=10**400)]},
+    {"via_points": [dict(RELAXED_VIA, weight_half_width=10**400)]},
+    {"grid": 300.9},
+    {"gmm": {"components": 2.9, "seed": 0}},
+    {"grid": "300"},
+    {"gmm": {"components": 2, "seed": True}},
 ])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
     with pytest.raises(ConfigError):
