@@ -59,7 +59,6 @@ from .rotavg import (
     weighted_average_stateless,
 )
 from .fusion import (
-    FusedTrajectory,
     IovpSpec,
     WeightCurveSet,
     acceleration_cost,

@@ -94,12 +94,6 @@ def _adaptation(cfg, demos, gmm_cache=None):
     return traj, errors
 
 
-def _save_trajectory(path, traj):
-    """A regression or fused trajectory; fused ones carry their weight columns."""
-    io.save_trajectory(path, traj.times, traj.rotations, traj.omega_world,
-                       getattr(traj, "weights", None))
-
-
 def _cmd_gen_demos(args):
     if args.count < 1 or args.samples < 2 or not args.duration > 0 or args.seed < 0:
         raise ConfigError("gen-demos needs count >= 1, samples >= 2, duration > 0 and "
@@ -124,7 +118,7 @@ def _cmd_learn(args):
     )
     io.save_mixture(out / "mixture.json", result.mixture)
     traj = result.trajectory
-    _save_trajectory(out / "trajectory.csv", traj)
+    io.save_trajectory(out / "trajectory.csv", traj)
     io.save_metrics(out / "metrics.csv", {
         "em_iterations": len(result.mixture.log_likelihoods),
         "log_likelihood": float(result.mixture.log_likelihoods[-1]),
@@ -137,7 +131,7 @@ def _cmd_learn(args):
 def _cmd_adapt(args):
     cfg, out, demos = _load_run(args)
     traj, errors = _adaptation(cfg, demos)
-    _save_trajectory(out / "trajectory.csv", traj)
+    io.save_trajectory(out / "trajectory.csv", traj)
     metrics = {"acceleration_cost": fusion.trajectory_acceleration_cost(traj)}
     for idx, (rot_err, omega_err) in enumerate(errors):
         metrics[f"via{idx}_geodesic_err"] = rot_err
@@ -186,8 +180,8 @@ def _cmd_fuse(args):
     memory = not args.no_memory
     fused, components, iovps = _fusion_run(cfg, demos, memory, gmm_cache={})
     for k, comp in enumerate(components):
-        _save_trajectory(out / f"component_{k}.csv", comp)
-    _save_trajectory(out / "trajectory.csv", fused)
+        io.save_trajectory(out / f"component_{k}.csv", comp)
+    io.save_trajectory(out / "trajectory.csv", fused)
     metrics = _fusion_metrics(fused, iovps)
     metrics["memory"] = memory
     io.save_metrics(out / "metrics.csv", metrics)
@@ -219,8 +213,8 @@ _COMPARISON_COLUMNS = ["cost_iovp", "cost_strict", "max_axis_err", "continuity_r
 def _cmd_eval(args):
     cfg, out, demos = _load_run(args)
     fused_i, fused_s, row = _comparison(cfg, demos, gmm_cache={})
-    _save_trajectory(out / "trajectory_iovp.csv", fused_i)
-    _save_trajectory(out / "trajectory_strict.csv", fused_s)
+    io.save_trajectory(out / "trajectory_iovp.csv", fused_i)
+    io.save_trajectory(out / "trajectory_strict.csv", fused_s)
     io.save_table(out / "table.csv", _COMPARISON_COLUMNS, [row])
     print(f"comparison written to {out}")
     return 0
@@ -232,8 +226,6 @@ def _sweep_rows(trial, values, jobs):
     The first trial runs alone and fills the mixture cache the others share;
     its row is kept and the remaining trials run on the pool.
     """
-    if not values:
-        return []
     first = trial(values[0])
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return [first] + list(pool.map(trial, values[1:]))

@@ -20,16 +20,12 @@ from ._kernels import (
     stateless_average_many,
 )
 from .errors import DomainOverlap, SeriesTooShort
-from .kmp import AXES, ViaPointSpec, angular_velocities
+from .kmp import AXES, OrientationTrajectory, ViaPointSpec, angular_velocities
 from .pipeline import reproduce_with_via_points
 from .rotavg import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY
 
 # An IOVP is a via-point with one relaxed axis; one spec type serves both.
 IovpSpec = ViaPointSpec
-# Under the non-interference principle the Gaussian leakage of the other
-# curves at any point stays near 2*exp(-4.5) ~ 0.022; anything above this
-# bound means the via domains genuinely overlap.
-WEIGHT_SUM_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,10 @@ class WeightCurveSet:
 
     W_k(t) = exp(-(t - t_k)^2 / (2 sigma_k^2)) with sigma_k = h_k / 3 for the
     half-width h_k; W_0(t) = 1 - sum_k W_k(t), so the partition sums to one
-    exactly.
+    exactly.  The non-interference principle holds by construction: the
+    centers increase and no half-width reaches past a neighboring center, so
+    at a center the other curves add at most about 2 exp(-4.5) ~ 0.022, and
+    the curve sum stays below 1.05 everywhere.
     """
 
     centers: np.ndarray      # (K,)
@@ -51,6 +50,16 @@ class WeightCurveSet:
             raise ValueError("centers and half_widths must be matching 1-d arrays")
         if np.any(w <= 0):
             raise ValueError("half widths must be positive")
+        # 1e-12 s of slack lets a half-width end exactly on its neighbor's center
+        lo, hi = c[:-1], c[1:]
+        bad = np.flatnonzero((hi <= lo) | (lo + w[:-1] > hi + 1e-12) | (hi - w[1:] < lo - 1e-12))
+        if bad.size:
+            i = bad[0]
+            raise DomainOverlap(
+                f"IOVPs at t={c[i]} and t={c[i + 1]} (weight_half_width {w[i]} and "
+                f"{w[i + 1]}) " + ("are out of order" if hi[i] <= lo[i] else
+                                   "reach past each other's time")
+            )
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "half_widths", w)
 
@@ -59,58 +68,19 @@ class WeightCurveSet:
         return self.centers.shape[0]
 
     def weight_matrix(self, times):
-        """Columns [W_0, W_1, ..., W_K] on the grid; validates the overlap."""
+        """Columns [W_0, W_1, ..., W_K] on the grid."""
         times = np.asarray(times, dtype=float)
         k = self.n_curves
         out = np.empty((times.shape[0], k + 1))
         for j in range(k):
             sigma = self.half_widths[j] / 3.0
             out[:, j + 1] = np.exp(-((times - self.centers[j]) ** 2) / (2.0 * sigma**2))
-        total = out[:, 1:].sum(axis=1)
-        if np.any(total > 1.0 + WEIGHT_SUM_SLACK):
-            worst = float(times[np.argmax(total)])
-            raise DomainOverlap(
-                f"via weight curves sum to {total.max():.3f} > 1 at t = {worst:.3f}; "
-                "via-point domains interfere (violated non-interference principle)"
-            )
-        out[:, 0] = 1.0 - total
+        out[:, 0] = 1.0 - out[:, 1:].sum(axis=1)
         return out
 
 
-@dataclass(frozen=True)
-class FusedTrajectory:
-    """Fused orientation trajectory plus the per-sample component weights.
-
-    turn_counts holds the memory average's turn counter after every sample at
-    each fold position (chain folds first, the baseline fold last); it is None
-    when no memory average ran.
-    """
-
-    times: np.ndarray        # (Q,)
-    rotations: np.ndarray    # (Q, 3, 3)
-    omega_world: np.ndarray  # (Q, 3)
-    weights: np.ndarray      # (Q, K+1), columns [W_0, W_1, ..., W_K]
-    turn_counts: np.ndarray | None = None  # (Q, K)
-
-    def __len__(self):
-        return self.times.shape[0]
-
-
-def check_non_interference(vias):
-    """Reject weight domains that reach into a neighbor's center."""
-    times = [vp.t for vp in vias]
-    if sorted(times) != times:
-        raise DomainOverlap("IOVP times must be sorted")
-    for a, b in zip(vias, vias[1:]):
-        if a.t + a.weight_half_width > b.t + 1e-12 or b.t - b.weight_half_width < a.t - 1e-12:
-            raise DomainOverlap(
-                f"IOVPs at t={a.t} and t={b.t} (weight_half_width {a.weight_half_width} and "
-                f"{b.weight_half_width}) reach past each other's time"
-            )
-
-
 def weight_curves_for(iovps):
-    check_non_interference(iovps)
+    """The IOVPs' weight curves; DomainOverlap if their domains interfere."""
     return WeightCurveSet(
         np.array([vp.t for vp in iovps]),
         np.array([vp.weight_half_width for vp in iovps]),
@@ -126,7 +96,7 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     adapted only towards that starting point.  Component k re-projects all
     demonstrations around the k-th via target and adapts towards it with its
     own covariance, typically the relaxed-axis pattern.  Via targets must be
-    world-frame; weight_curves_for checks their domains.  Returns
+    world-frame; WeightCurveSet checks their domains.  Returns
     (components, aux_frames).
     """
     if baseline_via is None:
@@ -165,7 +135,7 @@ def fuse(components, curves, memory=True):
         raise ValueError("one weight curve per via component is required")
     weights = curves.weight_matrix(times)
     if n_via == 0:
-        return FusedTrajectory(
+        return OrientationTrajectory(
             times.copy(), components[0].rotations.copy(),
             components[0].omega_world.copy(), weights,
         )
@@ -189,7 +159,7 @@ def fuse(components, curves, memory=True):
         acc_w = acc_w + weights[:, k]
     dt = float(times[1] - times[0])
     omega = angular_velocities(rotations, dt)
-    return FusedTrajectory(times.copy(), rotations, omega, weights, turn_counts)
+    return OrientationTrajectory(times.copy(), rotations, omega, weights, turn_counts)
 
 
 def acceleration_cost(omega_world, dt):

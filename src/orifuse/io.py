@@ -26,6 +26,8 @@ from .gmm import Demonstration, GaussianMixture
 
 SCHEMA_VERSION = 1
 DT_TOL = 1e-9
+# the largest grid a run configuration may ask for (exit 2 above it)
+MAX_GRID = 10**6
 
 _DEMO_MAGIC = "orifuse-demo"
 _TRAJ_MAGIC = "orifuse-trajectory"
@@ -60,8 +62,8 @@ def _write_lines(path, lines):
 
 def _parse_header(path, line, magic):
     tokens = line.lstrip("#").split()
-    if not tokens or tokens[0] != magic:
-        raise ParseError(f"expected a '{magic}' header", path=path, line=1)
+    if tokens[:2] != [magic, f"v{SCHEMA_VERSION}"]:
+        raise ParseError(f"expected a '{magic} v{SCHEMA_VERSION}' header", path=path, line=1)
     fields = {}
     for tok in tokens[1:]:
         if "=" in tok:
@@ -149,9 +151,17 @@ def load_demo(path, reorthonormalize=False):
         raise ParseError(
             f"expected 1+{rot_cols} (+3 optional position) columns", path=path, line=2
         )
+    if "n" in header and header["n"] != str(len(data)):
+        raise ParseError(f"header says n={header['n']} but the file has {len(data)} rows",
+                         path=path, line=1)
     times = data[:, 0]
-    if times.shape[0] >= 2 and np.any(np.diff(times) <= 0):
-        raise ParseError("timestamps must be strictly increasing", path=path)
+    steps = np.diff(times)
+    uneven = np.flatnonzero((steps <= 0) | (np.abs(steps - steps[:1]) > DT_TOL))
+    if uneven.size:
+        row = uneven[0] + 1
+        raise ParseError(f"row {row}: timestamps must increase in even steps; this row is "
+                         f"{float(steps[row - 1])} s after the previous one, row 1 is "
+                         f"{float(steps[0])} s after row 0", path=path)
     if rep == "quat":
         rotations = _quats_to_matrices(data[:, 1:5], path)
     else:
@@ -178,41 +188,35 @@ def load_demos(paths, reorthonormalize=False):
     return demos
 
 
-def save_trajectory(path, times, rotations, omega_world, weights=None):
-    """Write a trajectory as t, psi, R (row-major), omega, weight columns.
+def save_trajectory(path, traj):
+    """Write a kmp.OrientationTrajectory as t, psi, R (row-major), omega, weight columns.
 
-    psi is the angle-axis chart coordinate of R in the world chart; its sign
-    flips where the trajectory crosses the chart boundary, which is expected
-    and does not indicate a discontinuity of R itself.
+    A trajectory without weights (a regression run) writes the single column
+    W_0 = 1.  psi is the angle-axis chart coordinate of R in the world chart;
+    its sign flips where the trajectory crosses the chart boundary, which is
+    expected and does not indicate a discontinuity of R itself.
     """
-    times = np.asarray(times, dtype=float)
-    n = times.shape[0]
-    rotations = np.asarray(rotations, dtype=float)
-    omega_world = np.asarray(omega_world, dtype=float)
-    if weights is None:
-        weights = np.ones((n, 1))
-    weights = np.asarray(weights, dtype=float)
+    n = len(traj)
+    weights = np.ones((n, 1)) if traj.weights is None else traj.weights
     k = weights.shape[1] - 1
-    psis = so3.log_map_many(rotations) if n else np.empty((0, 3))
-    rows = _numeric_rows(times, psis, rotations.reshape(n, 9), omega_world, weights)
+    psis = so3.log_map_many(traj.rotations) if n else np.empty((0, 3))
+    rows = _numeric_rows(traj.times, psis, traj.rotations.reshape(n, 9), traj.omega_world,
+                         weights)
     _write_lines(path, [f"# {_TRAJ_MAGIC} v{SCHEMA_VERSION} n={n} k={k}"] + rows)
 
 
 def load_trajectory(path):
-    """Inverse of save_trajectory: (times, rotations, omega, weights)."""
+    """Inverse of save_trajectory; the weights always hold the columns W_0..W_K."""
     path = Path(path)
     header, data = _read_table(path, _TRAJ_MAGIC)
     k = int(header.get("k", 0))
     want = 1 + 3 + 9 + 3 + (k + 1)
     if data.size == 0:
-        return np.empty(0), np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, k + 1))
+        data = np.empty((0, want))
     if data.shape[1] != want:
         raise ParseError(f"expected {want} columns, found {data.shape[1]}", path=path, line=2)
-    times = data[:, 0]
-    rotations = data[:, 4:13].reshape(-1, 3, 3)
-    omega = data[:, 13:16]
-    weights = data[:, 16:]
-    return times, rotations, omega, weights
+    return kmp.OrientationTrajectory(data[:, 0], data[:, 4:13].reshape(-1, 3, 3),
+                                     data[:, 13:16], data[:, 16:])
 
 
 def save_metrics(path, metrics):
@@ -350,9 +354,10 @@ def _parse_config(doc, path, seed, grid):
     components = ints["gmm.components"]
     seed = ints["gmm.seed"] if seed is None else seed
     grid = ints["grid"] if grid is None else grid
-    if components < 1 or seed < 0 or grid < 2:
+    if components < 1 or seed < 0 or not 2 <= grid <= MAX_GRID:
         raise ConfigError(f"{path}: gmm components must be >= 1, the seed >= 0, and the grid "
-                          f"must have at least 2 points; got {components}, {seed} and {grid}")
+                          f"must have at least 2 points and at most {MAX_GRID}; got "
+                          f"{components}, {seed} and {grid}")
     kernel_doc = _section(doc.get("kernel", {}), "kernel", path)
     try:
         kernel = kmp.KernelConfig(**{name: float(kernel_doc[key])
@@ -378,7 +383,7 @@ def _parse_config(doc, path, seed, grid):
         aux_rotation = vias[index].target_rotation()
     elif policy == "per-iovp":
         # the non-interference principle is checked before any computation
-        fusion.check_non_interference(vias[1:])
+        fusion.weight_curves_for(vias[1:])
         if any(via.frame == "aux" for via in vias):
             raise ConfigError(
                 f"{path}: per-iovp runs need world-frame via targets (frame=aux is ambiguous)"
@@ -389,6 +394,8 @@ def _parse_config(doc, path, seed, grid):
     sweep_axis, values = sweep.get("axis"), sweep.get("values", [])
     if sweep_axis not in (None, "lambda_a", "target-rotation"):
         raise ConfigError(f"{path}: unknown sweep axis {sweep_axis!r}")
+    if sweep_axis is not None and not values:
+        raise ConfigError(f"{path}: a {sweep_axis} sweep needs a non-empty list of values")
     if not isinstance(values, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
             for v in values):

@@ -188,11 +188,19 @@ class ViaPointSpec:
 
 @dataclass(frozen=True)
 class OrientationTrajectory:
-    """Recovered orientation trajectory with world-frame angular velocity."""
+    """Orientation trajectory with world-frame angular velocity.
+
+    A fused trajectory also carries its per-sample component weights and the
+    memory average's turn counter after every sample at each fold position
+    (chain folds first, the baseline fold last); both are None for a
+    regression trajectory, and turn_counts is None when no memory average ran.
+    """
 
     times: np.ndarray        # (N,)
     rotations: np.ndarray    # (N, 3, 3)
     omega_world: np.ndarray  # (N, 3)
+    weights: np.ndarray | None = None      # (N, K+1), columns [W_0, W_1, ..., W_K]
+    turn_counts: np.ndarray | None = None  # (N, K)
 
     def __len__(self):
         return self.times.shape[0]

@@ -91,8 +91,9 @@ def test_learn_outputs(tmp_path, demo_dir):
     assert (out / "mixture.json").exists()
     mix = io.load_mixture(out / "mixture.json")
     assert mix.n_components == 5
-    times, rotations, _, _ = io.load_trajectory(out / "trajectory.csv")
-    assert len(times) == 201
+    traj = io.load_trajectory(out / "trajectory.csv")
+    assert len(traj) == 201
+    assert np.array_equal(traj.weights, np.ones((201, 1)))  # the single column W_0 = 1
 
 
 def test_fuse_k0_matches_adapt_bitwise(tmp_path, demo_dir):
@@ -139,14 +140,14 @@ def test_exit_codes(tmp_path, demo_dir):
     assert run_cli("adapt", "--config", numeric, "--out", tmp_path / "x") == 4
 
 
-def test_sweep_empty_values(tmp_path, demo_dir):
-    cfg = write_config(tmp_path / "cfg.json", demo_dir,
-                       sweep={"axis": "lambda_a", "values": []})
-    out = tmp_path / "sweep"
-    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
-    lines = (out / "table.csv").read_text().splitlines()
-    assert lines[1] == "lambda_a,acceleration_cost,max_via_err"
-    assert len(lines) == 2  # header only
+def test_sweep_empty_values(tmp_path, demo_dir, capsys):
+    # a sweep axis without values is a configuration error, not a header-only table
+    for n, sweep in enumerate([{"axis": "lambda_a", "values": []}, {"axis": "lambda_a"}]):
+        cfg = write_config(tmp_path / f"cfg{n}.json", demo_dir, sweep=sweep)
+        out = tmp_path / f"sweep{n}"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        assert "needs a non-empty list of values" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_lambda_a_cost_column_non_increasing(tmp_path, demo_dir):
@@ -280,6 +281,16 @@ def test_grid_override_is_validated(tmp_path, demo_dir, capsys):
                        aux_frame="per-iovp")
     assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out", "--grid", "1") == 2
     assert "grid must have at least 2 points" in capsys.readouterr().err
+
+
+def test_grid_has_an_upper_limit(tmp_path, demo_dir, capsys):
+    # a grid beyond io.MAX_GRID exits 2 at load, from the config and from --grid alike
+    huge = write_config(tmp_path / "huge.json", demo_dir, grid=10**400)
+    assert run_cli("adapt", "--config", huge, "--out", tmp_path / "a") == 2
+    assert "at most 1000000" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "cfg.json", demo_dir)
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "b", "--grid", 10**400) == 2
+    assert "at most 1000000" in capsys.readouterr().err
 
 
 def test_sweep_runs_each_trial_once(tmp_path, demo_dir, monkeypatch):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orifuse import fusion, kmp, so3
 from orifuse._kernels import memory_average_step
@@ -68,11 +70,33 @@ def test_overlapping_domains_rejected():
         IovpSpec(4.0, np.eye(3), np.zeros(3), weight_half_width=2.4),
         IovpSpec(5.0, so3.exp_map([0.1, 0, 0]), np.zeros(3), weight_half_width=2.4),
     ]
-    with pytest.raises(DomainOverlap):
+    with pytest.raises(DomainOverlap, match="t=4.0 and t=5.0"):
         fusion.weight_curves_for(iovps)
-    close = WeightCurveSet(np.array([4.0, 4.6]), np.array([2.4, 2.4]))
-    with pytest.raises(DomainOverlap):
-        close.weight_matrix(np.linspace(0, 10, 1001))
+    with pytest.raises(DomainOverlap, match="t=4.0 and t=4.6"):
+        WeightCurveSet(np.array([4.0, 4.6]), np.array([2.4, 2.4]))
+    with pytest.raises(DomainOverlap, match="out of order"):
+        WeightCurveSet(np.array([7.0, 4.0]), np.array([0.5, 0.5]))
+    # a half-width may end exactly on the neighbor's center
+    WeightCurveSet(np.array([4.0, 6.4]), np.array([2.4, 2.4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6),
+       st.lists(st.one_of(st.just(1.0), st.floats(0.05, 1.3)), min_size=6, max_size=6))
+def test_accepted_weight_curves_sum_below_bound(gaps, reach):
+    # the pairwise rule alone keeps the curve sum near 1: every accepted set stays
+    # <= 1.05 on a grid through its centers; half-widths are fractions of the
+    # nearer neighbor gap, and sets whose fractions stay <= 1 are accepted
+    centers = np.cumsum(gaps)
+    room = np.minimum(np.diff(centers, prepend=-np.inf), np.diff(centers, append=np.inf))
+    half_widths = np.array(reach[:len(centers)]) * np.where(np.isfinite(room), room, 1.0)
+    try:
+        curves = WeightCurveSet(centers, half_widths)
+    except DomainOverlap:
+        assert max(reach[:len(centers)]) > 1.0
+        return
+    grid = np.sort(np.concatenate([np.linspace(0.0, centers[-1] + 1.0, 4001), centers]))
+    assert curves.weight_matrix(grid)[:, 1:].sum(axis=1).max() <= 1.05
 
 
 def test_fuse_no_iovps_is_baseline_bitwise(demos):

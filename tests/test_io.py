@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from orifuse import gmm, io, so3
+from orifuse import gmm, io, kmp, so3
 from orifuse._kernels import rot_exp_many
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import (
@@ -102,6 +102,45 @@ def test_quaternion_demo_input(tmp_path):
     assert so3.geodesic_distance(loaded.rotations[1], so3.exp_map(angle * axis)) < 1e-12
 
 
+def _demo_lines(tmp_path, demo):
+    io.save_demo(tmp_path / "demo.csv", demo)
+    return (tmp_path / "demo.csv").read_text().splitlines()
+
+
+def test_uneven_sampling_is_a_parse_error(tmp_path, demo):
+    # a deleted row leaves one doubled step; the row after the gap is named
+    lines = _demo_lines(tmp_path, demo)
+    del lines[51]
+    lines[0] = lines[0].replace(f"n={len(demo)}", f"n={len(demo) - 1}")
+    path = tmp_path / "gap.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="row 50: timestamps must increase in even steps"):
+        io.load_demo(path)
+
+
+def test_header_row_count_must_match(tmp_path, demo):
+    lines = _demo_lines(tmp_path, demo)
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ParseError, match=f"n={len(demo)} but the file has {len(demo) - 1} rows"):
+        io.load_demo(path)
+
+
+def test_header_version_must_be_v1(tmp_path, demo):
+    lines = _demo_lines(tmp_path, demo)
+    lines[0] = lines[0].replace(" v1 ", " v7 ")
+    path = tmp_path / "v7.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="orifuse-demo v1"):
+        io.load_demo(path)
+    traj = tmp_path / "traj.csv"
+    io.save_trajectory(traj, kmp.OrientationTrajectory(demo.times, demo.rotations,
+                                                       np.zeros((len(demo), 3))))
+    traj.write_text(traj.read_text().replace(" v1 ", " v7 ", 1))
+    with pytest.raises(ParseError, match="orifuse-trajectory v1"):
+        io.load_trajectory(traj)
+
+
 def test_load_demos_inconsistent_dt(tmp_path):
     a = generate_demos("s61-like", 1, seed=0, samples=101)[0]
     b = generate_demos("s61-like", 1, seed=0, samples=201)[0]
@@ -135,9 +174,12 @@ def trajectories(draw):
 @given(trajectories())
 def test_trajectory_roundtrip(tmp_path, arrays):
     path = tmp_path / "traj.csv"
-    io.save_trajectory(path, *arrays)
-    for loaded, saved in zip(io.load_trajectory(path), arrays):
-        assert loaded.tobytes() == saved.tobytes()  # -0.0 must stay -0.0
+    saved = kmp.OrientationTrajectory(*arrays)
+    io.save_trajectory(path, saved)
+    loaded = io.load_trajectory(path)
+    for name in ("times", "rotations", "omega_world", "weights"):
+        # -0.0 must stay -0.0
+        assert getattr(loaded, name).tobytes() == getattr(saved, name).tobytes()
 
 
 @st.composite
@@ -149,10 +191,12 @@ def mixtures(draw):
 
 def test_empty_trajectory_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    io.save_trajectory(path, np.empty(0), np.empty((0, 3, 3)), np.empty((0, 3)))
+    io.save_trajectory(path, kmp.OrientationTrajectory(np.empty(0), np.empty((0, 3, 3)),
+                                                       np.empty((0, 3))))
     assert path.read_text().strip().startswith("# orifuse-trajectory")
-    times, rotations, omega, weights = io.load_trajectory(path)
-    assert times.size == 0 and rotations.size == 0
+    loaded = io.load_trajectory(path)
+    assert len(loaded) == 0 and loaded.rotations.shape == (0, 3, 3)
+    assert loaded.weights.shape == (0, 1)
 
 
 def test_metrics_and_table_deterministic(tmp_path):
@@ -282,6 +326,10 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"gmm": {"components": 2.9, "seed": 0}},
     {"grid": "300"},
     {"gmm": {"components": 2, "seed": True}},
+    {"grid": 10**6 + 1},
+    {"grid": 10**400},
+    {"sweep": {"axis": "lambda_a"}},
+    {"sweep": {"axis": "lambda_a", "values": []}},
 ])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
     with pytest.raises(ConfigError):
@@ -299,6 +347,17 @@ def test_readme_config_example_loads(tmp_path):
     for section, keys in io._KEYS.items():
         for key in keys:
             assert f"`{key}`" in readme or f'"{key}"' in readme, (section, key)
+
+
+def test_readme_fuse_example_loads(tmp_path):
+    # the README's per-iovp example passes the non-interference rule at load
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("A per-iovp fusion configuration")[1].split("```json\n")[1]
+    path = tmp_path / "fuse.json"
+    path.write_text(example.split("```")[0])
+    cfg = io.load_config(path)
+    assert cfg.aux_policy == "per-iovp"
+    assert [via.relaxed_axis for via in cfg.via_points] == [None, "y", "z", "y"]
 
 
 # the documented keys of each section of a run configuration
