@@ -162,6 +162,14 @@ def load_demo(path, reorthonormalize=False):
         raise ParseError(f"row {row}: timestamps must increase in even steps; this row is "
                          f"{float(steps[row - 1])} s after the previous one, row 1 is "
                          f"{float(steps[0])} s after row 0", path=path)
+    if "dt" in header and steps.size:
+        try:
+            header_dt = float(header["dt"])
+        except ValueError:
+            header_dt = np.nan
+        if not abs(header_dt - float(steps[0])) <= DT_TOL:
+            raise ParseError(f"header says dt={header['dt']} but the rows are "
+                             f"{float(steps[0])} s apart", path=path, line=1)
     if rep == "quat":
         rotations = _quats_to_matrices(data[:, 1:5], path)
     else:

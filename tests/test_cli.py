@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +141,18 @@ def test_exit_codes(tmp_path, demo_dir):
     assert run_cli("adapt", "--config", numeric, "--out", tmp_path / "x") == 4
 
 
+def test_demo_header_dt_must_match_its_rows(tmp_path, demo_dir, capsys):
+    # a demo whose header claims ten times its row step is a parse error on line 1
+    lines = (demo_dir / "demo_00.csv").read_text().splitlines()
+    dt = next(tok for tok in lines[0].split() if tok.startswith("dt="))
+    demo = tmp_path / "demo.csv"
+    demo.write_text("\n".join([lines[0].replace(dt, "dt=0.5")] + lines[1:]) + "\n")
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       demos=[str(demo), str(demo_dir / "demo_01.csv")])
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 3
+    assert f"{demo}:1: header says dt=0.5" in capsys.readouterr().err
+
+
 def test_sweep_empty_values(tmp_path, demo_dir, capsys):
     # a sweep axis without values is a configuration error, not a header-only table
     for n, sweep in enumerate([{"axis": "lambda_a", "values": []}, {"axis": "lambda_a"}]):
@@ -264,6 +277,38 @@ def test_target_rotation_step_6_is_the_eval_row(tmp_path, demo_dir):
     assert sweep[3].startswith("0,") and sweep[3] != "0," + row
 
 
+def readme_target_sweep(tmp_path, demo_dir):
+    """The README's per-iovp example as a target-rotation sweep over steps 5, 6 and 7."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    doc = json.loads(readme.split("A per-iovp fusion configuration")[1]
+                     .split("```json\n")[1].split("```")[0])
+    doc["demos"] = [str(demo_dir / Path(path).name) for path in doc["demos"]]
+    doc["sweep"] = {"axis": "target-rotation", "values": [5, 6, 7]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_target_sweep_builds_each_repeated_regression_twice(tmp_path, demo_dir, monkeypatch):
+    # 3 trials x (relaxed, strict) x 4 components = 24 regressions, 11 of them distinct:
+    # the baseline and both forms of IOVPs 1 and 2 repeat and are built twice (first and
+    # second sight), each trial's two IOVP-3 runs are seen once
+    from orifuse import kmp
+
+    builds = []
+    original = kmp.build_model
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kmp, "build_model", counting)
+    cfg = readme_target_sweep(tmp_path, demo_dir)
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep", "--grid", 201,
+                   "--jobs", 1) == 0
+    assert len(builds) == 16
+
+
 def test_relaxed_via_needs_eps_strict_below_eps_loose(tmp_path, demo_dir, capsys):
     code, err = fuse_exit_code(tmp_path, demo_dir, capsys, eps_strict=1e3, eps_loose=1e3)
     assert code == 2
@@ -343,13 +388,15 @@ def test_an_unused_sweep_section_does_not_pick_the_chart(tmp_path, demo_dir):
 
 
 def test_sweep_table_does_not_depend_on_the_job_count(tmp_path, demo_dir):
-    cfg = write_config(tmp_path / "cfg.json", demo_dir,
-                       sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
-    for jobs in (1, 2):
-        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"j{jobs}",
-                       "--jobs", jobs) == 0
-    assert (tmp_path / "j1" / "table.csv").read_bytes() == \
-        (tmp_path / "j2" / "table.csv").read_bytes()
+    # the target-rotation trial threads share the regression memo
+    lambda_cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                              sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
+    for name, cfg in (("lambda", lambda_cfg), ("target", readme_target_sweep(tmp_path, demo_dir))):
+        for jobs in (1, 2):
+            assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"{name}{jobs}",
+                           "--grid", 201, "--jobs", jobs) == 0
+        assert (tmp_path / f"{name}1" / "table.csv").read_bytes() == \
+            (tmp_path / f"{name}2" / "table.csv").read_bytes()
 
 
 def test_acceleration_block_needs_lambda_a(tmp_path, demo_dir, capsys):

@@ -126,6 +126,23 @@ def test_header_row_count_must_match(tmp_path, demo):
         io.load_demo(path)
 
 
+def test_header_dt_must_match_the_rows(tmp_path, demo):
+    # the rows are 0.05 s apart; a header dt= that says otherwise is a parse error on line 1
+    lines = _demo_lines(tmp_path, demo)
+    dt = next(tok for tok in lines[0].split() if tok.startswith("dt="))
+    assert float(dt[3:]) == pytest.approx(0.05)
+    path = tmp_path / "dt.csv"
+    for bad in ("0.5", "0.0500001", "fast"):
+        path.write_text("\n".join([lines[0].replace(dt, f"dt={bad}")] + lines[1:]) + "\n")
+        with pytest.raises(ParseError, match=f"dt={bad} but the rows are 0.05") as exc:
+            io.load_demo(path)
+        assert exc.value.line == 1
+    # a one-row file has no step to compare with
+    path.write_text(lines[0].replace(dt, "dt=0.5").replace(f"n={len(demo)}", "n=1") + "\n"
+                    + lines[1] + "\n")
+    assert len(io.load_demo(path)) == 1
+
+
 def test_header_version_must_be_v1(tmp_path, demo):
     lines = _demo_lines(tmp_path, demo)
     lines[0] = lines[0].replace(" v1 ", " v7 ")
