@@ -145,7 +145,10 @@ def load_demo(path, reorthonormalize=False):
     """
     path = Path(path)
     header, data = _read_table(path, _DEMO_MAGIC)
-    rep = header.get("rep", "matrix")
+    rep, frame = header.get("rep", "matrix"), header.get("frame", "world")
+    if rep not in ("matrix", "quat") or frame != "world":
+        raise ParseError(f"header says rep={rep} frame={frame}; a demonstration needs "
+                         "rep=matrix or rep=quat and frame=world", path=path, line=1)
     rot_cols = 4 if rep == "quat" else 9
     if data.size == 0 or data.shape[1] not in (1 + rot_cols, 1 + rot_cols + 3):
         raise ParseError(
@@ -298,14 +301,28 @@ _RETIRED = {
 }
 
 
+def _has_boolean(value):
+    """Whether value is true/false or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(map(_has_boolean, value))
+    return isinstance(value, bool)
+
+
 def _section(doc, section, path):
-    """doc, once it is a JSON object holding only keys that _KEYS lists for section."""
+    """doc, once it is a JSON object holding only keys that _KEYS lists for section.
+
+    No key takes true or false, in a list or not; a nested object is a section of
+    its own and is checked when it is read.  Unknown keys are named first.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: {section} must be a JSON object")
     for key in doc:
         if key not in _KEYS[section]:
             hint = f": {_RETIRED[key]}" if key in _RETIRED else ""
             raise ConfigError(f"{path}: {section}: {key!r} is not a configuration key{hint}")
+    for key, value in doc.items():
+        if _has_boolean(value):
+            raise ConfigError(f"{path}: {section}: {key!r} takes no true or false")
     return doc
 
 
@@ -353,11 +370,11 @@ def _parse_config(doc, path, seed, grid):
         raise ConfigError(f"{path}: 'demos' must be a non-empty list of paths")
     demo_paths = [path.parent / p for p in demos]
     gmm_doc = _section(doc.get("gmm", {}), "gmm", path)
-    # JSON integers only: 2.9, "300" and true are errors, not 2, 300 and 1
+    # JSON integers only: 2.9 and "300" are errors, not 2 and 300
     ints = {"gmm.components": gmm_doc.get("components", 5), "gmm.seed": gmm_doc.get("seed", 0),
             "grid": doc.get("grid", 200)}
     for key, value in ints.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not isinstance(value, int):
             raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
     components = ints["gmm.components"]
     seed = ints["gmm.seed"] if seed is None else seed
@@ -405,8 +422,7 @@ def _parse_config(doc, path, seed, grid):
     if sweep_axis is not None and not values:
         raise ConfigError(f"{path}: a {sweep_axis} sweep needs a non-empty list of values")
     if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in values):
+            isinstance(v, (int, float)) and math.isfinite(v) for v in values):
         raise ConfigError(f"{path}: sweep values must be a list of finite numbers")
     if sweep_axis == "lambda_a" and any(v <= 0 for v in values):
         raise ConfigError(f"{path}: lambda_a sweep values must be positive")

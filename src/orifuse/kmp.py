@@ -323,7 +323,7 @@ class KmpModel:
 
     def __init__(self, times, alpha, cfg, scalar_blocks):
         self.times = times
-        self.alpha = alpha  # (N, n_blocks, 3)
+        self.alpha = alpha  # (n_blocks, N, 3)
         self.cfg = cfg
         self._scalar_blocks = scalar_blocks
 
@@ -336,16 +336,15 @@ class KmpModel:
         t_stars = np.asarray(t_stars, dtype=float)
         nb = self.cfg.n_blocks
         out = np.empty((t_stars.shape[0], nb * 3))
-        # eta_p(t*) = sum_q S[p, q](t*, times) @ alpha[:, q, :], one matmul per
+        # eta_p(t*) = sum_q S[p, q](t*, times) @ alpha[q], one matmul per
         # (p, q) slab of the scalar table
-        alpha = [np.ascontiguousarray(self.alpha[:, q, :]) for q in range(nb)]
         for lo in range(0, t_stars.shape[0], PREDICT_CHUNK):
             hi = min(lo + PREDICT_CHUNK, t_stars.shape[0])
             s = self._scalar_blocks(t_stars[lo:hi], self.times, nb)
             for p in range(nb):
-                eta = s[p, 0] @ alpha[0]
+                eta = s[p, 0] @ self.alpha[0]
                 for q in range(1, nb):
-                    eta += s[p, q] @ alpha[q]
+                    eta += s[p, q] @ self.alpha[q]
                 out[lo:hi, 3 * p:3 * p + 3] = eta
         return out
 
@@ -370,12 +369,15 @@ def build_model(ext, cfg, scalar_blocks=None):
             return gaussian_scalar_blocks(a, b, _l, order)
     nb = cfg.n_blocks
     n = len(ext)
-    s = scalar_blocks(ext.times, ext.times, nb)
-    gram_small = np.ascontiguousarray(s.transpose(2, 0, 3, 1)).reshape(n * nb, n * nb)
     dim = nb * 3
-    m = np.kron(gram_small, np.eye(3))
-    for i in range(n):
-        m[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += cfg.lam * ext.covariances[i]
+    s = scalar_blocks(ext.times, ext.times, nb)
+    # rows and columns run over (point, block, axis); S (x) I_3 fills the axis diagonals
+    m = np.zeros((n, nb, 3, n, nb, 3))
+    for a in range(3):
+        m[:, :, a, :, :, a] = s.transpose(2, 0, 3, 1)
+    r = np.arange(n)
+    m.reshape(n, dim, n, dim)[r, :, r, :] += cfg.lam * ext.covariances
+    m = m.reshape(n * dim, n * dim)
     mu = ext.means.reshape(n * dim)
     factor = None
     for jitter in _JITTERS:
@@ -389,7 +391,7 @@ def build_model(ext, cfg, scalar_blocks=None):
             "K + lambda*Sigma is not positive definite even with 1e-8 jitter; "
             "covariance floor is likely too small"
         )
-    alpha = cho_solve(factor, mu).reshape(n, nb, 3)
+    alpha = np.ascontiguousarray(cho_solve(factor, mu).reshape(n, nb, 3).transpose(1, 0, 2))
     return KmpModel(ext.times.copy(), alpha, cfg, scalar_blocks)
 
 

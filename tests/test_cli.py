@@ -153,6 +153,22 @@ def test_demo_header_dt_must_match_its_rows(tmp_path, demo_dir, capsys):
     assert f"{demo}:1: header says dt=0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [("rep=matrix", "rep=euler"),
+                                      ("frame=world", "frame=body")])
+def test_demo_header_rep_and_frame_must_be_known(tmp_path, demo_dir, capsys, old, new):
+    # a rep or frame the loader cannot honour is a parse error on line 1, not a matrix
+    # file in the world frame
+    lines = (demo_dir / "demo_00.csv").read_text().splitlines()
+    assert old in lines[0]
+    demo = tmp_path / "demo.csv"
+    demo.write_text("\n".join([lines[0].replace(old, new)] + lines[1:]) + "\n")
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       demos=[str(demo), str(demo_dir / "demo_01.csv")])
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert f"{demo}:1: header says" in err and new in err
+
+
 def test_sweep_empty_values(tmp_path, demo_dir, capsys):
     # a sweep axis without values is a configuration error, not a header-only table
     for n, sweep in enumerate([{"axis": "lambda_a", "values": []}, {"axis": "lambda_a"}]):

@@ -347,6 +347,15 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"grid": 10**400},
     {"sweep": {"axis": "lambda_a"}},
     {"sweep": {"axis": "lambda_a", "values": []}},
+    # no key takes a boolean, though Python reads true as the number 1
+    {"aux_frame": {"policy": "via", "index": True},
+     "via_points": [{"t": 0.0, "psi": [0.1, 0, 0]}, RELAXED_VIA]},
+    {"via_points": [dict(RELAXED_VIA, t=True)]},
+    {"via_points": [dict(RELAXED_VIA, eps_loose=True)]},
+    {"via_points": [dict(RELAXED_VIA, psi=[0.2, False, 0])]},
+    {"kernel": {"l": True, "lambda": 1.0}},
+    {"schema_version": True},
+    {"sweep": {"axis": "lambda_a", "values": [10.0, True]}},
 ])
 def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
     with pytest.raises(ConfigError):

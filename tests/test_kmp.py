@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from orifuse import gmm, kmp, so3
 from orifuse.errors import ChartBoundaryError
@@ -74,6 +77,63 @@ def test_kernel_trick_equals_parametric_solution():
     pred = model.predict_many(queries)
     expected = np.stack([oracle(t) for t in queries])
     assert np.abs(pred - expected).max() < 1e-8
+
+
+def kron_gram_prediction(ext, cfg, queries, scalar_blocks):
+    """Predictions of a model whose Gram is np.kron(S, I_3) plus a per-row covariance add.
+
+    The solve and the per-slab prediction repeat build_model and predict_many step by
+    step, so only the Gram's assembly differs.
+    """
+    nb, n = cfg.n_blocks, len(ext)
+    dim = 3 * nb
+    s = scalar_blocks(ext.times, ext.times, nb)
+    gram_small = np.ascontiguousarray(s.transpose(2, 0, 3, 1)).reshape(n * nb, n * nb)
+    m = np.kron(gram_small, np.eye(3))
+    for i in range(n):
+        m[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += cfg.lam * ext.covariances[i]
+    alpha = cho_solve(cho_factor(m, lower=True), ext.means.reshape(n * dim)).reshape(n, nb, 3)
+    alpha = [np.ascontiguousarray(alpha[:, q, :]) for q in range(nb)]
+    table = scalar_blocks(queries, ext.times, nb)
+    out = np.empty((queries.shape[0], dim))
+    for p in range(nb):
+        eta = table[p, 0] @ alpha[0]
+        for q in range(1, nb):
+            eta += table[p, q] @ alpha[q]
+        out[:, 3 * p:3 * p + 3] = eta
+    return out
+
+
+def random_extended_reference(rng, n, dim):
+    times = np.cumsum(rng.uniform(0.05, 1.0, n))
+    A = rng.normal(size=(n, dim, dim))
+    covs = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+    return kmp.ExtendedReference(times, rng.normal(size=(n, dim)), covs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), l=st.floats(1e-3, 2.0), lam=st.floats(1e-2, 1e2),
+       lambda_a=st.sampled_from([None, 100.0]), seed=st.integers(0, 2**16))
+def test_gram_layout_matches_the_kron_assembly_bitwise(n, l, lam, lambda_a, seed):
+    cfg = kmp.KernelConfig(l=l, lam=lam, lambda_a=lambda_a)
+    ext = random_extended_reference(np.random.default_rng(seed), n, cfg.state_dim)
+    queries = np.linspace(ext.times[0] - 1.0, ext.times[-1] + 1.0, 57)
+
+    def blocks(a, b, order):
+        return kmp.gaussian_scalar_blocks(a, b, l, order)
+
+    assert np.array_equal(kmp.build_model(ext, cfg).predict_many(queries),
+                          kron_gram_prediction(ext, cfg, queries, blocks))
+
+
+def test_gram_layout_with_an_explicit_basis_matches_the_kron_assembly_bitwise():
+    ref = make_reference(np.random.default_rng(21), 30)
+    *_, blocks = gaussian_feature_basis(40, 0.5)
+    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    cfg = kmp.KernelConfig(l=0.01, lam=1.0)
+    queries = np.linspace(0, 10, 50)
+    assert np.array_equal(kmp.build_model(ext, cfg, scalar_blocks=blocks).predict_many(queries),
+                          kron_gram_prediction(ext, cfg, queries, blocks))
 
 
 def test_single_reference_point_closed_form():
