@@ -141,21 +141,34 @@ def _cmd_adapt(args):
     return 0
 
 
-def _fusion_run(cfg, demos, memory=True, strict=False, gmm_cache=None):
-    """Fuse the per-iovp config's via-points; via 0 is the baseline.
+def _components(cfg, demos, vias, gmm_cache=None):
+    """One component trajectory per via, via 0 the baseline.
 
-    strict drops every relaxed axis and orientation_var.
+    fusion.build_component_trajectories builds them; with no via, the one
+    component is the run at the first demonstration's start.
     """
-    vias = cfg.via_points
-    if strict:
-        vias = [replace(via, relaxed_axis=None, orientation_var=None) for via in vias]
     baseline, iovps = (vias[0], vias[1:]) if vias else (None, [])
     components, _ = fusion.build_component_trajectories(
         demos, baseline, iovps, cfg.kernel, demo_grid(demos, cfg.grid),
         n_components=cfg.components, seed=cfg.seed, gmm_cache=gmm_cache,
     )
-    fused = fusion.fuse(components, fusion.weight_curves_for(iovps), memory=memory)
-    return fused, components, iovps
+    return components
+
+
+def _relaxed_and_strict(cfg, demos, vias, gmm_cache=None):
+    """The relaxed and the strict component lists of vias (see _components).
+
+    A via's strict form drops its relaxed axis and orientation_var.  A via
+    with neither is its own strict form, so its one component serves both
+    lists; every other via adds a strict component.
+    """
+    loose = [k for k, via in enumerate(vias)
+             if via.relaxed_axis is not None or via.orientation_var is not None]
+    strict_vias = [replace(vias[k], relaxed_axis=None, orientation_var=None) for k in loose]
+    built = _components(cfg, demos, vias + strict_vias, gmm_cache)
+    relaxed = built[:len(built) - len(loose)]
+    strict = dict(zip(loose, built[len(relaxed):]))
+    return relaxed, [strict.get(k, component) for k, component in enumerate(relaxed)]
 
 
 def _fusion_metrics(fused, iovps):
@@ -178,7 +191,9 @@ def _fusion_metrics(fused, iovps):
 def _cmd_fuse(args):
     cfg, out, demos = _load_run(args)
     memory = not args.no_memory
-    fused, components, iovps = _fusion_run(cfg, demos, memory, gmm_cache={})
+    components = _components(cfg, demos, cfg.via_points)
+    iovps = cfg.via_points[1:]
+    fused = fusion.fuse(components, fusion.weight_curves_for(iovps), memory=memory)
     for k, comp in enumerate(components):
         io.save_trajectory(out / f"component_{k}.csv", comp)
     io.save_trajectory(out / "trajectory.csv", fused)
@@ -189,14 +204,16 @@ def _cmd_fuse(args):
     return 0
 
 
-def _comparison(cfg, demos, gmm_cache=None):
-    """Relaxed and strict fusion runs plus their comparison row.
+def _comparison(vias, relaxed, strict):
+    """Relaxed and strict fusion of vias (via 0 the baseline) plus their comparison row.
 
-    The row holds cost_iovp, cost_strict, max_axis_err,
-    continuity_ratio_iovp and continuity_ratio_strict.
+    relaxed and strict are the component lists of _relaxed_and_strict.  The
+    row holds cost_iovp, cost_strict, max_axis_err, continuity_ratio_iovp and
+    continuity_ratio_strict.
     """
-    fused_i, _, iovps = _fusion_run(cfg, demos, gmm_cache=gmm_cache)
-    fused_s, _, _ = _fusion_run(cfg, demos, strict=True, gmm_cache=gmm_cache)
+    iovps = vias[1:]
+    curves = fusion.weight_curves_for(iovps)
+    fused_i, fused_s = fusion.fuse(relaxed, curves), fusion.fuse(strict, curves)
     m_i = _fusion_metrics(fused_i, iovps)
     m_s = _fusion_metrics(fused_s, [])
     axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
@@ -212,7 +229,8 @@ _COMPARISON_COLUMNS = ["cost_iovp", "cost_strict", "max_axis_err", "continuity_r
 
 def _cmd_eval(args):
     cfg, out, demos = _load_run(args)
-    fused_i, fused_s, row = _comparison(cfg, demos, gmm_cache={})
+    vias = cfg.via_points
+    fused_i, fused_s, row = _comparison(vias, *_relaxed_and_strict(cfg, demos, vias))
     io.save_trajectory(out / "trajectory_iovp.csv", fused_i)
     io.save_trajectory(out / "trajectory_strict.csv", fused_s)
     io.save_table(out / "table.csv", _COMPARISON_COLUMNS, [row])
@@ -223,8 +241,9 @@ def _cmd_eval(args):
 def _sweep_rows(trial, values, jobs):
     """Table rows of a sweep, in value order.
 
-    The first trial runs alone and fills the mixture cache the others share;
-    its row is kept and the remaining trials run on the pool.
+    The first trial runs alone and fills the mixture cache the others share
+    (a lambda_a sweep's trials all run in one chart); its row is kept and the
+    remaining trials run on the pool.
     """
     first = trial(values[0])
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -248,13 +267,18 @@ def _cmd_sweep(args):
         rows = _sweep_rows(trial, [float(v) for v in values], jobs)
         io.save_table(out / "table.csv", ["lambda_a", "acceleration_cost", "max_via_err"], rows)
     elif cfg.sweep_axis == "target-rotation":
+        # only the last via turns, so the others' components are built once
         *fixed, last = cfg.via_points
+        fixed_relaxed, fixed_strict = (_relaxed_and_strict(cfg, demos, fixed, cache)
+                                       if fixed else ([], []))
 
         def trial(i):
             # step i turns the last via's target by (i - 6) pi / 6 about its y axis
             turn = so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
-            vias = fixed + [replace(last, rotation=last.rotation @ turn)]
-            _, _, row = _comparison(replace(cfg, via_points=vias), demos, cache)
+            turned = replace(last, rotation=last.rotation @ turn)
+            relaxed, strict = _relaxed_and_strict(cfg, demos, [turned], cache)
+            _, _, row = _comparison(fixed + [turned], fixed_relaxed + relaxed,
+                                    fixed_strict + strict)
             return [int(i)] + row
 
         rows = _sweep_rows(trial, values, jobs)

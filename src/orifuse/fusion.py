@@ -96,9 +96,11 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     adapted only towards that starting point.  Component k re-projects all
     demonstrations around the k-th via target and adapts towards it with its
     own covariance, typically the relaxed-axis pattern.  Via targets must be
-    world-frame; WeightCurveSet checks their domains.  Returns
-    (components, aux_frames).
+    world-frame; WeightCurveSet checks their domains.  The runs share the
+    mixture cache gmm_cache (a fresh dict when None).  Returns (components,
+    aux_frames).
     """
+    gmm_cache = {} if gmm_cache is None else gmm_cache
     if baseline_via is None:
         runs = [(demos[0].rotations[0], [])]
     else:

@@ -73,6 +73,7 @@ def _parse_header(path, line, magic):
 
 
 def _read_table(path, magic):
+    """(header fields, numeric rows) of a table file; a header n= must count the rows."""
     path = Path(path)
     try:
         raw = path.read_text()
@@ -104,6 +105,9 @@ def _read_table(path, magic):
                 ) from None
         rows.append(row)
     data = np.vstack(rows) if rows else np.empty((0, 0))
+    if "n" in header and header["n"] != str(len(data)):
+        raise ParseError(f"header says n={header['n']} but the file has {len(data)} rows",
+                         path=path, line=1)
     return header, data
 
 
@@ -154,9 +158,6 @@ def load_demo(path, reorthonormalize=False):
         raise ParseError(
             f"expected 1+{rot_cols} (+3 optional position) columns", path=path, line=2
         )
-    if "n" in header and header["n"] != str(len(data)):
-        raise ParseError(f"header says n={header['n']} but the file has {len(data)} rows",
-                         path=path, line=1)
     times = data[:, 0]
     steps = np.diff(times)
     uneven = np.flatnonzero((steps <= 0) | (np.abs(steps - steps[:1]) > DT_TOL))
@@ -220,8 +221,11 @@ def load_trajectory(path):
     """Inverse of save_trajectory; the weights always hold the columns W_0..W_K."""
     path = Path(path)
     header, data = _read_table(path, _TRAJ_MAGIC)
-    k = int(header.get("k", 0))
-    want = 1 + 3 + 9 + 3 + (k + 1)
+    k = header.get("k", "0")
+    if not k.isdecimal():
+        raise ParseError(f"header says k={k}; k must be a non-negative integer",
+                         path=path, line=1)
+    want = 1 + 3 + 9 + 3 + (int(k) + 1)
     if data.size == 0:
         data = np.empty((0, want))
     if data.shape[1] != want:

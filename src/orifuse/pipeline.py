@@ -2,14 +2,13 @@
 
 Chains projection, mixture fitting, reference extraction, via-point insertion,
 optional acceleration augmentation, model building and orientation recovery.
-Every regression goes through one memo, the dict gmm_cache: a sweep or eval
-passes one for the whole run, a call without one gets a fresh dict.  It holds
-every mixture, keyed by (frame, components, seed), and the trajectories of
-regressions that repeat: a regression's result is kept only the second time
-its inputs are seen, so inputs that occur once cost no memory.
+The dict gmm_cache is a mixture cache, keyed by (frame, components, seed), so
+runs in one chart fit their mixture once; a call without one gets a fresh
+dict.  Sweep trial threads share it without a lock: two may fit one mixture
+at once, which costs a fit, never a different result.  Regressions are not
+cached: a caller that needs a trajectory twice builds it once and reuses it.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ from . import kmp
 
 # points of the GMR reference grid spanning the demonstration duration
 REF_SIZE = 200
-# what gmm_cache holds for a regression seen once
-_SEEN_ONCE = object()
 
 
 @dataclass(frozen=True)
@@ -47,22 +44,6 @@ def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
     return mixture
 
 
-def _regression_key(extended, R_aux, grid_times, cfg):
-    """gmm_cache key of one regression: its kernel config and a digest of its inputs.
-
-    The digest covers the shape and exact bytes of the regression rows, the
-    chart and the output grid.  The rows come from the mixture, so components
-    and seed are covered too.
-    """
-    digest = hashlib.sha256()
-    for array in (extended.times, extended.means, extended.covariances,
-                  np.asarray(R_aux, dtype=float), np.asarray(grid_times, dtype=float)):
-        array = np.ascontiguousarray(array)
-        digest.update(repr(array.shape).encode())
-        digest.update(array)
-    return ("regression", cfg, digest.digest())
-
-
 def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
                               n_components=gmm_mod.DEFAULT_COMPONENTS, seed=0, gmm_cache=None):
     """Learn from demonstrations and adapt towards the given via-points.
@@ -71,36 +52,13 @@ def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
     The reference grid spans the demonstration duration with REF_SIZE points;
     grid_times is the output grid.
 
-    The regression (model build, prediction and orientation recovery) is
-    memoized on its exact inputs in gmm_cache, a fresh dict when None.  The
-    first sight of a key stores only a marker; the second stores the
-    trajectory, with its arrays made read-only, and later calls return that
-    object.  So a regression that repeats is built twice and then recalled,
-    one that occurs once is built once and never kept.  A caller whose inputs
-    occur at most twice (learn, adapt, eval, a lambda_a sweep) gains nothing
-    and pays the hashing, about 0.1 ms for 200 rows and a 2001-point grid.
-    Projection, mixture lookup, reference extraction and extend_reference run
-    on every call, so their checks (chart boundary, via times) still fire;
-    the checks a recalled result skips depend only on the hashed inputs.
+    gmm_cache is the mixture cache (see the module docstring), a fresh dict
+    when None.
     """
     gmm_cache = {} if gmm_cache is None else gmm_cache
     mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
     reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
     extended = kmp.extend_reference(reference, vias, R_aux, cfg.lambda_a)
-    key = _regression_key(extended, R_aux, grid_times, cfg)
-    hit = gmm_cache.get(key)
-    if isinstance(hit, kmp.OrientationTrajectory):
-        return PipelineResult(hit, mixture)
     model = kmp.build_model(extended, cfg)
     trajectory = kmp.reproduce_orientation_trajectory(model, R_aux, grid_times)
-    # Trial threads of a sweep share the cache without a lock: two of them
-    # may build one key at once, or a late marker may replace a kept
-    # trajectory.  Either costs a build, never a different result, because
-    # the regression is deterministic: every store holds the same bytes.
-    if key in gmm_cache:
-        for array in (trajectory.times, trajectory.rotations, trajectory.omega_world):
-            array.setflags(write=False)
-        gmm_cache[key] = trajectory
-    else:
-        gmm_cache[key] = _SEEN_ONCE
     return PipelineResult(trajectory, mixture)

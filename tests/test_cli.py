@@ -293,36 +293,97 @@ def test_target_rotation_step_6_is_the_eval_row(tmp_path, demo_dir):
     assert sweep[3].startswith("0,") and sweep[3] != "0," + row
 
 
-def readme_target_sweep(tmp_path, demo_dir):
-    """The README's per-iovp example as a target-rotation sweep over steps 5, 6 and 7."""
+def readme_fusion_config(tmp_path, demo_dir, name="fuse.json", **overrides):
+    """The README's per-iovp example on the demo_dir demonstrations, with overrides."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     doc = json.loads(readme.split("A per-iovp fusion configuration")[1]
                      .split("```json\n")[1].split("```")[0])
     doc["demos"] = [str(demo_dir / Path(path).name) for path in doc["demos"]]
-    doc["sweep"] = {"axis": "target-rotation", "values": [5, 6, 7]}
-    path = tmp_path / "sweep.json"
+    doc.update(overrides)
+    path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
 
 
-def test_target_sweep_builds_each_repeated_regression_twice(tmp_path, demo_dir, monkeypatch):
-    # 3 trials x (relaxed, strict) x 4 components = 24 regressions, 11 of them distinct:
-    # the baseline and both forms of IOVPs 1 and 2 repeat and are built twice (first and
-    # second sight), each trial's two IOVP-3 runs are seen once
+def readme_target_sweep(tmp_path, demo_dir):
+    """The README's per-iovp example as a target-rotation sweep over steps 5, 6 and 7."""
+    return readme_fusion_config(tmp_path, demo_dir, "sweep.json",
+                                sweep={"axis": "target-rotation", "values": [5, 6, 7]})
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per kmp.build_model call, that is per regression built."""
     from orifuse import kmp
 
-    builds = []
+    calls = []
     original = kmp.build_model
 
     def counting(*args, **kwargs):
-        builds.append(1)
+        calls.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(kmp, "build_model", counting)
+    return calls
+
+
+def test_target_sweep_builds_each_distinct_regression_once(tmp_path, demo_dir, builds):
+    # the baseline (strict already) and both forms of IOVPs 1 and 2 are built once before
+    # the trials; each of the 3 trials builds both forms of its turned IOVP 3
     cfg = readme_target_sweep(tmp_path, demo_dir)
-    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep", "--grid", 201,
-                   "--jobs", 1) == 0
-    assert len(builds) == 16
+    for jobs in (1, 2):
+        builds.clear()
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"sweep{jobs}",
+                       "--jobs", jobs) == 0
+        assert len(builds) == 5 + 3 * 2, jobs
+
+
+def test_eval_builds_the_baseline_component_once(tmp_path, demo_dir, builds):
+    # 4 relaxed components and the strict forms of the 3 IOVPs: the baseline has no
+    # relaxed axis, so its one component serves both fusions
+    cfg = readme_fusion_config(tmp_path, demo_dir)
+    assert run_cli("eval", "--config", cfg, "--out", tmp_path / "eval") == 0
+    assert len(builds) == 7
+
+
+def sweep_rows_are_turned_eval_rows(tmp_path, cfg, builds):
+    """Check each target-rotation sweep row against eval on its turned config.
+
+    Step i turns the last via by (i - 6) pi / 6 about its y axis, so the row
+    must equal, cell for cell, the eval row of the config whose last via has
+    the product as its rotation.  Returns the sweep's build count.
+    """
+    builds.clear()
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 0
+    sweep_builds = len(builds)
+    rows = (tmp_path / "sweep" / "table.csv").read_text().splitlines()[2:]
+    doc = json.loads(cfg.read_text())
+    values = doc.pop("sweep")["values"]
+    last = doc["via_points"][-1]
+    target = so3.exp_map(last.pop("psi"))
+    for row, i in zip(rows, values, strict=True):
+        turn = so3.exp_map([0.0, (i - 6) * np.pi / 6.0, 0.0])
+        doc["via_points"][-1] = dict(last, rotation=(target @ turn).tolist())
+        turned = tmp_path / f"turned_{i}.json"
+        turned.write_text(json.dumps(doc))
+        assert run_cli("eval", "--config", turned, "--out", tmp_path / f"eval_{i}") == 0
+        assert row == f"{i}," + (tmp_path / f"eval_{i}" / "table.csv").read_text().splitlines()[2]
+    return sweep_builds
+
+
+def test_target_sweep_rows_are_eval_rows_of_the_turned_config(tmp_path, demo_dir, builds):
+    assert sweep_rows_are_turned_eval_rows(
+        tmp_path, readme_target_sweep(tmp_path, demo_dir), builds) == 11
+
+
+def test_one_via_target_sweep_turns_the_baseline(tmp_path, demo_dir, builds):
+    # nothing is fixed and the turned via is the baseline: one component per trial, and
+    # no run at the first demonstration's start
+    readme = json.loads(readme_fusion_config(tmp_path, demo_dir).read_text())
+    cfg = readme_fusion_config(tmp_path, demo_dir, "one.json",
+                               via_points=readme["via_points"][:1],
+                               sweep={"axis": "target-rotation", "values": [5, 7]})
+    assert sweep_rows_are_turned_eval_rows(tmp_path, cfg, builds) == 2
 
 
 def test_relaxed_via_needs_eps_strict_below_eps_loose(tmp_path, demo_dir, capsys):
@@ -404,7 +465,8 @@ def test_an_unused_sweep_section_does_not_pick_the_chart(tmp_path, demo_dir):
 
 
 def test_sweep_table_does_not_depend_on_the_job_count(tmp_path, demo_dir):
-    # the target-rotation trial threads share the regression memo
+    # trial threads share the mixture cache, and the target-rotation ones also share
+    # the components of the vias that do not turn
     lambda_cfg = write_config(tmp_path / "cfg.json", demo_dir,
                               sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
     for name, cfg in (("lambda", lambda_cfg), ("target", readme_target_sweep(tmp_path, demo_dir))):

@@ -216,6 +216,36 @@ def test_empty_trajectory_is_header_only(tmp_path):
     assert loaded.weights.shape == (0, 1)
 
 
+def _trajectory_text(tmp_path, demo):
+    path = tmp_path / "traj.csv"
+    io.save_trajectory(path, kmp.OrientationTrajectory(demo.times, demo.rotations,
+                                                       np.zeros((len(demo), 3))))
+    return path, path.read_text()
+
+
+def test_trajectory_header_k_must_be_a_non_negative_integer(tmp_path, demo):
+    path, text = _trajectory_text(tmp_path, demo)
+    assert " k=0\n" in text
+    for bad in ("abc", "-1", "1.5", ""):
+        path.write_text(text.replace(" k=0\n", f" k={bad}\n", 1))
+        with pytest.raises(ParseError, match=f"k={bad}; k must be a non-negative integer") as exc:
+            io.load_trajectory(path)
+        assert exc.value.line == 1
+
+
+def test_trajectory_header_n_must_match_its_rows(tmp_path, demo):
+    path, text = _trajectory_text(tmp_path, demo)
+    n = f" n={len(demo)} "
+    assert n in text
+    path.write_text(text.replace(n, f" n={len(demo) + 1} ", 1))
+    with pytest.raises(ParseError, match=f"n={len(demo) + 1} but the file has {len(demo)} rows"):
+        io.load_trajectory(path)
+    path.write_text("# orifuse-trajectory v1 n=5 k=0\n")
+    with pytest.raises(ParseError, match="n=5 but the file has 0 rows") as exc:
+        io.load_trajectory(path)
+    assert exc.value.line == 1
+
+
 def test_metrics_and_table_deterministic(tmp_path):
     path = tmp_path / "metrics.csv"
     io.save_metrics(path, {"cost": 1.25, "count": 3, "flag": True})
