@@ -293,28 +293,54 @@ def augment_for_acceleration(ref, lambda_a):
     return ReferenceTrajectory(ref.times.copy(), means, covs)
 
 
-def gaussian_scalar_blocks(a, b, l, order):
+def gaussian_scalar_blocks(a, b, l, order, rows=None):
     """Scalar kernel derivative table for the Gaussian kernel.
 
     Returns S with S[p, q] = d^p/da^p d^q/db^q exp(-l (a - b)^2) evaluated on
-    the grid a x b, shape (order, order, len(a), len(b)).
+    the grid a x b, shape (rows, order, len(a), len(b)): only the leading rows
+    derivative orders p in a are built, all order of them by default.  Each
+    entry is computed in place in the one table, with no temporary arrays.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    rows = order if rows is None else rows
     d = a[:, None] - b[None, :]
     d2 = d * d
-    g = np.exp(-l * d2)
-    s = np.empty((order, order) + d.shape)
-    s[0, 0] = g
-    s[0, 1] = 2.0 * l * d * g
-    s[1, 0] = -s[0, 1]
-    s[1, 1] = (2.0 * l - 4.0 * l**2 * d2) * g
+    s = np.empty((rows, order) + d.shape)
+    g = s[0, 0]
+    np.multiply(d2, -l, out=g)
+    np.exp(g, out=g)
+    # each block below evaluates the expression in the comment before it, left to right
+    # 2 l d g
+    np.multiply(d, 2.0 * l, out=s[0, 1])
+    s[0, 1] *= g
     if order == 3:
-        s[0, 2] = (4.0 * l**2 * d2 - 2.0 * l) * g
+        # (4 l^2 d2 - 2 l) g
+        np.multiply(d2, 4.0 * l**2, out=s[0, 2])
+        s[0, 2] -= 2.0 * l
+        s[0, 2] *= g
+    if rows == 1:
+        return s
+    np.negative(s[0, 1], out=s[1, 0])
+    # (2 l - 4 l^2 d2) g
+    np.multiply(d2, 4.0 * l**2, out=s[1, 1])
+    np.subtract(2.0 * l, s[1, 1], out=s[1, 1])
+    s[1, 1] *= g
+    if order == 3:
+        # (12 l^2 - 8 l^3 d2) d g
+        np.multiply(d2, 8.0 * l**3, out=s[1, 2])
+        np.subtract(12.0 * l**2, s[1, 2], out=s[1, 2])
+        s[1, 2] *= d
+        s[1, 2] *= g
+    if rows == 3:
         s[2, 0] = s[0, 2]
-        s[1, 2] = (12.0 * l**2 - 8.0 * l**3 * d2) * d * g
-        s[2, 1] = -s[1, 2]
-        s[2, 2] = ((16.0 * l**4 * d2 - 48.0 * l**3) * d2 + 12.0 * l**2) * g
+        np.negative(s[1, 2], out=s[2, 1])
+        # ((16 l^4 d2 - 48 l^3) d2 + 12 l^2) g
+        np.multiply(d2, 16.0 * l**4, out=s[2, 2])
+        s[2, 2] -= 48.0 * l**3
+        s[2, 2] *= d2
+        s[2, 2] += 12.0 * l**2
+        s[2, 2] *= g
     return s
 
 
@@ -331,17 +357,25 @@ class KmpModel:
         """Stacked (psi, psi_dot[, psi_ddot]) at a single query time."""
         return self.predict_many(np.array([float(t_star)]))[0]
 
-    def predict_many(self, t_stars):
-        """Predictions on a batch of query times, shape (Q, state_dim)."""
+    def predict_many(self, t_stars, rows=None):
+        """Predictions on a batch of query times, shape (Q, 3 * rows).
+
+        Only the leading rows blocks of the state are predicted, all of them
+        by default; rows=1 gives psi alone and builds no derivative row of
+        the kernel table.
+        """
         t_stars = np.asarray(t_stars, dtype=float)
         nb = self.cfg.n_blocks
-        out = np.empty((t_stars.shape[0], nb * 3))
+        rows = nb if rows is None else rows
+        if not 1 <= rows <= nb:
+            raise ValueError(f"rows must be between 1 and {nb}")
+        out = np.empty((t_stars.shape[0], 3 * rows))
         # eta_p(t*) = sum_q S[p, q](t*, times) @ alpha[q], one matmul per
         # (p, q) slab of the scalar table
         for lo in range(0, t_stars.shape[0], PREDICT_CHUNK):
             hi = min(lo + PREDICT_CHUNK, t_stars.shape[0])
-            s = self._scalar_blocks(t_stars[lo:hi], self.times, nb)
-            for p in range(nb):
+            s = self._scalar_blocks(t_stars[lo:hi], self.times, nb, rows)
+            for p in range(rows):
                 eta = s[p, 0] @ self.alpha[0]
                 for q in range(1, nb):
                     eta += s[p, q] @ self.alpha[q]
@@ -349,11 +383,29 @@ class KmpModel:
         return out
 
 
+def _gram(s, covariances):
+    """K + lam * Sigma in its final (point, block, axis)^2 layout, C-ordered.
+
+    S (x) I_3 fills the three axis diagonals through strided views of one
+    zeroed array; covariances (already scaled by lam) are added on the point
+    diagonal in one fancy-indexed block add.
+    """
+    nb, n = s.shape[0], s.shape[2]
+    dim = nb * 3
+    m = np.zeros((n, nb, 3, n, nb, 3))
+    for a in range(3):
+        m[:, :, a, :, :, a] = s.transpose(2, 0, 3, 1)
+    r = np.arange(n)
+    m.reshape(n, dim, n, dim)[r, :, r, :] += covariances
+    return m.reshape(n * dim, n * dim)
+
+
 def build_model(ext, cfg, scalar_blocks=None):
     """Assemble and factorize (K + lambda * Sigma), precomputing the solve.
 
     scalar_blocks(a, b, order) may override the Gaussian derivative table;
     the kernel-trick equivalence tests inject an explicit finite basis here.
+    A prediction of fewer rows slices them from its full table.
     """
     if len(ext) < 1:
         raise ValueError("need at least one reference point")
@@ -365,24 +417,31 @@ def build_model(ext, cfg, scalar_blocks=None):
     if np.any(np.diff(ext.times) <= 0):
         raise ValueError("reference times must be strictly increasing")
     if scalar_blocks is None:
-        def scalar_blocks(a, b, order, _l=cfg.l):
-            return gaussian_scalar_blocks(a, b, _l, order)
+        def scalar_blocks(a, b, order, rows=None, _l=cfg.l):
+            return gaussian_scalar_blocks(a, b, _l, order, rows)
+    else:
+        def scalar_blocks(a, b, order, rows=None, _blocks=scalar_blocks):
+            return _blocks(a, b, order)[:rows]
     nb = cfg.n_blocks
     n = len(ext)
     dim = nb * 3
     s = scalar_blocks(ext.times, ext.times, nb)
-    # rows and columns run over (point, block, axis); S (x) I_3 fills the axis diagonals
-    m = np.zeros((n, nb, 3, n, nb, 3))
-    for a in range(3):
-        m[:, :, a, :, :, a] = s.transpose(2, 0, 3, 1)
-    r = np.arange(n)
-    m.reshape(n, dim, n, dim)[r, :, r, :] += cfg.lam * ext.covariances
-    m = m.reshape(n * dim, n * dim)
     mu = ext.means.reshape(n * dim)
+    # The factor runs in place on m.T, the Fortran-ordered view of the C-ordered
+    # Gram, so it reads m's upper triangle where a copy would read the lower one.
+    # K is exactly symmetric; each lam * Sigma_i, symmetric only to np.allclose
+    # for an explicit via covariance, gets its lower triangle mirrored upwards.
+    covariances = cfg.lam * ext.covariances
+    i, j = np.triu_indices(dim, 1)
+    covariances[:, i, j] = covariances[:, j, i]
     factor = None
     for jitter in _JITTERS:
+        # potrf overwrites m, so every rung factors a freshly assembled Gram
+        m = _gram(s, covariances)
+        if jitter:
+            m.flat[::m.shape[0] + 1] += jitter
         try:
-            factor = cho_factor(m + jitter * np.eye(m.shape[0]) if jitter else m, lower=True)
+            factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
             continue
@@ -391,7 +450,13 @@ def build_model(ext, cfg, scalar_blocks=None):
             "K + lambda*Sigma is not positive definite even with 1e-8 jitter; "
             "covariance floor is likely too small"
         )
-    alpha = np.ascontiguousarray(cho_solve(factor, mu).reshape(n, nb, 3).transpose(1, 0, 2))
+    alpha = cho_solve(factor, mu, check_finite=False)
+    # nothing above checks for inf or nan, which potrf may let through
+    if not np.all(np.isfinite(alpha)):
+        raise FactorizationFailure(
+            "K + lambda*Sigma is not finite; the kernel length scale l is likely too large"
+        )
+    alpha = np.ascontiguousarray(alpha.reshape(n, nb, 3).transpose(1, 0, 2))
     return KmpModel(ext.times.copy(), alpha, cfg, scalar_blocks)
 
 
@@ -440,8 +505,8 @@ def reproduce_orientation_trajectory(model, R_aux, times):
         raise ValueError("grid must be strictly increasing")
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("grid must be uniform for velocity recovery")
-    eta = model.predict_many(times)
-    psis = eta[:, :3]
+    # only psi enters the rotations; the velocities come from them, not from psi_dot
+    psis = model.predict_many(times, rows=1)
     rotations = np.einsum("ij,njk->nik", R_aux, rot_exp_many(psis))
     omega = angular_velocities(rotations, float(steps[0]))
     return OrientationTrajectory(times.copy(), rotations, omega)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from orifuse import gmm, kmp, so3
-from orifuse.errors import ChartBoundaryError
+from orifuse.errors import ChartBoundaryError, FactorizationFailure
 
 
 def make_reference(rng, n, spread=1.0):
@@ -79,11 +79,12 @@ def test_kernel_trick_equals_parametric_solution():
     assert np.abs(pred - expected).max() < 1e-8
 
 
-def kron_gram_prediction(ext, cfg, queries, scalar_blocks):
+def kron_gram_prediction(ext, cfg, queries, scalar_blocks, jitter=0.0):
     """Predictions of a model whose Gram is np.kron(S, I_3) plus a per-row covariance add.
 
     The solve and the per-slab prediction repeat build_model and predict_many step by
-    step, so only the Gram's assembly differs.
+    step, so only the Gram's assembly differs.  cho_factor copies the C-ordered Gram
+    (plus jitter * I) and factors its lower triangle.
     """
     nb, n = cfg.n_blocks, len(ext)
     dim = 3 * nb
@@ -92,6 +93,8 @@ def kron_gram_prediction(ext, cfg, queries, scalar_blocks):
     m = np.kron(gram_small, np.eye(3))
     for i in range(n):
         m[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += cfg.lam * ext.covariances[i]
+    if jitter:
+        m = m + jitter * np.eye(m.shape[0])
     alpha = cho_solve(cho_factor(m, lower=True), ext.means.reshape(n * dim)).reshape(n, nb, 3)
     alpha = [np.ascontiguousarray(alpha[:, q, :]) for q in range(nb)]
     table = scalar_blocks(queries, ext.times, nb)
@@ -134,6 +137,113 @@ def test_gram_layout_with_an_explicit_basis_matches_the_kron_assembly_bitwise():
     queries = np.linspace(0, 10, 50)
     assert np.array_equal(kmp.build_model(ext, cfg, scalar_blocks=blocks).predict_many(queries),
                           kron_gram_prediction(ext, cfg, queries, blocks))
+
+
+def expression_table(a, b, l, order):
+    """The Gaussian derivative table as plain numpy expressions, one temporary per step."""
+    d = a[:, None] - b[None, :]
+    d2 = d * d
+    g = np.exp(-l * d2)
+    s = np.empty((order, order) + d.shape)
+    s[0, 0] = g
+    s[0, 1] = 2.0 * l * d * g
+    s[1, 0] = -s[0, 1]
+    s[1, 1] = (2.0 * l - 4.0 * l**2 * d2) * g
+    if order == 3:
+        s[0, 2] = (4.0 * l**2 * d2 - 2.0 * l) * g
+        s[2, 0] = s[0, 2]
+        s[1, 2] = (12.0 * l**2 - 8.0 * l**3 * d2) * d * g
+        s[2, 1] = -s[1, 2]
+        s[2, 2] = ((16.0 * l**4 * d2 - 48.0 * l**3) * d2 + 12.0 * l**2) * g
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.floats(1e-3, 2.0), order=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_in_place_kernel_table_matches_its_expressions_bitwise(l, order, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-5, 15, 37), np.sort(rng.uniform(0, 10, 23))
+    expected = expression_table(a, b, l, order)
+    assert np.array_equal(kmp.gaussian_scalar_blocks(a, b, l, order), expected)
+    for rows in range(1, order + 1):
+        assert np.array_equal(kmp.gaussian_scalar_blocks(a, b, l, order, rows), expected[:rows])
+
+
+@pytest.mark.parametrize("lambda_a", [None, 100.0])
+@pytest.mark.parametrize("queries", [1, 2048, 2049, 5000])  # one, two and three slabs
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 30), l=st.floats(1e-3, 2.0), seed=st.integers(0, 2**16))
+def test_leading_rows_are_the_full_prediction_columns_bitwise(lambda_a, queries, n, l, seed):
+    cfg = kmp.KernelConfig(l=l, lam=1.0, lambda_a=lambda_a)
+    rng = np.random.default_rng(seed)
+    model = kmp.build_model(random_extended_reference(rng, n, cfg.state_dim), cfg)
+    t = np.sort(rng.uniform(model.times[0] - 1.0, model.times[-1] + 1.0, queries))
+    full = model.predict_many(t)
+    for rows in range(1, cfg.n_blocks + 1):
+        assert np.array_equal(model.predict_many(t, rows=rows), full[:, :3 * rows])
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_predict_many_rows_must_name_blocks_of_the_state(rows):
+    model = kmp.build_model(make_reference(np.random.default_rng(30), 5), kmp.KernelConfig())
+    with pytest.raises(ValueError, match="rows"):
+        model.predict_many(np.linspace(0, 10, 4), rows=rows)
+
+
+@pytest.mark.parametrize("row, col", [(4, 1), (1, 4)])
+def test_a_covariance_symmetric_only_to_allclose_factors_its_lower_triangle(row, col):
+    # build_model factors in place and so reads the Gram's upper triangle; it mirrors
+    # each covariance's lower triangle there, which keeps the lower-triangle result
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(6, 6)) * 0.1
+    cov = A @ A.T + 1e-3 * np.eye(6)
+    cov[row, col] += 1e-12
+    vp = kmp.ViaPointSpec(4.4, so3.exp_map([0.9, -0.4, 0.3]), np.zeros(3), cov)
+    ext = kmp.extend_reference(make_reference(rng, 25, spread=0.5), [vp], np.eye(3))
+    cfg = kmp.KernelConfig(l=0.01, lam=1.0)
+    queries = np.linspace(0, 10, 57)
+
+    def blocks(a, b, order):
+        return kmp.gaussian_scalar_blocks(a, b, cfg.l, order)
+
+    assert np.array_equal(kmp.build_model(ext, cfg).predict_many(queries),
+                          kron_gram_prediction(ext, cfg, queries, blocks))
+
+
+def floored_reference(n, dim, floor):
+    """Rows whose covariance is floor * I: zero or negative leaves K + lam Sigma singular."""
+    means = np.random.default_rng(32).normal(size=(n, dim))
+    return kmp.ExtendedReference(np.linspace(0, 10, n), means, np.tile(floor * np.eye(dim), (n, 1, 1)))
+
+
+@pytest.mark.parametrize("lambda_a", [None, 100.0])
+@pytest.mark.parametrize("floor, rung", [(0.0, 1), (-5e-11, 2), (-5e-9, 3)])
+def test_a_later_jitter_rung_factors_a_freshly_assembled_gram(floor, rung, lambda_a):
+    cfg = kmp.KernelConfig(l=0.01, lam=1.0, lambda_a=lambda_a)
+    ext = floored_reference(10, cfg.state_dim, floor)
+    queries = np.linspace(-1, 11, 57)
+
+    def blocks(a, b, order):
+        return kmp.gaussian_scalar_blocks(a, b, cfg.l, order)
+
+    for jitter in kmp._JITTERS[:rung]:
+        with pytest.raises(np.linalg.LinAlgError):
+            kron_gram_prediction(ext, cfg, queries, blocks, jitter)
+    assert np.array_equal(kmp.build_model(ext, cfg).predict_many(queries),
+                          kron_gram_prediction(ext, cfg, queries, blocks, kmp._JITTERS[rung]))
+
+
+def test_no_jitter_rung_rescues_an_indefinite_gram():
+    with pytest.raises(FactorizationFailure, match="jitter"):
+        kmp.build_model(floored_reference(10, 6, -2e-8), kmp.KernelConfig(l=0.01, lam=1.0))
+
+
+def test_a_non_finite_gram_is_a_factorization_failure():
+    # 4 l^2 overflows, so the psi_dot diagonal of K is inf * 0
+    ext = floored_reference(4, 6, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(FactorizationFailure, match="finite"):
+        kmp.build_model(ext, kmp.KernelConfig(l=1e154, lam=1.0))
 
 
 def test_single_reference_point_closed_form():
