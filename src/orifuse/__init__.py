@@ -56,7 +56,6 @@ from .rotavg import (
     WeightedPair,
     init_fusion_state,
     weighted_average_memory,
-    weighted_average_stateless,
 )
 from .fusion import (
     IovpSpec,

@@ -5,15 +5,17 @@ Each chart map has one implementation.  ``rot_exp_many`` and
 the small-angle and near-pi branches with boolean masks; ``rot_exp`` and
 ``rot_log`` are their one-row calls.
 
-The memory-based average is split the same way.  ``_memory_turn`` is its
-turn-counter and history state machine, in plain floats.  ``_memory_run``
-computes the relative logs of a time-ordered run of pairs, feeds them through
-that state machine row by row and computes all the exps after it; the
-whole-grid ``memory_average_many`` and the one-pair ``memory_average_step``
-are both runs of it.
+The memory-based average has one implementation too, ``_memory_run``, which
+owns its constants and describes its dispatch.  Over a time-ordered run of
+pairs it computes the relative logs, the scales and the exps array-wide; only
+the turn count and the history of traverse directions run row by row, in
+plain floats.  The whole-grid ``memory_average_many``, the one-pair
+``memory_average_step`` and ``rotavg.weighted_average_memory`` are all runs
+of it.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -22,6 +24,10 @@ USING_NUMBA = False
 
 # distances below this are treated as zero when normalizing traverse directions
 ZERO_DISTANCE = 1e-12
+
+D_TH_DEFAULT = 0.15  # radians; splits pi-boundary from pole crossings
+E_PSI_DEFAULT = math.cos(50.0 * math.pi / 180.0)  # aligned/flipped cosine bound
+HISTORY_CAPACITY = 5  # past traverse directions the memory average keeps
 
 
 def _norms(v):
@@ -179,81 +185,58 @@ def _history_mean(hist):
     return (m0 / n, m1 / n, m2 / n)
 
 
-def _memory_turn(d_ij, psi_c, Wi, Wj, n_turns, hist, cap, d_th, e_psi):
-    """Turn-counter and history update of one memory-average step.
+def _memory_run(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HISTORY_CAPACITY,
+                d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT):
+    """The memory-based average of a time-ordered run of pairs, from a given state.
 
-    psi_c is the unit traverse direction log(Ri^T Rj) / d_ij as a float
-    triple (zeros for coincident inputs); hist is the list of past directions,
-    oldest first, updated in place and kept at most cap long.  Returns
-    (scale, direction, n_turns): the averaged rotation is
-    Ri * exp(scale * direction), or Ri itself when scale is None (both
-    weights vanish).  Dispatch:
-
-    even turn count: d = Wj*(N*pi + d_ij)/(Wi+Wj), result Ri*exp(+d*psi_c);
-    odd turn count:  d = Wj*((N+1)*pi - d_ij)/(Wi+Wj), result Ri*exp(-d*psi_c).
-
-    A direction flip (dot with the history average below -e_psi) increments or
-    decrements the turn counter depending on whether the crossing happened at
-    the pi boundary (d_ij > d_th) or at the pole, which switches to the other
-    branch's formula, and clears the history.  A direction that is neither
-    aligned nor anti-aligned is an outlier; the history average is used in
-    its place.
-    """
-    psi_p = _history_mean(hist) if hist else psi_c
-    wsum = Wi + Wj
-    scale = None
-    direction = psi_c
-    if wsum > 0.0:
-        dot = psi_p[0] * psi_c[0] + psi_p[1] * psi_c[1] + psi_p[2] * psi_c[2]
-        if dot > e_psi:
-            pass  # aligned with the history
-        elif -dot > e_psi:
-            # flip: on an even count a pi-boundary crossing (d_ij > d_th)
-            # counts forwards and a pole crossing backwards; odd reverses both
-            n_turns += 1 if (d_ij > d_th) == (n_turns % 2 == 0) else -1
-            hist.clear()  # historical data is stale after a flip
-        else:
-            direction = psi_p  # outlier direction: trust the history instead
-        if n_turns % 2 == 0:
-            scale = Wj * (n_turns * math.pi + d_ij) / wsum
-        else:
-            scale = -(Wj * ((n_turns + 1) * math.pi - d_ij) / wsum)
-    hist.append(psi_c)
-    if len(hist) > cap:
-        del hist[0]
-    return scale, direction, n_turns
-
-
-def _memory_run(Ris, Rjs, Wis, Wjs, n_turns, past, capacity, d_th, e_psi):
-    """_memory_turn over a time-ordered run of pairs, from a given state.
-
-    past is the history list, oldest first, updated in place.  The relative
-    logs of all rows come first, then the state machine runs row by row in
-    plain floats, then all the exps.  Returns ``(Rs, turns)``, turns holding
-    the turn count after each row.
+    history holds past unit traverse directions as float triples, oldest first
+    (zero triples for coincident inputs), and keeps the last ``capacity``.
+    Each row with Wi + Wj > 0 compares its direction psi_c = log(Ri^T Rj) / d_ij
+    with the history mean (psi_c itself for an empty history).  A flip (dot
+    below -e_psi) clears the history and moves the turn count N by +1 for a
+    pi-boundary crossing (d_ij > d_th) and -1 for a pole crossing on an even
+    N, the other way round on an odd N; an outlier (|dot| <= e_psi) takes the
+    history mean as its direction.  The row's result is Ri * exp(d * direction)
+    with d = Wj*(N*pi + d_ij)/(Wi+Wj) on an even N and
+    d = -Wj*((N+1)*pi - d_ij)/(Wi+Wj) on an odd N, or Ri where the weights sum
+    to zero or less.  Every row appends psi_c to the history.  Returns
+    ``(Rs, turns, history)``: the turn count after each row and the final
+    history as a tuple.
     """
     Ris = np.asarray(Ris, dtype=float)
+    Wis = np.asarray(Wis, dtype=float)
+    Wjs = np.asarray(Wjs, dtype=float)
     psi = rot_log_many(_relative(Ris, Rjs))
     d_ij = _norms(psi)
     unit = np.zeros_like(psi)
     np.divide(psi, d_ij[:, None], out=unit, where=(d_ij >= ZERO_DISTANCE)[:, None])
-    scales, directions, turns, keep = [], [], [], []
-    rows = zip(d_ij.tolist(), map(tuple, unit.tolist()), np.asarray(Wis).tolist(),
-               np.asarray(Wjs).tolist())
-    for i, (d, psi_c, wi, wj) in enumerate(rows):
-        scale, direction, n_turns = _memory_turn(
-            d, psi_c, wi, wj, n_turns, past, capacity, d_th, e_psi
-        )
+    wsum = Wis + Wjs
+    move = wsum > 0.0
+    hist = deque(history, maxlen=capacity)
+    turns = []
+    for i, (d, psi_c, moves) in enumerate(zip(d_ij.tolist(), map(tuple, unit.tolist()),
+                                              move.tolist())):
+        if moves:
+            psi_p = _history_mean(hist) if hist else psi_c
+            dot = psi_p[0] * psi_c[0] + psi_p[1] * psi_c[1] + psi_p[2] * psi_c[2]
+            if dot > e_psi:
+                pass  # aligned with the history
+            elif -dot > e_psi:
+                n_turns += 1 if (d > d_th) == (n_turns % 2 == 0) else -1
+                hist.clear()  # historical data is stale after a flip
+            else:
+                unit[i] = psi_p  # outlier direction: trust the history instead
         turns.append(n_turns)
-        if scale is None:
-            keep.append(i)
-            scale = 0.0
-        scales.append(scale)
-        directions.append(direction)
-    steps = np.array(scales)[:, None] * np.array(directions).reshape(-1, 3)
-    out = np.matmul(Ris, rot_exp_many(steps))
-    out[keep] = Ris[keep]
-    return out, np.array(turns, dtype=np.int64)
+        hist.append(psi_c)
+    turns = np.array(turns, dtype=np.int64)
+    # multiplying by sign negates exactly, so each row rounds as its formula does
+    odd = turns % 2 == 1
+    sign = np.where(odd, -1.0, 1.0)
+    scale = np.zeros_like(d_ij)
+    scale[move] = Wjs[move] * ((turns + odd) * np.pi + sign * d_ij)[move] / wsum[move]
+    out = np.matmul(Ris, rot_exp_many((sign * scale)[:, None] * unit))
+    out[~move] = Ris[~move]
+    return out, turns, tuple(hist)
 
 
 def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
@@ -261,20 +244,20 @@ def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
 
     hist is a (capacity, 3) array whose first n_hist rows are the past
     traverse directions; it is updated in place.  Returns
-    ``(Rij, n_turns, n_hist)``; the dispatch is described in _memory_turn.
+    ``(Rij, n_turns, n_hist)``; _memory_run describes the dispatch.
     """
-    past = [tuple(row) for row in hist[:n_hist].tolist()]
-    out, turns = _memory_run(Ri[None], Rj[None], [Wi], [Wj], n_turns, past,
-                             hist.shape[0], d_th, e_psi)
+    out, turns, past = _memory_run(Ri[None], Rj[None], [Wi], [Wj], n_turns,
+                                   map(tuple, hist[:n_hist].tolist()), hist.shape[0],
+                                   d_th, e_psi)
     hist[:len(past)] = past
     return out[0], int(turns[0]), len(past)
 
 
-def memory_average_many(Ris, Rjs, Wis, Wjs, d_th, e_psi, capacity):
+def memory_average_many(Ris, Rjs, Wis, Wjs):
     """memory_average_step over a time-ordered grid of pairs.
 
-    Starts from a fresh state (no turns, empty history of the given
-    capacity), and row i continues from the state row i - 1 left.  Returns
-    ``(Rs, turns)``, turns holding the turn count after each row.
+    Starts from a fresh state (no turns, an empty history), and row i
+    continues from the state row i - 1 left.  Returns ``(Rs, turns)``, turns
+    holding the turn count after each row.
     """
-    return _memory_run(Ris, Rjs, Wis, Wjs, 0, [], capacity, d_th, e_psi)
+    return _memory_run(Ris, Rjs, Wis, Wjs)[:2]

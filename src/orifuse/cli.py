@@ -95,8 +95,8 @@ def _adaptation(cfg, demos, gmm_cache=None):
 
 
 def _cmd_gen_demos(args):
-    if args.count < 1 or args.samples < 2 or not args.duration > 0 or args.seed < 0:
-        raise ConfigError("gen-demos needs count >= 1, samples >= 2, duration > 0 and "
+    if args.count < 1 or args.samples < 2 or not 0 < args.duration < np.inf or args.seed < 0:
+        raise ConfigError("gen-demos needs count >= 1, samples >= 2, a finite duration > 0 and "
                           f"seed >= 0; got {args.count}, {args.samples}, {args.duration} "
                           f"and {args.seed}")
     out = Path(args.out)

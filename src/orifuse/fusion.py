@@ -22,7 +22,6 @@ from ._kernels import (
 from .errors import DomainOverlap, SeriesTooShort
 from .kmp import AXES, OrientationTrajectory, ViaPointSpec, angular_velocities
 from .pipeline import reproduce_with_via_points
-from .rotavg import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY
 
 # An IOVP is a via-point with one relaxed axis; one spec type serves both.
 IovpSpec = ViaPointSpec
@@ -149,15 +148,11 @@ def fuse(components, curves, memory=True):
     folds = list(range(2, n_via + 1)) + [0]
     turn_counts = np.zeros((times.shape[0], len(folds)), dtype=np.int64) if memory else None
     for fold, k in enumerate(folds):
+        pairs = (rotations, components[k].rotations, acc_w, weights[:, k])
         if memory:
-            rotations, turn_counts[:, fold] = memory_average_many(
-                rotations, components[k].rotations, acc_w, weights[:, k],
-                D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY,
-            )
+            rotations, turn_counts[:, fold] = memory_average_many(*pairs)
         else:
-            rotations = stateless_average_many(
-                rotations, components[k].rotations, acc_w, weights[:, k]
-            )
+            rotations = stateless_average_many(*pairs)
         acc_w = acc_w + weights[:, k]
     dt = float(times[1] - times[0])
     omega = angular_velocities(rotations, dt)

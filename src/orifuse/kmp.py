@@ -30,6 +30,7 @@ WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 CHART_MARGIN = 1e-3
 VIA_TIME_TOL = 1e-9
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+_NOT_FINITE = "K + lambda*Sigma is not finite; the kernel length scale l is likely too large"
 # query times per slab of the scalar kernel table in predict_many
 PREDICT_CHUNK = 2048
 _VARIANCE_BLOCKS = ("orientation_var", "velocity_var", "acceleration_var")
@@ -425,7 +426,10 @@ def build_model(ext, cfg, scalar_blocks=None):
     nb = cfg.n_blocks
     n = len(ext)
     dim = nb * 3
-    s = scalar_blocks(ext.times, ext.times, nb)
+    try:
+        s = scalar_blocks(ext.times, ext.times, nb)
+    except OverflowError:  # a power of l beyond the float range
+        raise FactorizationFailure(_NOT_FINITE) from None
     mu = ext.means.reshape(n * dim)
     # The factor runs in place on m.T, the Fortran-ordered view of the C-ordered
     # Gram, so it reads m's upper triangle where a copy would read the lower one.
@@ -453,9 +457,7 @@ def build_model(ext, cfg, scalar_blocks=None):
     alpha = cho_solve(factor, mu, check_finite=False)
     # nothing above checks for inf or nan, which potrf may let through
     if not np.all(np.isfinite(alpha)):
-        raise FactorizationFailure(
-            "K + lambda*Sigma is not finite; the kernel length scale l is likely too large"
-        )
+        raise FactorizationFailure(_NOT_FINITE)
     alpha = np.ascontiguousarray(alpha.reshape(n, nb, 3).transpose(1, 0, 2))
     return KmpModel(ext.times.copy(), alpha, cfg, scalar_blocks)
 

@@ -6,19 +6,17 @@ rotation crosses the pi boundary or the pole: the traverse direction returned
 by the log flips sign.  The memory-based variant keeps an integer turn counter
 and a short history of past traverse directions, detects flips, and unwraps
 the traveled distance to N*pi + d so the averaged output stays continuous.
+
+Here ``FusionState`` carries that memory from one checked pair to the next;
+``_kernels._memory_run`` owns the dispatch and its constants.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
-from ._kernels import memory_average_step, stateless_average
-
-D_TH_DEFAULT = 0.15  # radians; splits pi-boundary from pole crossings
-E_PSI_DEFAULT = math.cos(50.0 * math.pi / 180.0)
-HISTORY_CAPACITY = 5
+from ._kernels import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY, _memory_run  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,21 +31,17 @@ class WeightedPair:
             raise ValueError("weights must be non-negative with a positive sum")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionState:
     """Memory of one fold position in a sequential fusion run.
 
-    history holds up to ``capacity`` past unit traverse directions (zero rows
-    are sentinels for coincident inputs); n_turns counts signed crossings of
-    multiples of pi.
+    history holds up to HISTORY_CAPACITY past unit traverse directions as
+    float triples, oldest first (zero triples are sentinels for coincident
+    inputs); n_turns counts signed crossings of multiples of pi.
     """
 
     n_turns: int
-    history: np.ndarray  # (capacity, 3)
-    n_hist: int
-
-    def copy(self):
-        return FusionState(self.n_turns, self.history.copy(), self.n_hist)
+    history: tuple
 
 
 def init_fusion_state(Ri0, Rj0):
@@ -59,14 +53,7 @@ def init_fusion_state(Ri0, Rj0):
     """
     so3.check_rotation(Ri0, name="Ri0")
     so3.check_rotation(Rj0, name="Rj0")
-    return FusionState(0, np.zeros((HISTORY_CAPACITY, 3)), 0)
-
-
-def weighted_average_stateless(pair):
-    """Ri * exp(d * psi_bar) with d = Wj/(Wi+Wj) * dist(Ri, Rj)."""
-    Ri = so3.check_rotation(pair.Ri, name="Ri")
-    Rj = so3.check_rotation(pair.Rj, name="Rj")
-    return stateless_average(Ri, Rj, float(pair.Wi), float(pair.Wj))
+    return FusionState(0, ())
 
 
 def weighted_average_memory(pair, state):
@@ -78,11 +65,6 @@ def weighted_average_memory(pair, state):
     """
     Ri = so3.check_rotation(pair.Ri, name="Ri")
     Rj = so3.check_rotation(pair.Rj, name="Rj")
-    next_state = state.copy()
-    Rij, n_turns, n_hist = memory_average_step(
-        Ri, Rj, float(pair.Wi), float(pair.Wj), next_state.n_turns,
-        next_state.history, next_state.n_hist, D_TH_DEFAULT, E_PSI_DEFAULT,
-    )
-    next_state.n_turns = int(n_turns)
-    next_state.n_hist = int(n_hist)
-    return Rij, next_state
+    out, turns, history = _memory_run(Ri[None], Rj[None], [float(pair.Wi)], [float(pair.Wj)],
+                                      state.n_turns, state.history)
+    return out[0], FusionState(int(turns[0]), history)

@@ -492,6 +492,7 @@ def test_acceleration_block_needs_lambda_a(tmp_path, demo_dir, capsys):
     ("--duration", "-1"),
     ("--duration", "nan"),
     ("--seed", "-1"),
+    ("--duration", "inf"),
 ])
 def test_gen_demos_rejects_values_it_cannot_use(tmp_path, capsys, flags):
     assert run_cli("gen-demos", "--out", tmp_path, *flags) == 2

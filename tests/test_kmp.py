@@ -244,6 +244,10 @@ def test_a_non_finite_gram_is_a_factorization_failure():
     with np.errstate(invalid="ignore", over="ignore"), \
             pytest.raises(FactorizationFailure, match="finite"):
         kmp.build_model(ext, kmp.KernelConfig(l=1e154, lam=1.0))
+    # l^2 itself (pv) or l^4 (pva) leaves the float range: a Python OverflowError
+    for cfg in (kmp.KernelConfig(l=1.5e154), kmp.KernelConfig(l=1e80, lambda_a=100.0)):
+        with pytest.raises(FactorizationFailure, match="finite"):
+            kmp.build_model(floored_reference(4, cfg.state_dim, 1.0), cfg)
 
 
 def test_single_reference_point_closed_form():
