@@ -5,7 +5,8 @@ generation, learning, via-point adaptation, multi-via fusion, and comparison
 sweeps.  Identical configuration and seed produce bitwise-identical output
 files.  Every command but gen-demos reads its settings from one validated
 io.RunConfig: --config and --out are required, and --seed and --grid
-override the config's gmm seed and grid.
+override the config's gmm seed and grid.  A sweep prepares what its trials
+share, then runs every trial on one pool of --jobs threads.
 
 Exit codes: 0 success, 2 configuration, 3 input parsing, 4 numeric failure,
 5 via-domain overlap, 6 output I/O, 1 anything else.
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     SeriesTooShort,
 )
-from .pipeline import demo_grid, reproduce_with_via_points
+from .pipeline import demo_grid, fit_projected_mixture, reproduce_with_via_points
 
 _EXIT_CODES = (
     (ConfigError, 2),
@@ -60,12 +61,16 @@ def _add_common(sub):
 def _load_run(args):
     """(config, output dir, demos) of a command reading --config.
 
-    io.load_config applies --seed and --grid before its checks.  fuse, eval and
-    target-rotation sweeps take one chart per via-point (per-iovp); every other
-    command takes one chart, and a first-demo-start chart is resolved into
-    aux_rotation here.
+    io.load_config applies --seed and --grid before its checks.  A sweep needs
+    a sweep axis.  fuse, eval and target-rotation sweeps take one chart per
+    via-point (per-iovp); every other command takes one chart, and a
+    first-demo-start chart is resolved into aux_rotation here.  These checks
+    run before the demonstrations load and the output directory is made.
     """
     cfg = io.load_config(args.config, seed=args.seed, grid=args.grid)
+    if args.command == "sweep" and cfg.sweep_axis is None:
+        raise ConfigError("config has no sweep axis; set sweep.axis to "
+                          "'lambda_a' or 'target-rotation'")
     per_iovp = args.command in ("fuse", "eval") or (
         args.command == "sweep" and cfg.sweep_axis == "target-rotation")
     if per_iovp != (cfg.aux_policy == "per-iovp"):
@@ -238,39 +243,29 @@ def _cmd_eval(args):
     return 0
 
 
-def _sweep_rows(trial, values, jobs):
-    """Table rows of a sweep, in value order.
-
-    The first trial runs alone and fills the mixture cache the others share
-    (a lambda_a sweep's trials all run in one chart); its row is kept and the
-    remaining trials run on the pool.
-    """
-    first = trial(values[0])
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return [first] + list(pool.map(trial, values[1:]))
-
-
 def _cmd_sweep(args):
     jobs = min(4, os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise ConfigError(f"the sweep needs at least one job, got {jobs}")
     cfg, out, demos = _load_run(args)
-    values = cfg.sweep_values
     cache = {}
     if cfg.sweep_axis == "lambda_a":
-        def trial(lam_a):
+        # every trial runs in the one chart, so its mixture is fitted once, before them
+        fit_projected_mixture(demos, cfg.aux_rotation, cfg.components, cfg.seed, cache)
+        columns = ["lambda_a", "acceleration_cost", "max_via_err"]
+
+        def trial(value):
+            lam_a = float(value)
             kernel = replace(cfg.kernel, lambda_a=lam_a)
             traj, errors = _adaptation(replace(cfg, kernel=kernel), demos, cache)
             errs = [rot_err for rot_err, _ in errors]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
-
-        rows = _sweep_rows(trial, [float(v) for v in values], jobs)
-        io.save_table(out / "table.csv", ["lambda_a", "acceleration_cost", "max_via_err"], rows)
-    elif cfg.sweep_axis == "target-rotation":
-        # only the last via turns, so the others' components are built once
+    else:
+        # only the last via turns, so the others' components are built once, before them
         *fixed, last = cfg.via_points
         fixed_relaxed, fixed_strict = (_relaxed_and_strict(cfg, demos, fixed, cache)
                                        if fixed else ([], []))
+        columns = ["i"] + _COMPARISON_COLUMNS
 
         def trial(i):
             # step i turns the last via's target by (i - 6) pi / 6 about its y axis
@@ -281,12 +276,10 @@ def _cmd_sweep(args):
                                     fixed_strict + strict)
             return [int(i)] + row
 
-        rows = _sweep_rows(trial, values, jobs)
-        io.save_table(out / "table.csv", ["i"] + _COMPARISON_COLUMNS, rows)
-    else:
-        raise ConfigError("config has no sweep axis; set sweep.axis to "
-                          "'lambda_a' or 'target-rotation'")
-    print(f"sweep table ({len(values)} trials) written to {out}")
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(trial, cfg.sweep_values))
+    io.save_table(out / "table.csv", columns, rows)
+    print(f"sweep table ({len(rows)} trials) written to {out}")
     return 0
 
 

@@ -191,9 +191,9 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
             raise DegenerateData("a mixture component lost all responsibility")
         priors = weights / n
         means = (resp.T @ data) / weights[:, None]
-        for k in range(n_components):
-            diff = data - means[k]
-            covs[k] = (resp[:, k][:, None] * diff).T @ diff / weights[k] + COVARIANCE_FLOOR * eye
+        diff = data - means[:, None]  # (K, N, D)
+        covs = ((resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / weights[:, None, None]
+                + COVARIANCE_FLOOR * eye)
         if np.isfinite(prev_ll) and ll - prev_ll < EM_REL_TOL * max(abs(prev_ll), 1.0):
             break
         prev_ll = ll

@@ -170,12 +170,17 @@ def test_demo_header_rep_and_frame_must_be_known(tmp_path, demo_dir, capsys, old
 
 
 def test_sweep_empty_values(tmp_path, demo_dir, capsys):
-    # a sweep axis without values is a configuration error, not a header-only table
-    for n, sweep in enumerate([{"axis": "lambda_a", "values": []}, {"axis": "lambda_a"}]):
-        cfg = write_config(tmp_path / f"cfg{n}.json", demo_dir, sweep=sweep)
+    # a sweep axis without values, or no axis, is a configuration error, not a header-only
+    # table; it is found before the demonstrations load and the output directory is made
+    missing_demo = [str(tmp_path / "missing.csv")]
+    for n, (sweep, message) in enumerate([
+            ({"axis": "lambda_a", "values": []}, "needs a non-empty list of values"),
+            ({"axis": "lambda_a"}, "needs a non-empty list of values"),
+            (None, "config has no sweep axis")]):
+        cfg = write_config(tmp_path / f"cfg{n}.json", demo_dir, demos=missing_demo, sweep=sweep)
         out = tmp_path / f"sweep{n}"
         assert run_cli("sweep", "--config", cfg, "--out", out) == 2
-        assert "needs a non-empty list of values" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -311,20 +316,33 @@ def readme_target_sweep(tmp_path, demo_dir):
                                 sweep={"axis": "target-rotation", "values": [5, 6, 7]})
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """One entry per kmp.build_model call, that is per regression built."""
-    from orifuse import kmp
-
+def count_calls(monkeypatch, module, name):
+    """A list that gains one entry per call of module.name."""
     calls = []
-    original = kmp.build_model
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kmp, "build_model", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per kmp.build_model call, that is per regression built."""
+    from orifuse import kmp
+
+    return count_calls(monkeypatch, kmp, "build_model")
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """One entry per gmm.fit_gmm call, that is per mixture fitted."""
+    from orifuse import gmm
+
+    return count_calls(monkeypatch, gmm, "fit_gmm")
 
 
 def test_target_sweep_builds_each_distinct_regression_once(tmp_path, demo_dir, builds):
@@ -336,6 +354,19 @@ def test_target_sweep_builds_each_distinct_regression_once(tmp_path, demo_dir, b
         assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"sweep{jobs}",
                        "--jobs", jobs) == 0
         assert len(builds) == 5 + 3 * 2, jobs
+
+
+def test_lambda_sweep_fits_its_mixture_once_and_builds_one_model_per_value(
+        tmp_path, demo_dir, builds, fits):
+    # the one chart's mixture is fitted before the trials, whatever --jobs is
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
+    for jobs in (1, 2):
+        builds.clear()
+        fits.clear()
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"sweep{jobs}",
+                       "--grid", 201, "--jobs", jobs) == 0
+        assert (len(fits), len(builds)) == (1, 3), jobs
 
 
 def test_eval_builds_the_baseline_component_once(tmp_path, demo_dir, builds):
@@ -465,8 +496,8 @@ def test_an_unused_sweep_section_does_not_pick_the_chart(tmp_path, demo_dir):
 
 
 def test_sweep_table_does_not_depend_on_the_job_count(tmp_path, demo_dir):
-    # trial threads share the mixture cache, and the target-rotation ones also share
-    # the components of the vias that do not turn
+    # every trial runs on the pool: the lambda_a trials share the mixture fitted before
+    # them, the target-rotation ones the components of the vias that do not turn
     lambda_cfg = write_config(tmp_path / "cfg.json", demo_dir,
                               sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
     for name, cfg in (("lambda", lambda_cfg), ("target", readme_target_sweep(tmp_path, demo_dir))):

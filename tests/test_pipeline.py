@@ -39,6 +39,16 @@ def test_a_run_with_a_shared_cache_has_the_uncached_bytes(demos):
         _same_bytes(traj, uncached)
 
 
+def test_a_cache_shared_by_two_demonstration_sets_keeps_them_apart(demos):
+    # same chart, components and seed: only the demonstrations tell the mixtures apart
+    others = generate_demos("s61-like", 2, seed=1)
+    uncached = [_run(d, None) for d in (demos, others)]
+    cache = {}
+    for d, reference in zip((demos, others), uncached):
+        _same_bytes(_run(d, cache), reference)
+    assert len(cache) == 2
+
+
 def test_threads_sharing_the_memo_get_the_uncached_bytes(demos):
     # more threads than cores, switching often, sharing one mixture cache: whichever
     # fits and stores race, every result holds the bytes of an uncached run
