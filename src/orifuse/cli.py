@@ -2,11 +2,12 @@
 
 Subcommands cover the desk-scale experiment protocols: demonstration
 generation, learning, via-point adaptation, multi-via fusion, and comparison
-sweeps.  Identical configuration and seed produce bitwise-identical output
-files.  Every command but gen-demos reads its settings from one validated
-io.RunConfig: --config and --out are required, and --seed and --grid
-override the config's gmm seed and grid.  A sweep prepares what its trials
-share, then runs every trial on one pool of --jobs threads.
+sweeps.  Identical configuration, seed and BLAS thread count produce
+bitwise-identical output files.  Every command but gen-demos reads its
+settings from one validated io.RunConfig: --config and --out are required,
+and --seed and --grid override the config's gmm seed and grid.  A sweep
+prepares what its trials share, then runs every trial on one pool of --jobs
+threads.
 
 Exit codes: 0 success, 2 configuration, 3 input parsing, 4 numeric failure,
 5 via-domain overlap, 6 output I/O, 1 anything else.

@@ -18,7 +18,7 @@ class DegenerateData(OrifuseError):
 
 
 class FactorizationFailure(OrifuseError):
-    """Regularized Gram matrix is not positive definite."""
+    """K + lambda * Sigma is not positive definite or its solve is not finite."""
 
 
 class DomainOverlap(OrifuseError):

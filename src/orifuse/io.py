@@ -305,18 +305,23 @@ _RETIRED = {
 }
 
 
-def _has_boolean(value):
-    """Whether value is true/false or a list holding one at any depth."""
+# the keys that take strings; every other key takes numbers, and "1e0" is not one
+_STRING_KEYS = ("demos", "aux_frame", "policy", "axis", "relaxed_axis", "frame")
+
+
+def _holds(value, kind):
+    """Whether value is a kind or a list holding one at any depth."""
     if isinstance(value, list):
-        return any(map(_has_boolean, value))
-    return isinstance(value, bool)
+        return any(_holds(item, kind) for item in value)
+    return isinstance(value, kind)
 
 
 def _section(doc, section, path):
     """doc, once it is a JSON object holding only keys that _KEYS lists for section.
 
-    No key takes true or false, in a list or not; a nested object is a section of
-    its own and is checked when it is read.  Unknown keys are named first.
+    No key takes true or false, and only _STRING_KEYS take strings, in a list or not;
+    a nested object is a section of its own and is checked when it is read.  Unknown
+    keys are named first.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: {section} must be a JSON object")
@@ -325,8 +330,10 @@ def _section(doc, section, path):
             hint = f": {_RETIRED[key]}" if key in _RETIRED else ""
             raise ConfigError(f"{path}: {section}: {key!r} is not a configuration key{hint}")
     for key, value in doc.items():
-        if _has_boolean(value):
+        if _holds(value, bool):
             raise ConfigError(f"{path}: {section}: {key!r} takes no true or false")
+        if key not in _STRING_KEYS and _holds(value, str):
+            raise ConfigError(f"{path}: {section}: {key!r} takes JSON numbers, not strings")
     return doc
 
 

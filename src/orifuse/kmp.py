@@ -29,7 +29,6 @@ WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 # minimum chart-distance of a via-point from the ball boundary
 CHART_MARGIN = 1e-3
 VIA_TIME_TOL = 1e-9
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _NOT_FINITE = "K + lambda*Sigma is not finite; the kernel length scale l is likely too large"
 # query times per slab of the scalar kernel table in predict_many
 PREDICT_CHUNK = 2048
@@ -388,8 +387,9 @@ def _gram(s, covariances):
     """K + lam * Sigma in its final (point, block, axis)^2 layout, C-ordered.
 
     S (x) I_3 fills the three axis diagonals through strided views of one
-    zeroed array; covariances (already scaled by lam) are added on the point
-    diagonal in one fancy-indexed block add.
+    zeroed array; covariances (already scaled by lam) are added transposed on
+    the point diagonal in one fancy-indexed block add, so m.T, which the factor
+    reads, holds each Sigma_i as given (K is exactly symmetric).
     """
     nb, n = s.shape[0], s.shape[2]
     dim = nb * 3
@@ -397,12 +397,13 @@ def _gram(s, covariances):
     for a in range(3):
         m[:, :, a, :, :, a] = s.transpose(2, 0, 3, 1)
     r = np.arange(n)
-    m.reshape(n, dim, n, dim)[r, :, r, :] += covariances
+    m.reshape(n, dim, n, dim)[r, :, r, :] += covariances.transpose(0, 2, 1)
     return m.reshape(n * dim, n * dim)
 
 
 def build_model(ext, cfg, scalar_blocks=None):
-    """Assemble and factorize (K + lambda * Sigma), precomputing the solve.
+    """Assemble (K + lambda * Sigma) once and factorize it as assembled, precomputing
+    the solve; a Gram that is not positive definite raises FactorizationFailure.
 
     scalar_blocks(a, b, order) may override the Gaussian derivative table;
     the kernel-trick equivalence tests inject an explicit finite basis here.
@@ -431,29 +432,13 @@ def build_model(ext, cfg, scalar_blocks=None):
     except OverflowError:  # a power of l beyond the float range
         raise FactorizationFailure(_NOT_FINITE) from None
     mu = ext.means.reshape(n * dim)
-    # The factor runs in place on m.T, the Fortran-ordered view of the C-ordered
-    # Gram, so it reads m's upper triangle where a copy would read the lower one.
-    # K is exactly symmetric; each lam * Sigma_i, symmetric only to np.allclose
-    # for an explicit via covariance, gets its lower triangle mirrored upwards.
-    covariances = cfg.lam * ext.covariances
-    i, j = np.triu_indices(dim, 1)
-    covariances[:, i, j] = covariances[:, j, i]
-    factor = None
-    for jitter in _JITTERS:
-        # potrf overwrites m, so every rung factors a freshly assembled Gram
-        m = _gram(s, covariances)
-        if jitter:
-            m.flat[::m.shape[0] + 1] += jitter
-        try:
-            factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if factor is None:
-        raise FactorizationFailure(
-            "K + lambda*Sigma is not positive definite even with 1e-8 jitter; "
-            "covariance floor is likely too small"
-        )
+    m = _gram(s, cfg.lam * ext.covariances)
+    try:
+        factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise FactorizationFailure("K + lambda*Sigma is not positive definite; raise "
+                                   "kernel.lambda or the via variances (eps_strict, "
+                                   "orientation_var, velocity_var, acceleration_var)") from None
     alpha = cho_solve(factor, mu, check_finite=False)
     # nothing above checks for inf or nan, which potrf may let through
     if not np.all(np.isfinite(alpha)):

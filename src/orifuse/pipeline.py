@@ -3,8 +3,9 @@
 Chains projection, mixture fitting, reference extraction, via-point insertion,
 optional acceleration augmentation, model building and orientation recovery.
 The dict gmm_cache is a mixture cache keyed by (frame, components, seed) and
-every demonstration's times and rotations, so runs on one demonstration set in
-one chart fit their mixture once; a call without one gets a fresh dict.
+one SHA-256 digest of every demonstration's row count, times and rotations, so
+runs on one demonstration set in one chart fit their mixture once; a call
+without one gets a fresh dict.
 Threads may share it without a lock: two may fit one mixture at once, which
 costs a fit, never a different result.  CLI sweep threads no longer do: a
 sweep fits or builds what its trials share before it starts them.
@@ -12,6 +13,7 @@ Regressions are not cached: a caller that needs a trajectory twice builds it
 once and reuses it.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,11 @@ def demo_grid(demos, n):
 
 def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
     """Fit (or recall from the cache dict) the mixture of chart-projected demonstrations."""
+    digest = hashlib.sha256()
+    for d in demos:
+        digest.update(len(d).to_bytes(8, "little") + d.times.tobytes() + d.rotations.tobytes())
     key = (np.asarray(R_aux, dtype=float).tobytes(), int(n_components), int(seed),
-           tuple((d.times.tobytes(), d.rotations.tobytes()) for d in demos))
+           digest.digest())
     mixture = cache.get(key)
     if mixture is None:
         projected = gmm_mod.project_demonstrations(demos, R_aux)

@@ -298,16 +298,33 @@ def test_target_rotation_step_6_is_the_eval_row(tmp_path, demo_dir):
     assert sweep[3].startswith("0,") and sweep[3] != "0," + row
 
 
-def readme_fusion_config(tmp_path, demo_dir, name="fuse.json", **overrides):
-    """The README's per-iovp example on the demo_dir demonstrations, with overrides."""
+def readme_config(tmp_path, demo_dir, example, name, **overrides):
+    """The README's JSON example after the text example on the demo_dir demonstrations."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    doc = json.loads(readme.split("A per-iovp fusion configuration")[1]
-                     .split("```json\n")[1].split("```")[0])
+    doc = json.loads(readme.split(example)[1].split("```json\n")[1].split("```")[0])
     doc["demos"] = [str(demo_dir / Path(path).name) for path in doc["demos"]]
     doc.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def readme_fusion_config(tmp_path, demo_dir, name="fuse.json", **overrides):
+    """The README's per-iovp example on the demo_dir demonstrations, with overrides."""
+    return readme_config(tmp_path, demo_dir, "A per-iovp fusion configuration", name,
+                         **overrides)
+
+
+@pytest.mark.parametrize("lam, code", [(1e-8, 0), (1e-9, 4)])
+def test_a_gram_that_is_not_positive_definite_is_a_numeric_failure(tmp_path, demo_dir, capsys,
+                                                                   lam, code):
+    # on the README run configuration, a ridge factor of 1e-9 leaves K + lambda*Sigma
+    # singular in floating point; the Gram is factored as assembled, with no jitter
+    config = readme_config(tmp_path, demo_dir, "A run configuration is JSON", "run.json",
+                           kernel={"l": 0.01, "lambda": lam})
+    assert run_cli("adapt", "--config", config, "--out", tmp_path / "out") == code
+    if code:
+        assert "not positive definite; raise kernel.lambda" in capsys.readouterr().err
 
 
 def readme_target_sweep(tmp_path, demo_dir):

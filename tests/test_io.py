@@ -392,6 +392,28 @@ def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
         io.load_config(_base_config(tmp_path, **overrides))
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"kernel": {"l": "0.01", "lambda": 1.0}}, "kernel: 'l'"),
+    ({"kernel": {"l": 0.01, "lambda": "1e0"}}, "kernel: 'lambda'"),
+    ({"kernel": {"l": 0.01, "lambda": 1.0, "lambda_a": "100"}}, "kernel: 'lambda_a'"),
+    ({"via_points": [dict(RELAXED_VIA, t="4")]}, "via_points: 't'"),
+    ({"via_points": [dict(RELAXED_VIA, psi=["0.2", 0, 0])]}, "via_points: 'psi'"),
+    ({"via_points": [dict(RELAXED_VIA, omega=["0", "0", "0"])]}, "via_points: 'omega'"),
+    ({"via_points": [dict(RELAXED_VIA, velocity_var="1e3")]}, "via_points: 'velocity_var'"),
+    ({"via_points": [dict(RELAXED_VIA, rotation=[["1", 0, 0], [0, 1, 0], [0, 0, 1]])]},
+     "via_points: 'rotation'"),
+    ({"aux_frame": {"policy": "explicit", "rotation": [1, 0, 0, 0, 1, 0, 0, 0, "1"]}},
+     "aux_frame: 'rotation'"),
+    ({"gmm": {"components": "2", "seed": 0}}, "gmm: 'components'"),
+    ({"grid": "50"}, "top level: 'grid'"),
+    ({"sweep": {"axis": "lambda_a", "values": ["10"]}}, "sweep: 'values'"),
+])
+def test_config_numbers_are_json_numbers_not_strings(tmp_path, overrides, key):
+    # a number in quotes is not converted: it exits 2 and names its key
+    with pytest.raises(ConfigError, match=f"{key} takes JSON numbers, not strings"):
+        io.load_config(_base_config(tmp_path, **overrides))
+
+
 def test_readme_config_example_loads(tmp_path):
     # the README's example is a valid configuration, and it names every key the loader takes
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from orifuse import gmm, kmp, so3
+from orifuse.demo_gen import generate_demos
 from orifuse.errors import ChartBoundaryError, FactorizationFailure
+from orifuse.pipeline import REF_SIZE, demo_grid, fit_projected_mixture
 
 
 def make_reference(rng, n, spread=1.0):
@@ -79,12 +81,12 @@ def test_kernel_trick_equals_parametric_solution():
     assert np.abs(pred - expected).max() < 1e-8
 
 
-def kron_gram_prediction(ext, cfg, queries, scalar_blocks, jitter=0.0):
+def kron_gram_prediction(ext, cfg, queries, scalar_blocks):
     """Predictions of a model whose Gram is np.kron(S, I_3) plus a per-row covariance add.
 
     The solve and the per-slab prediction repeat build_model and predict_many step by
     step, so only the Gram's assembly differs.  cho_factor copies the C-ordered Gram
-    (plus jitter * I) and factors its lower triangle.
+    and factors its lower triangle.
     """
     nb, n = cfg.n_blocks, len(ext)
     dim = 3 * nb
@@ -93,8 +95,6 @@ def kron_gram_prediction(ext, cfg, queries, scalar_blocks, jitter=0.0):
     m = np.kron(gram_small, np.eye(3))
     for i in range(n):
         m[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += cfg.lam * ext.covariances[i]
-    if jitter:
-        m = m + jitter * np.eye(m.shape[0])
     alpha = cho_solve(cho_factor(m, lower=True), ext.means.reshape(n * dim)).reshape(n, nb, 3)
     alpha = [np.ascontiguousarray(alpha[:, q, :]) for q in range(nb)]
     table = scalar_blocks(queries, ext.times, nb)
@@ -217,25 +217,43 @@ def floored_reference(n, dim, floor):
 
 
 @pytest.mark.parametrize("lambda_a", [None, 100.0])
-@pytest.mark.parametrize("floor, rung", [(0.0, 1), (-5e-11, 2), (-5e-9, 3)])
-def test_a_later_jitter_rung_factors_a_freshly_assembled_gram(floor, rung, lambda_a):
+@pytest.mark.parametrize("floor", [0.0, -5e-11, -5e-9, -2e-8])
+def test_a_gram_that_is_not_positive_definite_is_a_factorization_failure(floor, lambda_a):
+    # the Gram is factored as assembled: nothing is added to its diagonal
     cfg = kmp.KernelConfig(l=0.01, lam=1.0, lambda_a=lambda_a)
-    ext = floored_reference(10, cfg.state_dim, floor)
-    queries = np.linspace(-1, 11, 57)
-
-    def blocks(a, b, order):
-        return kmp.gaussian_scalar_blocks(a, b, cfg.l, order)
-
-    for jitter in kmp._JITTERS[:rung]:
-        with pytest.raises(np.linalg.LinAlgError):
-            kron_gram_prediction(ext, cfg, queries, blocks, jitter)
-    assert np.array_equal(kmp.build_model(ext, cfg).predict_many(queries),
-                          kron_gram_prediction(ext, cfg, queries, blocks, kmp._JITTERS[rung]))
+    with pytest.raises(FactorizationFailure, match="not positive definite; raise kernel.lambda"):
+        kmp.build_model(floored_reference(10, cfg.state_dim, floor), cfg)
 
 
-def test_no_jitter_rung_rescues_an_indefinite_gram():
-    with pytest.raises(FactorizationFailure, match="jitter"):
-        kmp.build_model(floored_reference(10, 6, -2e-8), kmp.KernelConfig(l=0.01, lam=1.0))
+@pytest.fixture(scope="module")
+def demo_reference():
+    """The GMR reference of the s61-like seed-0 demonstrations in their first start's chart."""
+    demos = generate_demos("s61-like", 5, seed=0)
+    R_aux = demos[0].rotations[0]
+    mixture = fit_projected_mixture(demos, R_aux, gmm.DEFAULT_COMPONENTS, 0, {})
+    return gmm.extract_reference(mixture, demo_grid(demos, REF_SIZE)), R_aux
+
+
+def decades(lo, hi):
+    """Floats from 10**lo to 10**hi, uniform in the exponent."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(l=decades(-4, 0), lam=decades(-6, 3), eps_strict=decades(-18, -2),
+       lambda_a=st.sampled_from([None, 100.0]))
+def test_the_demonstration_gram_factors_as_assembled(demo_reference, l, lam, eps_strict,
+                                                     lambda_a):
+    # over these decades of l, lambda and via variance the Gram of a demonstration
+    # reference and the README vias factors as assembled, with nothing on its diagonal
+    reference, R_aux = demo_reference
+    vias = [kmp.ViaPointSpec(0.0, so3.exp_map([1.2614, 1.0512, 1.5767]), np.zeros(3),
+                             eps_strict=eps_strict),
+            kmp.ViaPointSpec(4.0, so3.exp_map([0.7028, 1.1713, 0.4685]),
+                             np.array([0.0069, 0.2103, 0.2138]), relaxed_axis="y",
+                             eps_strict=eps_strict)]
+    ext = kmp.extend_reference(reference, vias, R_aux, lambda_a)
+    kmp.build_model(ext, kmp.KernelConfig(l=l, lam=lam, lambda_a=lambda_a))
 
 
 def test_a_non_finite_gram_is_a_factorization_failure():
