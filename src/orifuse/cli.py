@@ -2,8 +2,8 @@
 
 Subcommands cover the desk-scale experiment protocols: demonstration
 generation, learning, via-point adaptation, multi-via fusion, and comparison
-sweeps.  Identical configuration, seed and BLAS thread count produce
-bitwise-identical output files.  Every command but gen-demos reads its
+sweeps.  Identical configuration and seed produce bitwise-identical output
+files, whatever the BLAS thread count.  Every command but gen-demos reads its
 settings from one validated io.RunConfig: --config and --out are required,
 and --seed and --grid override the config's gmm seed and grid.  A sweep
 prepares what its trials share, then runs every trial on one pool of --jobs

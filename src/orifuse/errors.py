@@ -18,7 +18,7 @@ class DegenerateData(OrifuseError):
 
 
 class FactorizationFailure(OrifuseError):
-    """K + lambda * Sigma is not positive definite or its solve is not finite."""
+    """A row's lambda * Sigma_i is not positive definite, or the regression is not finite."""
 
 
 class DomainOverlap(OrifuseError):

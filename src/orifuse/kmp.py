@@ -2,19 +2,21 @@
 
 The model solves a covariance-weighted ridge problem over stacked chart states
 eta = [psi, psi_dot] (optionally extended with a psi_ddot block for
-acceleration shaping) and predicts through the kernel form
+acceleration shaping), whose kernel form predicts
 
     eta(t*) = k*(t*) (K + lambda * Sigma)^-1 mu.
 
 Kernel blocks couple the function and derivative channels: for the scalar
 Gaussian kernel g(a, b) = exp(-l (a - b)^2) the (p, q) block entry is
-d^p/da^p d^q/db^q g, tensored with I_3.
+d^p/da^p d^q/db^q g, tensored with I_3.  build_model never forms K: it solves
+the same regression in the weight space of Nystrom features on a few inducing
+times (Williams and Seeger, NIPS 2001), as many as the kernel's numerical rank
+on the rows' time span needs, so a build takes time linear in the row count.
 """
 
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import so3
 from ._kernels import rot_exp, rot_exp_many, rot_log, rot_log_many
@@ -29,9 +31,11 @@ WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 # minimum chart-distance of a via-point from the ball boundary
 CHART_MARGIN = 1e-3
 VIA_TIME_TOL = 1e-9
-_NOT_FINITE = "K + lambda*Sigma is not finite; the kernel length scale l is likely too large"
+_NOT_FINITE = "the kernel regression is not finite; the kernel length scale l is likely too large"
 # query times per slab of the scalar kernel table in predict_many
 PREDICT_CHUNK = 2048
+# inducing times of the first feature map
+INDUCING_TIMES = 20
 _VARIANCE_BLOCKS = ("orientation_var", "velocity_var", "acceleration_var")
 # the reference plus via-points is a reference too; the old name stays for callers
 ExtendedReference = ReferenceTrajectory
@@ -345,11 +349,17 @@ def gaussian_scalar_blocks(a, b, l, order, rows=None):
 
 
 class KmpModel:
-    """Factorized kernel regression model; immutable after build."""
+    """Weight-space kernel regression model; immutable after build.
 
-    def __init__(self, times, alpha, cfg, scalar_blocks):
+    times are the regression's row times; inducing are the times z of the
+    features it was solved on, and alpha holds, per derivative block q, the
+    (M, 3) weights of the scalar table columns S[p, q](t*, z).
+    """
+
+    def __init__(self, times, inducing, alpha, cfg, scalar_blocks):
         self.times = times
-        self.alpha = alpha  # (n_blocks, N, 3)
+        self.inducing = inducing
+        self.alpha = alpha  # (n_blocks, M, 3)
         self.cfg = cfg
         self._scalar_blocks = scalar_blocks
 
@@ -370,11 +380,11 @@ class KmpModel:
         if not 1 <= rows <= nb:
             raise ValueError(f"rows must be between 1 and {nb}")
         out = np.empty((t_stars.shape[0], 3 * rows))
-        # eta_p(t*) = sum_q S[p, q](t*, times) @ alpha[q], one matmul per
+        # eta_p(t*) = sum_q S[p, q](t*, z) @ alpha[q], one matmul per
         # (p, q) slab of the scalar table
         for lo in range(0, t_stars.shape[0], PREDICT_CHUNK):
             hi = min(lo + PREDICT_CHUNK, t_stars.shape[0])
-            s = self._scalar_blocks(t_stars[lo:hi], self.times, nb, rows)
+            s = self._scalar_blocks(t_stars[lo:hi], self.inducing, nb, rows)
             for p in range(rows):
                 eta = s[p, 0] @ self.alpha[0]
                 for q in range(1, nb):
@@ -383,27 +393,46 @@ class KmpModel:
         return out
 
 
-def _gram(s, covariances):
-    """K + lam * Sigma in its final (point, block, axis)^2 layout, C-ordered.
+def _table(s):
+    """The scalar table (nb, nb, A, B) as a matrix over (block, time)^2."""
+    nb, _, na, nz = s.shape
+    return s.transpose(0, 2, 1, 3).reshape(nb * na, nb * nz)
 
-    S (x) I_3 fills the three axis diagonals through strided views of one
-    zeroed array; covariances (already scaled by lam) are added transposed on
-    the point diagonal in one fancy-indexed block add, so m.T, which the factor
-    reads, holds each Sigma_i as given (K is exactly symmetric).
+
+def _feature_map(times, nb, scalar_blocks):
+    """Inducing times z and the map V Lambda^-1/2 from their table to features.
+
+    z starts as INDUCING_TIMES uniform times on the span of times.  Of the
+    eigenpairs of the scalar table S_zz only those above dim * eps of the
+    largest are kept, the rounding level of eigh (numpy's matrix_rank default).
+    While as many features are kept as there are inducing times, the function
+    values at z alone are not yet redundant and z may be too coarse for the
+    kernel, so the number of times doubles, until it would reach the row count
+    and z becomes the row times themselves.
     """
-    nb, n = s.shape[0], s.shape[2]
-    dim = nb * 3
-    m = np.zeros((n, nb, 3, n, nb, 3))
-    for a in range(3):
-        m[:, :, a, :, :, a] = s.transpose(2, 0, 3, 1)
-    r = np.arange(n)
-    m.reshape(n, dim, n, dim)[r, :, r, :] += covariances.transpose(0, 2, 1)
-    return m.reshape(n * dim, n * dim)
+    m = INDUCING_TIMES
+    while True:
+        z = times if m >= times.shape[0] else np.linspace(times[0], times[-1], m)
+        s = _table(scalar_blocks(z, z, nb))
+        if not np.all(np.isfinite(s)):
+            raise FactorizationFailure(_NOT_FINITE)
+        vals, vecs = np.linalg.eigh(s)
+        keep = vals > s.shape[0] * np.finfo(float).eps * vals[-1]
+        if z is times or keep.sum() < m:
+            return z, vecs[:, keep] / np.sqrt(vals[keep])
+        m *= 2
 
 
 def build_model(ext, cfg, scalar_blocks=None):
-    """Assemble (K + lambda * Sigma) once and factorize it as assembled, precomputing
-    the solve; a Gram that is not positive definite raises FactorizationFailure.
+    """Solve the regression in the weight space of Nystrom features of the kernel.
+
+    With the features B = S_xz V Lambda^-1/2 of _feature_map, the kernel is
+    K = Phi Phi^T for Phi = B (x) I_3, and the prediction k*(K + lambda Sigma)^-1 mu
+    equals Phi*(t*) w for the w that minimizes |Psi w - r|^2 + |w|^2, where Psi and
+    r are Phi and mu whitened row by row with the Cholesky factor of lambda Sigma_i.
+    The model keeps V Lambda^-1/2 w per derivative block, so a prediction is one
+    product with the scalar table S(t*, z).  A lambda Sigma_i that is not positive
+    definite raises FactorizationFailure.
 
     scalar_blocks(a, b, order) may override the Gaussian derivative table;
     the kernel-trick equivalence tests inject an explicit finite basis here.
@@ -428,23 +457,46 @@ def build_model(ext, cfg, scalar_blocks=None):
     n = len(ext)
     dim = nb * 3
     try:
-        s = scalar_blocks(ext.times, ext.times, nb)
+        z, proj = _feature_map(ext.times, nb, scalar_blocks)
+        features = _table(scalar_blocks(ext.times, z, nb)) @ proj  # rows (block, time)
     except OverflowError:  # a power of l beyond the float range
         raise FactorizationFailure(_NOT_FINITE) from None
-    mu = ext.means.reshape(n * dim)
-    m = _gram(s, cfg.lam * ext.covariances)
+    rank = proj.shape[1]
+    # Phi_i = B_i (x) I_3 over rows (block, axis) and columns (feature, axis)
+    phi = np.zeros((n, nb, 3, rank, 3))
+    for a in range(3):
+        phi[:, :, a, :, a] = features.reshape(nb, n, rank).transpose(1, 0, 2)
     try:
-        factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
+        chol = np.linalg.cholesky(cfg.lam * ext.covariances)
     except np.linalg.LinAlgError:
-        raise FactorizationFailure("K + lambda*Sigma is not positive definite; raise "
-                                   "kernel.lambda or the via variances (eps_strict, "
-                                   "orientation_var, velocity_var, acceleration_var)") from None
-    alpha = cho_solve(factor, mu, check_finite=False)
-    # nothing above checks for inf or nan, which potrf may let through
+        raise FactorizationFailure(_not_positive_definite(ext, cfg)) from None
+    k = 3 * rank
+    white = np.linalg.solve(chol, np.concatenate(
+        [phi.reshape(n, dim, k), ext.means[:, :, None]], axis=2))
+    # w = argmin |Psi w - r|^2 + |w|^2 from the R factor of [Psi r; I 0], whose last
+    # column holds Q^T r: the normal equations would square the condition number,
+    # which a tight via row's whitening makes large
+    stacked = np.zeros((n * dim + k, k + 1))
+    stacked[:n * dim] = white.reshape(n * dim, k + 1)
+    stacked[n * dim:, :k] = np.eye(k)
+    upper = np.linalg.qr(stacked, mode="r")
+    w = np.linalg.solve(upper[:k, :k], upper[:k, k])
+    alpha = proj.reshape(nb, z.shape[0], rank) @ w.reshape(rank, 3)
+    # nothing above checks for inf or nan, which the solves may let through
     if not np.all(np.isfinite(alpha)):
         raise FactorizationFailure(_NOT_FINITE)
-    alpha = np.ascontiguousarray(alpha.reshape(n, nb, 3).transpose(1, 0, 2))
-    return KmpModel(ext.times.copy(), alpha, cfg, scalar_blocks)
+    return KmpModel(ext.times.copy(), z.copy(), alpha, cfg, scalar_blocks)
+
+
+def _not_positive_definite(ext, cfg):
+    """The message for the first row whose lambda Sigma_i has no Cholesky factor."""
+    for t, cov in zip(ext.times, ext.covariances):
+        try:
+            np.linalg.cholesky(cfg.lam * cov)
+        except np.linalg.LinAlgError:
+            break
+    return (f"lambda*Sigma of the row at t={t:g} is not positive definite; raise the "
+            "via variances (eps_strict, orientation_var, velocity_var, acceleration_var)")
 
 
 def angular_velocities(rotations, dt):

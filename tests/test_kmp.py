@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from orifuse import gmm, kmp, so3
 from orifuse.demo_gen import generate_demos
@@ -82,11 +87,9 @@ def test_kernel_trick_equals_parametric_solution():
 
 
 def kron_gram_prediction(ext, cfg, queries, scalar_blocks):
-    """Predictions of a model whose Gram is np.kron(S, I_3) plus a per-row covariance add.
+    """Predictions of the dense solve (K + lam Sigma)^-1 mu with K = np.kron(S, I_3).
 
-    The solve and the per-slab prediction repeat build_model and predict_many step by
-    step, so only the Gram's assembly differs.  cho_factor copies the C-ordered Gram
-    and factors its lower triangle.
+    The dense reference: one Cholesky factor of the whole Gram, from np.linalg.
     """
     nb, n = cfg.n_blocks, len(ext)
     dim = 3 * nb
@@ -95,15 +98,13 @@ def kron_gram_prediction(ext, cfg, queries, scalar_blocks):
     m = np.kron(gram_small, np.eye(3))
     for i in range(n):
         m[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] += cfg.lam * ext.covariances[i]
-    alpha = cho_solve(cho_factor(m, lower=True), ext.means.reshape(n * dim)).reshape(n, nb, 3)
-    alpha = [np.ascontiguousarray(alpha[:, q, :]) for q in range(nb)]
+    factor = np.linalg.cholesky(m)
+    alpha = np.linalg.solve(factor.T, np.linalg.solve(factor, ext.means.reshape(n * dim)))
+    alpha = alpha.reshape(n, nb, 3)
     table = scalar_blocks(queries, ext.times, nb)
     out = np.empty((queries.shape[0], dim))
     for p in range(nb):
-        eta = table[p, 0] @ alpha[0]
-        for q in range(1, nb):
-            eta += table[p, q] @ alpha[q]
-        out[:, 3 * p:3 * p + 3] = eta
+        out[:, 3 * p:3 * p + 3] = sum(table[p, q] @ alpha[:, q] for q in range(nb))
     return out
 
 
@@ -114,29 +115,14 @@ def random_extended_reference(rng, n, dim):
     return kmp.ExtendedReference(times, rng.normal(size=(n, dim)), covs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), l=st.floats(1e-3, 2.0), lam=st.floats(1e-2, 1e2),
-       lambda_a=st.sampled_from([None, 100.0]), seed=st.integers(0, 2**16))
-def test_gram_layout_matches_the_kron_assembly_bitwise(n, l, lam, lambda_a, seed):
-    cfg = kmp.KernelConfig(l=l, lam=lam, lambda_a=lambda_a)
-    ext = random_extended_reference(np.random.default_rng(seed), n, cfg.state_dim)
-    queries = np.linspace(ext.times[0] - 1.0, ext.times[-1] + 1.0, 57)
-
-    def blocks(a, b, order):
-        return kmp.gaussian_scalar_blocks(a, b, l, order)
-
-    assert np.array_equal(kmp.build_model(ext, cfg).predict_many(queries),
-                          kron_gram_prediction(ext, cfg, queries, blocks))
-
-
-def test_gram_layout_with_an_explicit_basis_matches_the_kron_assembly_bitwise():
+def test_an_explicit_basis_matches_the_dense_solve():
     ref = make_reference(np.random.default_rng(21), 30)
     *_, blocks = gaussian_feature_basis(40, 0.5)
     ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
     cfg = kmp.KernelConfig(l=0.01, lam=1.0)
     queries = np.linspace(0, 10, 50)
-    assert np.array_equal(kmp.build_model(ext, cfg, scalar_blocks=blocks).predict_many(queries),
-                          kron_gram_prediction(ext, cfg, queries, blocks))
+    assert np.abs(kmp.build_model(ext, cfg, scalar_blocks=blocks).predict_many(queries)
+                  - kron_gram_prediction(ext, cfg, queries, blocks)).max() < 1e-9
 
 
 def expression_table(a, b, l, order):
@@ -192,37 +178,87 @@ def test_predict_many_rows_must_name_blocks_of_the_state(rows):
 
 @pytest.mark.parametrize("row, col", [(4, 1), (1, 4)])
 def test_a_covariance_symmetric_only_to_allclose_factors_its_lower_triangle(row, col):
-    # build_model factors in place and so reads the Gram's upper triangle; it mirrors
-    # each covariance's lower triangle there, which keeps the lower-triangle result
+    # np.linalg.cholesky reads each lam * Sigma_i's lower triangle, so a build equals,
+    # bit for bit, the build whose covariance mirrors that triangle
     rng = np.random.default_rng(31)
     A = rng.normal(size=(6, 6)) * 0.1
     cov = A @ A.T + 1e-3 * np.eye(6)
     cov[row, col] += 1e-12
-    vp = kmp.ViaPointSpec(4.4, so3.exp_map([0.9, -0.4, 0.3]), np.zeros(3), cov)
-    ext = kmp.extend_reference(make_reference(rng, 25, spread=0.5), [vp], np.eye(3))
+    reference = make_reference(rng, 25, spread=0.5)
     cfg = kmp.KernelConfig(l=0.01, lam=1.0)
     queries = np.linspace(0, 10, 57)
+    predictions = []
+    for given in (cov, np.tril(cov) + np.tril(cov, -1).T):
+        vp = kmp.ViaPointSpec(4.4, so3.exp_map([0.9, -0.4, 0.3]), np.zeros(3), given)
+        ext = kmp.extend_reference(reference, [vp], np.eye(3))
+        predictions.append(kmp.build_model(ext, cfg).predict_many(queries))
+    assert np.array_equal(*predictions)
 
-    def blocks(a, b, order):
-        return kmp.gaussian_scalar_blocks(a, b, cfg.l, order)
 
-    assert np.array_equal(kmp.build_model(ext, cfg).predict_many(queries),
-                          kron_gram_prediction(ext, cfg, queries, blocks))
-
-
-def floored_reference(n, dim, floor):
-    """Rows whose covariance is floor * I: zero or negative leaves K + lam Sigma singular."""
+def floored_reference(n, dim, floor, rows=slice(None)):
+    """Rows of covariance I, but floor * I in rows: zero or negative has no Cholesky factor."""
     means = np.random.default_rng(32).normal(size=(n, dim))
-    return kmp.ExtendedReference(np.linspace(0, 10, n), means, np.tile(floor * np.eye(dim), (n, 1, 1)))
+    covs = np.tile(np.eye(dim), (n, 1, 1))
+    covs[rows] = floor * np.eye(dim)
+    return kmp.ExtendedReference(np.linspace(0, 10, n), means, covs)
 
 
 @pytest.mark.parametrize("lambda_a", [None, 100.0])
 @pytest.mark.parametrize("floor", [0.0, -5e-11, -5e-9, -2e-8])
 def test_a_gram_that_is_not_positive_definite_is_a_factorization_failure(floor, lambda_a):
-    # the Gram is factored as assembled: nothing is added to its diagonal
+    # one row's lam * Sigma_i without a Cholesky factor fails the build, whatever the
+    # other rows hold, and the message names that row's time
     cfg = kmp.KernelConfig(l=0.01, lam=1.0, lambda_a=lambda_a)
-    with pytest.raises(FactorizationFailure, match="not positive definite; raise kernel.lambda"):
-        kmp.build_model(floored_reference(10, cfg.state_dim, floor), cfg)
+    with pytest.raises(FactorizationFailure,
+                       match=r"the row at t=3\.33333 is not positive definite; raise the via"):
+        kmp.build_model(floored_reference(10, cfg.state_dim, floor, rows=3), cfg)
+
+
+def gaussian_blocks(l):
+    """The scalar_blocks argument of _feature_map for the Gaussian kernel of l."""
+    def blocks(a, b, order, rows=None):
+        return kmp.gaussian_scalar_blocks(a, b, l, order, rows)
+    return blocks
+
+
+def test_the_inducing_times_double_while_every_feature_is_kept():
+    # a feature per unit of numerical rank of the inducing times' table, by numpy's
+    # matrix_rank rule; at l = 1 the tables of 20 and 40 times have rank 40 and 45, not
+    # below their time counts, so the times double twice, to 80
+    times = np.linspace(0, 10, 201)
+
+    def rank(z, l):
+        return np.linalg.matrix_rank(kmp._table(gaussian_blocks(l)(z, z, 2)))
+
+    for l, m in ((0.01, 20), (1.0, 80)):
+        z, features = kmp._feature_map(times, 2, gaussian_blocks(l))
+        assert np.array_equal(z, np.linspace(0, 10, m))
+        assert features.shape[1] == rank(z, l) < m
+    assert [rank(np.linspace(0, 10, m), 1.0) for m in (20, 40)] == [40, 45]
+
+
+def test_inducing_times_that_would_reach_the_rows_become_the_rows():
+    # a kernel narrower than the row spacing: 20 and then 40 inducing times would keep every
+    # feature, so the 30 row times themselves are the inducing times and the solve is exact
+    ext = floored_reference(30, 6, 0.1)
+    cfg = kmp.KernelConfig(l=50.0, lam=1.0)
+    model = kmp.build_model(ext, cfg)
+    assert np.array_equal(model.inducing, ext.times)
+    queries = np.linspace(-1, 11, 97)
+    assert np.abs(model.predict_many(queries)
+                  - kron_gram_prediction(ext, cfg, queries, gaussian_blocks(cfg.l))).max() < 1e-12
+
+
+def test_a_build_holds_no_array_of_the_gram_size():
+    # 2000 rows of (psi, psi_dot): the dense Gram alone would take 12000^2 doubles, 1.15 GB
+    ext = make_reference(np.random.default_rng(33), 2000)
+    tracemalloc.start()
+    try:
+        kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12000**2 * 8 / 50
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +280,8 @@ def decades(lo, hi):
        lambda_a=st.sampled_from([None, 100.0]))
 def test_the_demonstration_gram_factors_as_assembled(demo_reference, l, lam, eps_strict,
                                                      lambda_a):
-    # over these decades of l, lambda and via variance the Gram of a demonstration
-    # reference and the README vias factors as assembled, with nothing on its diagonal
+    # over these decades of l, lambda and via variance a demonstration reference with the
+    # README vias builds: every lam * Sigma_i has a Cholesky factor and the solve is finite
     reference, R_aux = demo_reference
     vias = [kmp.ViaPointSpec(0.0, so3.exp_map([1.2614, 1.0512, 1.5767]), np.zeros(3),
                              eps_strict=eps_strict),
@@ -254,6 +290,64 @@ def test_the_demonstration_gram_factors_as_assembled(demo_reference, l, lam, eps
                              eps_strict=eps_strict)]
     ext = kmp.extend_reference(reference, vias, R_aux, lambda_a)
     kmp.build_model(ext, kmp.KernelConfig(l=l, lam=lam, lambda_a=lambda_a))
+
+
+@settings(max_examples=30, deadline=None)
+@given(l=decades(-4, 0.3), lam=decades(-2, 3), eps_strict=decades(-18, -2),
+       lambda_a=st.sampled_from([None, 100.0]),
+       rows=st.lists(st.integers(0, REF_SIZE - 1), min_size=2, max_size=2, unique=True),
+       turns=st.lists(st.floats(-0.2, 0.2), min_size=6, max_size=6))
+def test_the_weight_space_solve_matches_the_dense_solve(demo_reference, l, lam, eps_strict,
+                                                        lambda_a, rows, turns):
+    # a strict via and a y-relaxed one on reference rows, each turned up to 0.2 rad per
+    # chart axis off the reference there; psi and psi_dot stay within 1e-5 of the dense
+    # solve, relative to the largest |psi| where that exceeds 1 (2.4e-6 at most in 900
+    # draws of these ranges); below lambda 1e-2 the dense solve itself drifts from an
+    # 80-bit one by up to 1.7e-5 at lambda 1e-3
+    reference, R_aux = demo_reference
+    vias = [kmp.ViaPointSpec(reference.times[i],
+                             R_aux @ so3.exp_map(reference.means[i, :3] + turns[3 * k:3 * k + 3]),
+                             np.zeros(3), relaxed_axis=axis, eps_strict=eps_strict,
+                             velocity_var=1e3)
+            for k, (i, axis) in enumerate(zip(rows, (None, "y")))]
+    ext = kmp.extend_reference(reference, vias, R_aux, lambda_a)
+    cfg = kmp.KernelConfig(l=l, lam=lam, lambda_a=lambda_a)
+    queries = np.linspace(0, 10, 201)
+    dense = kron_gram_prediction(ext, cfg, queries, gaussian_blocks(l))[:, :6]
+    error = np.abs(kmp.build_model(ext, cfg).predict_many(queries)[:, :6] - dense).max()
+    assert error <= 1e-5 * max(1.0, np.abs(dense[:, :3]).max())
+
+
+BUILD_AND_PREDICT = """
+import hashlib
+import numpy as np
+from orifuse import gmm, kmp, so3
+from orifuse.demo_gen import generate_demos
+from orifuse.pipeline import REF_SIZE, demo_grid, fit_projected_mixture
+demos = generate_demos("s61-like", 5, seed=0)
+R_aux = demos[0].rotations[0]
+mixture = fit_projected_mixture(demos, R_aux, gmm.DEFAULT_COMPONENTS, 0, {})
+reference = gmm.extract_reference(mixture, demo_grid(demos, REF_SIZE))
+via = kmp.ViaPointSpec(4.0, so3.exp_map([0.7028, 1.1713, 0.4685]), np.zeros(3), relaxed_axis="y")
+digest = hashlib.sha256()
+for lambda_a in (None, 100.0):
+    ext = kmp.extend_reference(reference, [via], R_aux, lambda_a)
+    model = kmp.build_model(ext, kmp.KernelConfig(lambda_a=lambda_a))
+    digest.update(model.predict_many(np.linspace(0, 10, 5001)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_a_build_and_its_prediction_do_not_depend_on_the_blas_thread_count():
+    # fresh processes under one, two and four BLAS threads write the same bytes; the dense
+    # Cholesky factor of the Gram did not
+    digests = set()
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(kmp.__file__).parents[1]))
+        digests.add(subprocess.run([sys.executable, "-c", BUILD_AND_PREDICT], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(digests) == 1
 
 
 def test_a_non_finite_gram_is_a_factorization_failure():
