@@ -26,7 +26,9 @@ from .gmm import Demonstration, GaussianMixture
 
 SCHEMA_VERSION = 1
 DT_TOL = 1e-9
-# the largest grid a run configuration may ask for (exit 2 above it)
+# the grids a run configuration may ask for (exit 2 outside them); every command
+# reports an acceleration cost, which needs three samples
+MIN_GRID = 3
 MAX_GRID = 10**6
 
 _DEMO_MAGIC = "orifuse-demo"
@@ -390,9 +392,9 @@ def _parse_config(doc, path, seed, grid):
     components = ints["gmm.components"]
     seed = ints["gmm.seed"] if seed is None else seed
     grid = ints["grid"] if grid is None else grid
-    if components < 1 or seed < 0 or not 2 <= grid <= MAX_GRID:
+    if components < 1 or seed < 0 or not MIN_GRID <= grid <= MAX_GRID:
         raise ConfigError(f"{path}: gmm components must be >= 1, the seed >= 0, and the grid "
-                          f"must have at least 2 points and at most {MAX_GRID}; got "
+                          f"must have at least {MIN_GRID} points and at most {MAX_GRID}; got "
                           f"{components}, {seed} and {grid}")
     kernel_doc = _section(doc.get("kernel", {}), "kernel", path)
     try:

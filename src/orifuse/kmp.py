@@ -15,6 +15,7 @@ on the rows' time span needs, so a build takes time linear in the row count.
 """
 
 from dataclasses import InitVar, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -297,55 +298,32 @@ def augment_for_acceleration(ref, lambda_a):
     return ReferenceTrajectory(ref.times.copy(), means, covs)
 
 
+def _gaussian_derivatives(d, l):
+    """g(d) = exp(-l d^2) and its first four derivatives in d, each built when asked for."""
+    d2 = d * d
+    g = np.exp(-l * d2)
+    yield g
+    yield -2.0 * l * d * g
+    yield (4.0 * l**2 * d2 - 2.0 * l) * g
+    yield (12.0 * l**2 - 8.0 * l**3 * d2) * d * g
+    yield ((16.0 * l**4 * d2 - 48.0 * l**3) * d2 + 12.0 * l**2) * g
+
+
 def gaussian_scalar_blocks(a, b, l, order, rows=None):
     """Scalar kernel derivative table for the Gaussian kernel.
 
     Returns S with S[p, q] = d^p/da^p d^q/db^q exp(-l (a - b)^2) evaluated on
     the grid a x b, shape (rows, order, len(a), len(b)): only the leading rows
-    derivative orders p in a are built, all order of them by default.  Each
-    entry is computed in place in the one table, with no temporary arrays.
+    derivative orders p in a are built, all order of them by default.  As
+    d/db = -d/dd for d = a - b, S[p, q] = (-1)^q g^(p+q)(d) with g(d) = exp(-l d^2).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rows = order if rows is None else rows
-    d = a[:, None] - b[None, :]
-    d2 = d * d
-    s = np.empty((rows, order) + d.shape)
-    g = s[0, 0]
-    np.multiply(d2, -l, out=g)
-    np.exp(g, out=g)
-    # each block below evaluates the expression in the comment before it, left to right
-    # 2 l d g
-    np.multiply(d, 2.0 * l, out=s[0, 1])
-    s[0, 1] *= g
-    if order == 3:
-        # (4 l^2 d2 - 2 l) g
-        np.multiply(d2, 4.0 * l**2, out=s[0, 2])
-        s[0, 2] -= 2.0 * l
-        s[0, 2] *= g
-    if rows == 1:
-        return s
-    np.negative(s[0, 1], out=s[1, 0])
-    # (2 l - 4 l^2 d2) g
-    np.multiply(d2, 4.0 * l**2, out=s[1, 1])
-    np.subtract(2.0 * l, s[1, 1], out=s[1, 1])
-    s[1, 1] *= g
-    if order == 3:
-        # (12 l^2 - 8 l^3 d2) d g
-        np.multiply(d2, 8.0 * l**3, out=s[1, 2])
-        np.subtract(12.0 * l**2, s[1, 2], out=s[1, 2])
-        s[1, 2] *= d
-        s[1, 2] *= g
-    if rows == 3:
-        s[2, 0] = s[0, 2]
-        np.negative(s[1, 2], out=s[2, 1])
-        # ((16 l^4 d2 - 48 l^3) d2 + 12 l^2) g
-        np.multiply(d2, 16.0 * l**4, out=s[2, 2])
-        s[2, 2] -= 48.0 * l**3
-        s[2, 2] *= d2
-        s[2, 2] += 12.0 * l**2
-        s[2, 2] *= g
-    return s
+    derivatives = list(islice(_gaussian_derivatives(a[:, None] - b[None, :], l),
+                              rows + order - 1))
+    return np.array([[-derivatives[p + q] if q % 2 else derivatives[p + q]
+                      for q in range(order)] for p in range(rows)])
 
 
 class KmpModel:
@@ -353,7 +331,7 @@ class KmpModel:
 
     times are the regression's row times; inducing are the times z of the
     features it was solved on, and alpha holds, per derivative block q, the
-    (M, 3) weights of the scalar table columns S[p, q](t*, z).
+    (M, 3) weights of the scalar table columns S[p, q](t*, z) in predict_many.
     """
 
     def __init__(self, times, inducing, alpha, cfg, scalar_blocks):
@@ -362,10 +340,6 @@ class KmpModel:
         self.alpha = alpha  # (n_blocks, M, 3)
         self.cfg = cfg
         self._scalar_blocks = scalar_blocks
-
-    def predict(self, t_star):
-        """Stacked (psi, psi_dot[, psi_ddot]) at a single query time."""
-        return self.predict_many(np.array([float(t_star)]))[0]
 
     def predict_many(self, t_stars, rows=None):
         """Predictions on a batch of query times, shape (Q, 3 * rows).
@@ -434,9 +408,9 @@ def build_model(ext, cfg, scalar_blocks=None):
     product with the scalar table S(t*, z).  A lambda Sigma_i that is not positive
     definite raises FactorizationFailure.
 
-    scalar_blocks(a, b, order) may override the Gaussian derivative table;
-    the kernel-trick equivalence tests inject an explicit finite basis here.
-    A prediction of fewer rows slices them from its full table.
+    scalar_blocks(a, b, order) may override the Gaussian table, which builds only
+    the rows a prediction asks for; the kernel-trick equivalence tests inject an
+    explicit finite basis here, and a prediction slices its rows from that table.
     """
     if len(ext) < 1:
         raise ValueError("need at least one reference point")

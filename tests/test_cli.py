@@ -453,7 +453,24 @@ def test_grid_override_is_validated(tmp_path, demo_dir, capsys):
     cfg = write_config(tmp_path / "fuse.json", demo_dir, via_points=FUSE_VIAS,
                        aux_frame="per-iovp")
     assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out", "--grid", "1") == 2
-    assert "grid must have at least 2 points" in capsys.readouterr().err
+    assert "grid must have at least 3 points" in capsys.readouterr().err
+
+
+PER_IOVP = {"via_points": FUSE_VIAS, "aux_frame": "per-iovp"}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("learn", {}), ("adapt", {}), ("fuse", PER_IOVP), ("eval", PER_IOVP),
+    ("sweep", {"sweep": {"axis": "lambda_a", "values": [10.0]}}),
+])
+def test_a_grid_of_two_exits_at_load(tmp_path, demo_dir, capsys, command, overrides):
+    # the acceleration cost every command reports needs three samples; a grid of two
+    # exits 2 before the output directory is made, not 4 after learn or fuse wrote files
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, **overrides)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out, "--grid", 2) == 2
+    assert "grid must have at least 3 points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_has_an_upper_limit(tmp_path, demo_dir, capsys):

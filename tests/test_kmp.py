@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermval
 
 from orifuse import gmm, kmp, so3
 from orifuse.demo_gen import generate_demos
@@ -126,7 +127,7 @@ def test_an_explicit_basis_matches_the_dense_solve():
 
 
 def expression_table(a, b, l, order):
-    """The Gaussian derivative table as plain numpy expressions, one temporary per step."""
+    """The Gaussian derivative table written out entry by entry."""
     d = a[:, None] - b[None, :]
     d2 = d * d
     g = np.exp(-l * d2)
@@ -144,15 +145,35 @@ def expression_table(a, b, l, order):
     return s
 
 
+def random_table_arguments(seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-5, 15, 37), np.sort(rng.uniform(0, 10, 23))
+
+
 @settings(max_examples=40, deadline=None)
 @given(l=st.floats(1e-3, 2.0), order=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
-def test_in_place_kernel_table_matches_its_expressions_bitwise(l, order, seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.uniform(-5, 15, 37), np.sort(rng.uniform(0, 10, 23))
-    expected = expression_table(a, b, l, order)
-    assert np.array_equal(kmp.gaussian_scalar_blocks(a, b, l, order), expected)
+def test_kernel_table_matches_its_entrywise_expressions_bitwise(l, order, seed):
+    a, b = random_table_arguments(seed)
+    assert np.array_equal(kmp.gaussian_scalar_blocks(a, b, l, order),
+                          expression_table(a, b, l, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.floats(1e-3, 2.0), order=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_kernel_table_entries_are_hermite_functions(l, order, seed):
+    # d^n/dd^n exp(-l d^2) = (-sqrt(l))^n H_n(sqrt(l) d) exp(-l d^2) with the physicists'
+    # Hermite polynomials H_n, and d/db = -d/dd; a table of fewer rows is the full
+    # table's leading rows, bit for bit
+    a, b = random_table_arguments(seed)
+    table = kmp.gaussian_scalar_blocks(a, b, l, order)
+    x = np.sqrt(l) * (a[:, None] - b[None, :])
+    for p in range(order):
+        for q in range(order):
+            n = p + q
+            expected = (-1) ** q * (-np.sqrt(l)) ** n * hermval(x, [0] * n + [1]) * np.exp(-x * x)
+            assert np.abs(table[p, q] - expected).max() <= 1e-12 * np.abs(table).max()
     for rows in range(1, order + 1):
-        assert np.array_equal(kmp.gaussian_scalar_blocks(a, b, l, order, rows), expected[:rows])
+        assert np.array_equal(kmp.gaussian_scalar_blocks(a, b, l, order, rows), table[:rows])
 
 
 @pytest.mark.parametrize("lambda_a", [None, 100.0])
@@ -372,7 +393,7 @@ def test_single_reference_point_closed_form():
     blocks = kmp.gaussian_scalar_blocks(np.array([t0]), np.array([t0]), cfg.l, 2)
     k_tt = np.kron(blocks[:, :, 0, 0], np.eye(3))
     expected = k_tt @ np.linalg.solve(k_tt + cfg.lam * cov, mean)
-    assert np.abs(model.predict(t0) - expected).max() < 1e-12
+    assert np.abs(model.predict_many(np.array([t0]))[0] - expected).max() < 1e-12
 
 
 def test_prediction_far_outside_support_decays():
@@ -380,7 +401,7 @@ def test_prediction_far_outside_support_decays():
     ref = make_reference(rng, 20)
     ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
     model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
-    assert np.abs(model.predict(300.0)).max() < 1e-12
+    assert np.abs(model.predict_many(np.array([300.0]))).max() < 1e-12
 
 
 def test_transform_via_point_zero_velocity():
@@ -496,7 +517,8 @@ def test_via_point_dominance_as_covariance_shrinks():
         vp = kmp.ViaPointSpec(4.4, target, np.zeros(3), np.diag([eps] * 6))
         ext = kmp.extend_reference(ref, [vp], R_aux)
         model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
-        errors.append(np.linalg.norm(model.predict(4.4)[:3] - so3.log_map(target)))
+        errors.append(np.linalg.norm(model.predict_many(np.array([4.4]))[0, :3]
+                                     - so3.log_map(target)))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-3
 

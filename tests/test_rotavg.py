@@ -11,6 +11,7 @@ from orifuse._kernels import (
     D_TH_DEFAULT,
     E_PSI_DEFAULT,
     HISTORY_CAPACITY,
+    consecutive_geodesic_steps,
     memory_average_many,
     memory_average_step,
     rot_exp,
@@ -375,3 +376,46 @@ def test_memory_average_step_from_a_given_history_matches_the_reference(run, pas
         assert np.array_equal(R, ref_Rs[i])
         assert state.n_turns == ref_turns[i]
     assert state.history == tuple(ref_hist)
+
+
+@st.composite
+def smooth_pair_runs(draw):
+    """Smooth Ri, Rj and positive weights whose relative rotation crosses the pole and the pi-shell.
+
+    Ri^T Rj = exp(s u): s swings through at least one full sine cycle from below 0 to above
+    pi, and the unit axis u drifts by at most 0.3 rad.  The row count keeps every relative
+    step below 0.12 rad.
+    """
+    lo, hi = draw(st.floats(-1.0, -0.2)), draw(st.floats(np.pi + 0.2, 2.5 * np.pi))
+    cycles, phase = draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 2 * np.pi))
+    drift = draw(st.floats(0.0, 0.3))
+    n = int(np.ceil(((hi - lo) * np.pi * cycles + hi * drift * np.pi) / 0.12)) + 1
+    tau = np.linspace(0.0, 1.0, n)
+    s = (lo + hi) / 2 + (hi - lo) / 2 * np.sin(2 * np.pi * cycles * tau + phase)
+    axes = draw(unit_axes) + drift * np.sin(np.pi * tau)[:, None] * draw(unit_axes)
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    Ris = rot_exp_many(draw(unit_axes) * draw(st.floats(0.0, np.pi))
+                       + tau[:, None] * draw(unit_axes) * draw(st.floats(0.0, 2.0))
+                       + (tau**2)[:, None] * draw(unit_axes) * draw(st.floats(0.0, 2.0)))
+    Rjs = np.matmul(Ris, rot_exp_many(s[:, None] * axes))
+    Wis = draw(st.floats(0.1, 1.0)) + 0.5 * np.sin(
+        2 * np.pi * draw(st.floats(0.2, 2.0)) * tau + draw(st.floats(0.0, 2 * np.pi)))**2
+    Wjs = draw(st.floats(0.1, 1.0)) + draw(st.floats(0.0, 1.0)) * np.exp(
+        -((tau - draw(st.floats(0.0, 1.0))) / draw(st.floats(0.05, 0.5)))**2)
+    return Ris, Rjs, Wis, Wjs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(smooth_pair_runs())
+def test_memory_average_steps_are_bounded_by_the_input_steps(run):
+    # within the sampling bound (relative steps below 0.15 rad) the output moves by at
+    # most twice the steps of Ri and Rj plus the weight change times the lifted angle
+    # (|N| + 1) pi it scales, through every turn at the pi-shell and the pole
+    Ris, Rjs, Wis, Wjs = run
+    assert consecutive_geodesic_steps(np.matmul(Ris.transpose(0, 2, 1), Rjs)).max() < 0.15
+    Rs, turns = memory_average_many(Ris, Rjs, Wis, Wjs)
+    assert len(set(turns.tolist())) > 1
+    w = Wjs / (Wis + Wjs)
+    bound = (consecutive_geodesic_steps(Ris) + consecutive_geodesic_steps(Rjs)
+             + np.abs(np.diff(w)) * (np.abs(turns[1:]) + 1) * np.pi)
+    assert np.all(consecutive_geodesic_steps(Rs) <= 2.0 * bound)
