@@ -5,13 +5,12 @@ Each chart map has one implementation.  ``rot_exp_many`` and
 the small-angle and near-pi branches with boolean masks; ``rot_exp`` and
 ``rot_log`` are their one-row calls.
 
-The memory-based average has one implementation too, ``_memory_run``, which
-owns its constants and describes its dispatch.  Over a time-ordered run of
-pairs it computes the relative logs, the scales and the exps array-wide; only
-the turn count and the history of traverse directions run row by row, in
-plain floats.  The whole-grid ``memory_average_many``, the one-pair
-``memory_average_step`` and ``rotavg.weighted_average_memory`` are all runs
-of it.
+The memory-based average has one implementation too,
+``memory_average_many``, which owns its constants and describes its dispatch.
+Over a time-ordered run of pairs it computes the relative logs, the scales
+and the exps array-wide; only the turn count and the history of traverse
+directions run row by row, in plain floats.  ``memory_average_step`` and
+``rotavg.weighted_average_memory`` are its one-pair calls.
 """
 
 import math
@@ -185,12 +184,14 @@ def _history_mean(hist):
     return (m0 / n, m1 / n, m2 / n)
 
 
-def _memory_run(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HISTORY_CAPACITY,
-                d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT):
+def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HISTORY_CAPACITY,
+                        d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT):
     """The memory-based average of a time-ordered run of pairs, from a given state.
 
-    history holds past unit traverse directions as float triples, oldest first
-    (zero triples for coincident inputs), and keeps the last ``capacity``.
+    The default state is a fresh one: no turns and an empty history.  Row i
+    continues from the state row i - 1 left.  history holds past unit
+    traverse directions as float triples, oldest first (zero triples for
+    coincident inputs), and keeps the last ``capacity``.
     Each row with Wi + Wj > 0 compares its direction psi_c = log(Ri^T Rj) / d_ij
     with the history mean (psi_c itself for an empty history).  A flip (dot
     below -e_psi) clears the history and moves the turn count N by +1 for a
@@ -240,24 +241,14 @@ def _memory_run(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HISTORY_CAPA
 
 
 def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):
-    """One step of the memory-based weighted rotation average.
+    """memory_average_many for one pair, its history in a fixed array.
 
     hist is a (capacity, 3) array whose first n_hist rows are the past
     traverse directions; it is updated in place.  Returns
-    ``(Rij, n_turns, n_hist)``; _memory_run describes the dispatch.
+    ``(Rij, n_turns, n_hist)``.
     """
-    out, turns, past = _memory_run(Ri[None], Rj[None], [Wi], [Wj], n_turns,
-                                   map(tuple, hist[:n_hist].tolist()), hist.shape[0],
-                                   d_th, e_psi)
+    out, turns, past = memory_average_many(Ri[None], Rj[None], [Wi], [Wj], n_turns,
+                                           map(tuple, hist[:n_hist].tolist()), hist.shape[0],
+                                           d_th, e_psi)
     hist[:len(past)] = past
     return out[0], int(turns[0]), len(past)
-
-
-def memory_average_many(Ris, Rjs, Wis, Wjs):
-    """memory_average_step over a time-ordered grid of pairs.
-
-    Starts from a fresh state (no turns, an empty history), and row i
-    continues from the state row i - 1 left.  Returns ``(Rs, turns)``, turns
-    holding the turn count after each row.
-    """
-    return _memory_run(Ris, Rjs, Wis, Wjs)[:2]

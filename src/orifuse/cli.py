@@ -9,8 +9,9 @@ and --seed and --grid override the config's gmm seed and grid.  A sweep
 prepares what its trials share, then runs every trial on one pool of --jobs
 threads.
 
-Exit codes: 0 success, 2 configuration, 3 input parsing, 4 numeric failure,
-5 via-domain overlap, 6 output I/O, 1 anything else.
+Exit codes, owned by errors.py: 0 success, 1 any other OrifuseError,
+2 configuration, 3 input parsing or timing, 4 numeric failure, 5 via-domain
+overlap, 6 output I/O.
 """
 
 import argparse
@@ -23,33 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import demo_gen, fusion, io, so3
-from .errors import (
-    ChartBoundaryError,
-    ConfigError,
-    DegenerateData,
-    DomainOverlap,
-    FactorizationFailure,
-    InconsistentTiming,
-    IoError,
-    NotARotation,
-    OrifuseError,
-    ParseError,
-    SeriesTooShort,
-)
+from .errors import ConfigError, OrifuseError
 from .pipeline import demo_grid, fit_projected_mixture, reproduce_with_via_points
-
-_EXIT_CODES = (
-    (ConfigError, 2),
-    (ParseError, 3),
-    (InconsistentTiming, 3),
-    (DomainOverlap, 5),
-    (IoError, 6),
-    (ChartBoundaryError, 4),
-    (NotARotation, 4),
-    (DegenerateData, 4),
-    (FactorizationFailure, 4),
-    (SeriesTooShort, 4),
-)
 
 
 def _add_common(sub):
@@ -333,7 +309,7 @@ def main(argv=None):
         return args.func(args)
     except OrifuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

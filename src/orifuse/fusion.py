@@ -20,6 +20,7 @@ from ._kernels import (
     stateless_average_many,
 )
 from .errors import DomainOverlap, SeriesTooShort
+from .gmm import DEFAULT_COMPONENTS
 from .kmp import AXES, OrientationTrajectory, ViaPointSpec, angular_velocities
 from .pipeline import reproduce_with_via_points
 
@@ -87,7 +88,7 @@ def weight_curves_for(iovps):
 
 
 def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
-                                 n_components=5, seed=0, gmm_cache=None):
+                                 n_components=DEFAULT_COMPONENTS, seed=0, gmm_cache=None):
     """One regression run per via-point, each in its own tangent chart.
 
     Component 0 is the baseline: the run around the baseline via-point's
@@ -150,7 +151,7 @@ def fuse(components, curves, memory=True):
     for fold, k in enumerate(folds):
         pairs = (rotations, components[k].rotations, acc_w, weights[:, k])
         if memory:
-            rotations, turn_counts[:, fold] = memory_average_many(*pairs)
+            rotations, turn_counts[:, fold], _ = memory_average_many(*pairs)
         else:
             rotations = stateless_average_many(*pairs)
         acc_w = acc_w + weights[:, k]

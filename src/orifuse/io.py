@@ -9,7 +9,7 @@ locale-independent (``.`` decimal separator).
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     NotARotation,
     ParseError,
 )
-from .gmm import Demonstration, GaussianMixture
+from .gmm import DEFAULT_COMPONENTS, Demonstration, GaussianMixture
 
 SCHEMA_VERSION = 1
 DT_TOL = 1e-9
@@ -274,17 +274,17 @@ def load_mixture(path):
 @dataclass(frozen=True)
 class RunConfig:
     demo_paths: list
-    components: int = 5
-    seed: int = 0
-    kernel: kmp.KernelConfig = field(default_factory=kmp.KernelConfig)
-    grid: int = 200
-    aux_policy: str = "first-demo-start"
+    components: int
+    seed: int
+    kernel: kmp.KernelConfig
+    grid: int
+    aux_policy: str
     # the one chart of the run: "explicit" and "via" resolve at load, "first-demo-start"
     # once the demonstrations are loaded; None for "per-iovp"
-    aux_rotation: np.ndarray | None = None
-    via_points: list = field(default_factory=list)
-    sweep_axis: str | None = None
-    sweep_values: list = field(default_factory=list)
+    aux_rotation: np.ndarray | None
+    via_points: list
+    sweep_axis: str | None
+    sweep_values: list
 
 
 # the keys each section of a run configuration may hold; a kernel key maps to its
@@ -384,8 +384,8 @@ def _parse_config(doc, path, seed, grid):
     demo_paths = [path.parent / p for p in demos]
     gmm_doc = _section(doc.get("gmm", {}), "gmm", path)
     # JSON integers only: 2.9 and "300" are errors, not 2 and 300
-    ints = {"gmm.components": gmm_doc.get("components", 5), "gmm.seed": gmm_doc.get("seed", 0),
-            "grid": doc.get("grid", 200)}
+    ints = {"gmm.components": gmm_doc.get("components", DEFAULT_COMPONENTS),
+            "gmm.seed": gmm_doc.get("seed", 0), "grid": doc.get("grid", 200)}
     for key, value in ints.items():
         if not isinstance(value, int):
             raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")

@@ -98,7 +98,7 @@ class ViaPointSpec:
     The covariance is either given explicitly (6x6, or 9x9 block diagonal
     with an acceleration block) or built from a variance pattern: the
     orientation block holds eps_loose on relaxed_axis and eps_strict on the
-    other axes, or orientation_var when given; the velocity block holds
+    other axes, or orientation_var (not both); the velocity block holds
     velocity_var, which defaults to eps_strict; an acceleration block exists
     only when acceleration_var is given, otherwise augment_for_acceleration
     supplies (1/lambda_a) I.  A via-point with a relaxed axis is an
@@ -146,6 +146,8 @@ class ViaPointSpec:
         object.__setattr__(self, "omega", omega)
         for name in _VARIANCE_BLOCKS:
             object.__setattr__(self, name, _variances(getattr(self, name), name))
+        if self.relaxed_axis is not None and self.orientation_var is not None:
+            raise ValueError("give either relaxed_axis or orientation_var, not both")
         if self.covariance is None:
             return
         if self.relaxed_axis is not None or any(
@@ -211,20 +213,19 @@ class OrientationTrajectory:
         return self.times.shape[0]
 
 
-def transform_via_point(vp, R_aux, delta_t=DEFAULT_DELTA_T):
+def transform_via_point(vp, R_aux):
     """Express a desired point in the chart of R_aux.
 
     With R = vp.target_rotation(R_aux) the world target, psi = log(R_aux^T R);
     the chart velocity comes from stepping the desired motion forward by
-    delta_t:
+    delta_t = DEFAULT_DELTA_T:
 
         R_plus = R * exp(R^T omega * delta_t)
         psi_dot = (log(R_aux^T R_plus) - psi) / delta_t
 
     Returns (t, eta, covariance) with eta = [psi, psi_dot].
     """
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    delta_t = DEFAULT_DELTA_T
     R_aux = so3.check_rotation(R_aux, name="R_aux")
     R = vp.target_rotation(R_aux)
     psi = rot_log(R_aux.T @ R)

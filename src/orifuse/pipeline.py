@@ -7,10 +7,7 @@ one SHA-256 digest of every demonstration's row count, times and rotations, so
 runs on one demonstration set in one chart fit their mixture once; a call
 without one gets a fresh dict.
 Threads may share it without a lock: two may fit one mixture at once, which
-costs a fit, never a different result.  CLI sweep threads no longer do: a
-sweep fits or builds what its trials share before it starts them.
-Regressions are not cached: a caller that needs a trajectory twice builds it
-once and reuses it.
+costs a fit, never a different result.
 """
 
 import hashlib

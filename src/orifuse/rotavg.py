@@ -8,7 +8,8 @@ and a short history of past traverse directions, detects flips, and unwraps
 the traveled distance to N*pi + d so the averaged output stays continuous.
 
 Here ``FusionState`` carries that memory from one checked pair to the next;
-``_kernels._memory_run`` owns the dispatch and its constants.
+``_kernels.memory_average_many`` owns the dispatch and its constants, and
+``weighted_average_memory`` is its checked one-pair call.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from ._kernels import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY, _memory_run  # noqa: F401
+from ._kernels import D_TH_DEFAULT, E_PSI_DEFAULT, HISTORY_CAPACITY  # noqa: F401
+from ._kernels import memory_average_many
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,6 @@ def weighted_average_memory(pair, state):
     """
     Ri = so3.check_rotation(pair.Ri, name="Ri")
     Rj = so3.check_rotation(pair.Rj, name="Rj")
-    out, turns, history = _memory_run(Ri[None], Rj[None], [float(pair.Wi)], [float(pair.Wj)],
-                                      state.n_turns, state.history)
+    out, turns, history = memory_average_many(Ri[None], Rj[None], [float(pair.Wi)],
+                                              [float(pair.Wj)], state.n_turns, state.history)
     return out[0], FusionState(int(turns[0]), history)

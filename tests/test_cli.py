@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orifuse import io, so3
+import orifuse
+from orifuse import cli, io, so3
 from orifuse.cli import main
 from orifuse._kernels import rot_log_many
 
@@ -139,6 +141,49 @@ def test_exit_codes(tmp_path, demo_dir):
     boundary_via = [{"t": 0.0, "psi": [np.pi - 1e-9, 0.0, 0.0], "frame": "aux"}]
     numeric = write_config(tmp_path / "numeric.json", demo_dir, via_points=boundary_via)
     assert run_cli("adapt", "--config", numeric, "--out", tmp_path / "x") == 4
+
+
+# the documented exit code of every error type the package exports
+EXIT_CODES = {
+    "OrifuseError": 1,
+    "ConfigError": 2,
+    "ParseError": 3,
+    "InconsistentTiming": 3,
+    "NotARotation": 4,
+    "SeriesTooShort": 4,
+    "DegenerateData": 4,
+    "FactorizationFailure": 4,
+    "ChartBoundaryError": 4,
+    "DomainOverlap": 5,
+    "IoError": 6,
+}
+ERROR_TYPES = [obj for obj in vars(orifuse).values()
+               if isinstance(obj, type) and issubclass(obj, orifuse.OrifuseError)]
+
+
+def documented_exit_codes(text):
+    """{code: meaning} of the "Exit codes ...: 0 success, 1 ..." sentence in text."""
+    sentence = re.search(r"Exit codes[^:]*:(.*?)\.\s*(?:\n\s*\n|\Z)", text, re.S).group(1)
+    items = (" ".join(item.replace("`", "").split()) for item in sentence.split(","))
+    return {int(code): meaning for code, meaning in (item.split(" ", 1) for item in items)}
+
+
+def test_every_exported_error_has_a_documented_exit_code():
+    assert sorted(cls.__name__ for cls in ERROR_TYPES) == sorted(EXIT_CODES)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = documented_exit_codes(readme)
+    assert documented == documented_exit_codes(cli.__doc__)
+    assert set(documented) == {0} | set(EXIT_CODES.values())
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "_cmd_adapt", fail)
+    assert run_cli("adapt", "--config", "run.json", "--out", "out") == EXIT_CODES[error.__name__]
+    assert "injected" in capsys.readouterr().err
 
 
 def test_demo_header_dt_must_match_its_rows(tmp_path, demo_dir, capsys):

@@ -343,6 +343,7 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"via_points": [dict(RELAXED_VIA, eps_strict=1e3, eps_loose=1e3)]},
     {"via_points": [dict(RELAXED_VIA, weight_half_width=0)]},
     {"via_points": [dict(RELAXED_VIA, orientation_var=[1.0, 0.0, 1.0])]},
+    {"via_points": [dict(RELAXED_VIA, orientation_var=[1.0, 1.0, 1.0])]},
     {"via_points": [dict(RELAXED_VIA, velocity_var=-1.0)]},
     {"sweep": {"axis": "lambda_a", "values": [10.0, "a"]}},
     {"sweep": {"axis": "lambda_a", "values": [10.0, 0.0]}},

@@ -161,7 +161,7 @@ def test_step_api_is_one_memory_average_many_call():
     Ris = np.tile(np.eye(3), (thetas.size, 1, 1))
     Rjs = np.stack([rot_x(th) for th in thetas])
     w = np.full(thetas.size, 0.5)
-    many, many_turns = memory_average_many(Ris, Rjs, w, w)
+    many, many_turns, _ = memory_average_many(Ris, Rjs, w, w)
     assert np.array_equal(np.array(turns), many_turns)
     assert len(set(turns)) > 1
     assert np.abs(outs - many).max() <= 1e-12
@@ -335,10 +335,11 @@ def pair_runs(draw):
 @given(pair_runs())
 def test_memory_average_many_matches_the_per_row_reference(run):
     Ris, Rjs, Wis, Wjs = run
-    Rs, turns = memory_average_many(Ris, Rjs, Wis, Wjs)
-    ref_Rs, ref_turns, _ = reference_run(Ris, Rjs, Wis.tolist(), Wjs.tolist())
+    Rs, turns, history = memory_average_many(Ris, Rjs, Wis, Wjs)
+    ref_Rs, ref_turns, ref_history = reference_run(Ris, Rjs, Wis.tolist(), Wjs.tolist())
     assert np.array_equal(turns, ref_turns)
     assert np.array_equal(Rs, ref_Rs)
+    assert history == tuple(ref_history)
 
 
 # hand-made histories: cancelling pairs, zero sentinels, a full aligned one
@@ -413,7 +414,7 @@ def test_memory_average_steps_are_bounded_by_the_input_steps(run):
     # (|N| + 1) pi it scales, through every turn at the pi-shell and the pole
     Ris, Rjs, Wis, Wjs = run
     assert consecutive_geodesic_steps(np.matmul(Ris.transpose(0, 2, 1), Rjs)).max() < 0.15
-    Rs, turns = memory_average_many(Ris, Rjs, Wis, Wjs)
+    Rs, turns, _ = memory_average_many(Ris, Rjs, Wis, Wjs)
     assert len(set(turns.tolist())) > 1
     w = Wjs / (Wis + Wjs)
     bound = (consecutive_geodesic_steps(Ris) + consecutive_geodesic_steps(Rjs)
