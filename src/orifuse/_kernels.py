@@ -7,10 +7,11 @@ the small-angle and near-pi branches with boolean masks; ``rot_exp`` and
 
 The memory-based average has one implementation too,
 ``memory_average_many``, which owns its constants and describes its dispatch.
-Over a time-ordered run of pairs it computes the relative logs, the scales
-and the exps array-wide; only the turn count and the history of traverse
-directions run row by row, in plain floats.  ``memory_average_step`` and
-``rotavg.weighted_average_memory`` are its one-pair calls.
+Over a time-ordered run of pairs it computes the relative logs, every row's
+history mean and class, the scales and the exps array-wide.  Python runs
+only where the state changes: from each flip, for the rows whose history the
+flip cleared, and at a window whose mean cancels.  ``memory_average_step``
+and ``rotavg.weighted_average_memory`` are its one-pair calls.
 """
 
 import math
@@ -203,6 +204,11 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     to zero or less.  Every row appends psi_c to the history.  Returns
     ``(Rs, turns, history)``: the turn count after each row and the final
     history as a tuple.
+
+    A flip changes only the windows of the next ``capacity`` rows, so every
+    row's window mean and class come array-wide, and a walk in plain floats
+    runs from each flip (or empty, all-sentinel or cancelling window) until
+    the windows are whole again.
     """
     Ris = np.asarray(Ris, dtype=float)
     Wis = np.asarray(Wis, dtype=float)
@@ -213,31 +219,63 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     np.divide(psi, d_ij[:, None], out=unit, where=(d_ij >= ZERO_DISTANCE)[:, None])
     wsum = Wis + Wjs
     move = wsum > 0.0
-    hist = deque(history, maxlen=capacity)
-    turns = []
-    for i, (d, psi_c, moves) in enumerate(zip(d_ij.tolist(), map(tuple, unit.tolist()),
-                                              move.tolist())):
-        if moves:
-            psi_p = _history_mean(hist) if hist else psi_c
-            dot = psi_p[0] * psi_c[0] + psi_p[1] * psi_c[1] + psi_p[2] * psi_c[2]
-            if dot > e_psi:
-                pass  # aligned with the history
-            elif -dot > e_psi:
-                n_turns += 1 if (d > d_th) == (n_turns % 2 == 0) else -1
-                hist.clear()  # historical data is stale after a flip
-            else:
-                unit[i] = psi_p  # outlier direction: trust the history instead
-        turns.append(n_turns)
-        hist.append(psi_c)
-    turns = np.array(turns, dtype=np.int64)
+    n = d_ij.shape[0]
+    past = list(deque(history, maxlen=capacity))
+    # row i's window is seq[i:i + capacity]: the given history, then the rows before i
+    seq = np.zeros((capacity + n, 3))
+    seq[capacity - len(past):capacity] = np.reshape(past, (-1, 3))
+    seq[capacity:] = unit
+    kept = seq[:, 0] * seq[:, 0] + seq[:, 1] * seq[:, 1] + seq[:, 2] * seq[:, 2] > 0.25
+    summand = np.where(kept[:, None], seq, 0.0)
+    total = np.zeros((n, 3))  # oldest first from 0.0, as _history_mean sums
+    for j in range(capacity):
+        total += summand[j:j + n]
+    norm = _norms(total)
+    psi_p = np.zeros_like(total)  # walked where the norm is below 1e-12
+    np.divide(total, norm[:, None], out=psi_p, where=(norm >= 1e-12)[:, None])
+    dot = psi_p[:, 0] * unit[:, 0] + psi_p[:, 1] * unit[:, 1] + psi_p[:, 2] * unit[:, 2]
+    aligned = dot > e_psi
+    flip = ~aligned & (-dot > e_psi)
+    direction = np.where((move & ~aligned & ~flip)[:, None], psi_p, unit)
+    step = np.zeros(n, dtype=np.int64)
+    start = n_turns
+    end = 0
+    for r in np.flatnonzero(move & (flip | (norm < 1e-12))).tolist():
+        if r < end:
+            continue  # an earlier walk has been here
+        hist = deque(map(tuple, seq[max(r, capacity - len(past)):r + capacity].tolist()),
+                     maxlen=capacity)
+        i, stop = r, r + 1  # a walk ends capacity rows after its last flip
+        while i < min(stop, n):
+            psi_c = tuple(unit[i].tolist())
+            if move[i]:
+                psi_p_i = _history_mean(hist) if hist else psi_c
+                dot_i = psi_p_i[0] * psi_c[0] + psi_p_i[1] * psi_c[1] + psi_p_i[2] * psi_c[2]
+                direction[i] = psi_c
+                if dot_i > e_psi:
+                    pass  # aligned with the history
+                elif -dot_i > e_psi:
+                    step[i] = turn = 1 if (d_ij[i] > d_th) == (n_turns % 2 == 0) else -1
+                    n_turns += turn
+                    hist.clear()  # historical data is stale after a flip
+                    stop = i + capacity
+                else:
+                    direction[i] = psi_p_i  # outlier direction: trust the history instead
+            hist.append(psi_c)
+            i += 1
+        end = i
+    turns = start + np.cumsum(step)  # a step function of the flips
+    flips = np.flatnonzero(step)
+    first = max(len(past) + flips[-1] if flips.size else 0, len(past) + n - capacity)
+    history = past[first:] + list(map(tuple, unit[max(first - len(past), 0):].tolist()))
     # multiplying by sign negates exactly, so each row rounds as its formula does
     odd = turns % 2 == 1
     sign = np.where(odd, -1.0, 1.0)
     scale = np.zeros_like(d_ij)
     scale[move] = Wjs[move] * ((turns + odd) * np.pi + sign * d_ij)[move] / wsum[move]
-    out = np.matmul(Ris, rot_exp_many((sign * scale)[:, None] * unit))
+    out = np.matmul(Ris, rot_exp_many((sign * scale)[:, None] * direction))
     out[~move] = Ris[~move]
-    return out, turns, tuple(hist)
+    return out, turns, tuple(history)
 
 
 def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):

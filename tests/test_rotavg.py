@@ -420,3 +420,51 @@ def test_memory_average_steps_are_bounded_by_the_input_steps(run):
     bound = (consecutive_geodesic_steps(Ris) + consecutive_geodesic_steps(Rjs)
              + np.abs(np.diff(w)) * (np.abs(turns[1:]) + 1) * np.pi)
     assert np.all(consecutive_geodesic_steps(Rs) <= 2.0 * bound)
+
+
+# what a row of a flipping run does besides moving along its segment's direction
+FLIP_KINDS = ("sweep", "sweep", "sweep", "coincident", "unweighted", "unweighted-back")
+
+
+@st.composite
+def flip_runs(draw):
+    """Pairs whose traverse direction reverses every 1-6 rows, so nearly every reversal flips.
+
+    Coincident rows add zero sentinels to the history.  An unweighted row is never
+    classified but still enters the history, so one that points against its segment
+    leaves windows whose directions cancel.  The relative angles reach both sides of
+    D_TH_DEFAULT, so flips count as pi-boundary and as pole crossings.
+    """
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    signs = np.concatenate([np.full(k, (-1.0) ** s) for s, k in enumerate(lengths)])
+    n = signs.size
+    kinds = draw(st.lists(st.sampled_from(FLIP_KINDS), min_size=n, max_size=n))
+    angles = np.array(draw(st.lists(st.sampled_from([0.05, 0.1, 0.3, 2.0, 3.0]),
+                                    min_size=n, max_size=n)))
+    rel = (signs * angles)[:, None] * draw(unit_axes)
+    w = np.array([[draw(st.floats(0.0, 1.0)), draw(st.floats(0.01, 1.0))] for _ in range(n)])
+    for i, kind in enumerate(kinds):
+        if kind.startswith("unweighted"):
+            w[i] = 0.0
+        if kind == "unweighted-back":
+            rel[i] = -rel[i]
+    Ris = rot_exp_many(draw(unit_axes) * draw(st.floats(0.0, np.pi))
+                       + np.arange(n)[:, None] * draw(unit_axes) * draw(st.floats(0.0, 0.1)))
+    Rjs = np.matmul(Ris, rot_exp_many(rel))
+    coincident = np.array([k == "coincident" for k in kinds])
+    Rjs[coincident] = Ris[coincident]
+    return Ris, Rjs, w[:, 0].copy(), w[:, 1].copy()
+
+
+@settings(max_examples=300, deadline=None)
+@given(flip_runs(), st.sampled_from(HISTORIES), st.integers(-3, 3))
+def test_memory_average_many_matches_the_reference_through_dense_flips(run, past, n_turns):
+    # the flips, the cleared histories after them and the cancelling windows are where
+    # the array-wide classes hand over to the walk in floats; all bits must agree
+    Ris, Rjs, Wis, Wjs = run
+    Rs, turns, history = memory_average_many(Ris, Rjs, Wis, Wjs, n_turns, past)
+    ref_Rs, ref_turns, ref_history = reference_run(Ris, Rjs, Wis.tolist(), Wjs.tolist(),
+                                                   n_turns, past)
+    assert np.array_equal(turns, ref_turns)
+    assert np.array_equal(Rs, ref_Rs)
+    assert history == tuple(ref_history)
