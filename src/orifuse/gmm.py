@@ -105,23 +105,6 @@ def stack_training_rows(projected):
     return np.vstack(rows)
 
 
-def _log_gaussians(data, means, covs):
-    """log N(x; mean_k, cov_k) of every row under every component, (N, K).
-
-    One batched Cholesky factorization of the K covariances; the
-    Mahalanobis terms come from the inverse factors applied to all rows.
-    """
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateData(f"covariance not positive definite: {exc}") from exc
-    chol_inv = np.linalg.inv(chol)
-    z = chol_inv @ data.T - chol_inv @ means[:, :, None]  # (K, D, N)
-    maha = np.einsum("kdn,kdn->nk", z, z)
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return -0.5 * (maha + logdet + means.shape[1] * np.log(2.0 * np.pi))
-
-
 def _kmeanspp_init(data, k, rng):
     """k-means++ seeding followed by a hard assignment."""
     n = data.shape[0]
@@ -161,6 +144,12 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
     EM_MAX_ITER iterations or when the relative log-likelihood improvement
     drops below EM_REL_TOL.  The per-iteration
     log-likelihood trace is kept on the returned mixture.
+
+    An iteration works on a (K, N) layout: one (K*D x D) @ (D x N) product of
+    the inverse Cholesky factors whitens the rows under every component, one
+    constant log pi_k - sum log diag L_k - (D/2) log 2 pi per component, and
+    the exp of the log-sum-exp over components, divided by its sum, is the
+    responsibilities.  The M-step runs in place.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -174,26 +163,46 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
         )
     rng = np.random.default_rng(seed)
     priors, means, covs = _kmeanspp_init(data, n_components, rng)
-    eye = np.eye(dim)
+    rows = np.ascontiguousarray(data.T)  # (D, N)
+    # the two (K, D, N) arrays an iteration needs, made once: at hundreds of kB a fresh
+    # one per iteration costs more in page faults than its arithmetic
+    z, diff = np.empty((2, n_components, dim, n))
+    floor = COVARIANCE_FLOOR * np.eye(dim)
     trace = []
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
         # E-step in log space
-        log_prob = np.log(priors) + _log_gaussians(data, means, covs)
-        top = log_prob.max(axis=1, keepdims=True)
-        log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
-        ll = float(log_norm.mean())
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateData(f"covariance not positive definite: {exc}") from exc
+        chol_inv = np.linalg.inv(chol)
+        np.matmul(chol_inv.reshape(n_components * dim, dim), rows,
+                  out=z.reshape(n_components * dim, n))
+        z -= chol_inv @ means[:, :, None]
+        z *= z
+        log_prob = z.sum(axis=1)  # (K, N) Mahalanobis terms
+        log_prob *= -0.5
+        log_prob += (np.log(priors) - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                     - 0.5 * dim * np.log(2.0 * np.pi))[:, None]
+        top = log_prob.max(axis=0)
+        log_prob -= top
+        resp = np.exp(log_prob, out=log_prob)
+        total = resp.sum(axis=0)
+        ll = float((top + np.log(total)).mean())
         trace.append(ll)
-        resp = np.exp(log_prob - log_norm[:, None])
+        resp /= total
         # M-step with covariance floor
-        weights = resp.sum(axis=0)
+        weights = resp.sum(axis=1)
         if np.any(weights <= 0):
             raise DegenerateData("a mixture component lost all responsibility")
         priors = weights / n
-        means = (resp.T @ data) / weights[:, None]
-        diff = data - means[:, None]  # (K, N, D)
-        covs = ((resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / weights[:, None, None]
-                + COVARIANCE_FLOOR * eye)
+        means = resp @ data
+        means /= weights[:, None]
+        np.subtract(rows, means[:, :, None], out=diff)
+        covs = np.multiply(diff, resp[:, None, :], out=z) @ diff.transpose(0, 2, 1)
+        covs /= weights[:, None, None]
+        covs += floor
         if np.isfinite(prev_ll) and ll - prev_ll < EM_REL_TOL * max(abs(prev_ll), 1.0):
             break
         prev_ll = ll

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orifuse import gmm, so3
 from orifuse.demo_gen import generate_demos
@@ -164,3 +166,104 @@ def test_extract_reference_spd_and_envelope(fitted, demos):
     hi = stack.max(axis=0)[idx]
     inside = (ref.means[:, :3] >= lo - 1e-9) & (ref.means[:, :3] <= hi + 1e-9)
     assert inside.mean() >= 0.95
+
+
+# The EM loop as it was written on an (N, K) layout, kept as the reference for the
+# (K, N) one: the same initialization, floor and stop rule, its sums in another order.
+
+def reference_log_gaussians(data, means, covs):
+    """log N(x; mean_k, cov_k) of every row under every component, (N, K)."""
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateData(f"covariance not positive definite: {exc}") from exc
+    chol_inv = np.linalg.inv(chol)
+    z = chol_inv @ data.T - chol_inv @ means[:, :, None]  # (K, D, N)
+    maha = np.einsum("kdn,kdn->nk", z, z)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (maha + logdet + means.shape[1] * np.log(2.0 * np.pi))
+
+
+def reference_fit_gmm(data, n_components, seed):
+    n, dim = data.shape
+    if n < 10 * n_components:
+        raise DegenerateData("too few rows")
+    priors, means, covs = gmm._kmeanspp_init(data, n_components, np.random.default_rng(seed))
+    eye = np.eye(dim)
+    trace = []
+    prev_ll = -np.inf
+    for _ in range(gmm.EM_MAX_ITER):
+        log_prob = np.log(priors) + reference_log_gaussians(data, means, covs)
+        top = log_prob.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(log_prob - top).sum(axis=1))
+        ll = float(log_norm.mean())
+        trace.append(ll)
+        resp = np.exp(log_prob - log_norm[:, None])
+        weights = resp.sum(axis=0)
+        if np.any(weights <= 0):
+            raise DegenerateData("a mixture component lost all responsibility")
+        priors = weights / n
+        means = (resp.T @ data) / weights[:, None]
+        diff = data - means[:, None]  # (K, N, D)
+        covs = ((resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / weights[:, None, None]
+                + gmm.COVARIANCE_FLOOR * eye)
+        if np.isfinite(prev_ll) and ll - prev_ll < gmm.EM_REL_TOL * max(abs(prev_ll), 1.0):
+            break
+        prev_ll = ll
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateData("rank-deficient component after flooring") from exc
+    return gmm.GaussianMixture(priors / priors.sum(), means, covs, np.asarray(trace))
+
+
+@st.composite
+def mixture_rows(draw):
+    """Rows drawn around a few random centres with random spreads, in 2, 3 or 7 dimensions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 5))
+    dim = draw(st.sampled_from([2, 3, 7]))
+    n = draw(st.integers(10 * k, 300))
+    centres = rng.normal(scale=draw(st.sampled_from([0.5, 3.0])), size=(draw(st.integers(1, 5)), dim))
+    spread = rng.uniform(0.05, 1.0, size=(centres.shape[0], dim))
+    pick = rng.integers(centres.shape[0], size=n)
+    return centres[pick] + spread[pick] * rng.normal(size=(n, dim)), k, draw(st.integers(0, 99))
+
+
+def close(a, b, rel):
+    """a equals b within rel of b's largest entry (or of 1)."""
+    return np.all(np.abs(a - b) <= rel * max(np.abs(b).max(), 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixture_rows())
+def test_fit_gmm_matches_the_reference_em_loop(case):
+    # the (K, N) loop sums in another order, so its numbers agree to rounding level and
+    # its iteration count is the reference's unless a relative gain of the reference
+    # lies within 1e-6 (relative) of EM_REL_TOL, where rounding decides the stop
+    data, k, seed = case
+    try:
+        ref = reference_fit_gmm(data, k, seed)
+    except DegenerateData:
+        with pytest.raises(DegenerateData):
+            gmm.fit_gmm(data, n_components=k, seed=seed)
+        return
+    mix = gmm.fit_gmm(data, n_components=k, seed=seed)
+    trace, ref_trace = mix.log_likelihoods, ref.log_likelihoods
+    # 1e-9, unless a component sits on the covariance floor (fewer rows than dimensions):
+    # condition numbers reach 1e8 there, and the whitening's rounding grows with them
+    rel = max(1e-9, 10.0 * np.finfo(float).eps * np.linalg.cond(ref.covariances).max())
+    steps = min(trace.size, ref_trace.size)
+    assert close(trace[:steps], ref_trace[:steps], rel)
+    # monotone as the reference is: the floor added after each M-step lets both traces
+    # dip on a few small row sets (by 1.2e-9 at most here), and components with fewer
+    # rows than dimensions sit on the floor, where rounding moves the traces apart
+    slack = 1e-10 + 2.0 * np.abs(trace[:steps] - ref_trace[:steps]).max()
+    assert np.diff(trace).min(initial=0.0) >= np.diff(ref_trace).min(initial=0.0) - slack
+    gains = np.diff(ref_trace) / np.maximum(np.abs(ref_trace[:-1]), 1.0)
+    if np.any(np.abs(gains - gmm.EM_REL_TOL) <= 1e-6 * gmm.EM_REL_TOL):
+        return  # a knife-edge stop
+    assert trace.size == ref_trace.size
+    assert close(mix.priors, ref.priors, rel)
+    assert close(mix.means, ref.means, rel)
+    assert close(mix.covariances, ref.covariances, rel)
