@@ -48,7 +48,10 @@ def _cell(value):
 
 def _numeric_rows(*blocks):
     """One line of comma-separated _fmt cells per row of the column-stacked blocks."""
-    return [",".join(map(_fmt, row)) for row in np.column_stack(blocks).tolist()]
+    # one "%.17g" template writes _fmt's bytes for a whole row in one call
+    table = np.column_stack(blocks)
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % row for row in map(tuple, table.tolist())]
 
 
 def _write_text(path, text):

@@ -140,8 +140,10 @@ class ViaPointSpec:
             raise ValueError("eps_strict and eps_loose must be positive and finite")
         if self.relaxed_axis is not None and self.eps_strict >= self.eps_loose:
             raise ValueError("a relaxed axis needs eps_strict < eps_loose")
-        if not 0 < self.weight_half_width < np.inf:
-            raise ValueError("weight_half_width must be positive and finite")
+        # the via time tolerance; widths near 1e-150 s and below overflow the weight curve
+        if not VIA_TIME_TOL <= self.weight_half_width < np.inf:
+            raise ValueError(f"weight_half_width must be finite and at least {VIA_TIME_TOL:g} s, "
+                             "the via time tolerance")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "omega", omega)
         for name in _VARIANCE_BLOCKS:

@@ -370,6 +370,7 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"via_points": [dict(RELAXED_VIA, relaxed_axis=None, eps_strict=10**400)]},
     {"via_points": [dict(RELAXED_VIA, eps_loose=10**400)]},
     {"via_points": [dict(RELAXED_VIA, weight_half_width=10**400)]},
+    {"via_points": [dict(RELAXED_VIA, weight_half_width=1e-300)]},
     {"grid": 300.9},
     {"gmm": {"components": 2.9, "seed": 0}},
     {"grid": "300"},
