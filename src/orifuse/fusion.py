@@ -21,7 +21,7 @@ from ._kernels import (
 )
 from .errors import DomainOverlap, SeriesTooShort
 from .gmm import DEFAULT_COMPONENTS
-from .kmp import AXES, OrientationTrajectory, ViaPointSpec, angular_velocities
+from .kmp import AXES, VIA_TIME_TOL, OrientationTrajectory, ViaPointSpec, angular_velocities
 from .pipeline import reproduce_with_via_points
 
 # An IOVP is a via-point with one relaxed axis; one spec type serves both.
@@ -48,8 +48,10 @@ class WeightCurveSet:
         w = np.asarray(self.half_widths, dtype=float)
         if c.shape != w.shape or c.ndim != 1:
             raise ValueError("centers and half_widths must be matching 1-d arrays")
-        if np.any(w <= 0):
-            raise ValueError("half widths must be positive")
+        # widths near 1e-150 s and below overflow the curve's exponent
+        if not np.all(w >= VIA_TIME_TOL):
+            raise ValueError(f"half widths must be at least {VIA_TIME_TOL:g} s, the via time "
+                             "tolerance")
         # 1e-12 s of slack lets a half-width end exactly on its neighbor's center
         lo, hi = c[:-1], c[1:]
         bad = np.flatnonzero((hi <= lo) | (lo + w[:-1] > hi + 1e-12) | (hi - w[1:] < lo - 1e-12))

@@ -440,8 +440,12 @@ def _parse_config(doc, path, seed, grid):
     if not isinstance(values, list) or not all(
             isinstance(v, (int, float)) and math.isfinite(v) for v in values):
         raise ConfigError(f"{path}: sweep values must be a list of finite numbers")
-    if sweep_axis == "lambda_a" and any(v <= 0 for v in values):
-        raise ConfigError(f"{path}: lambda_a sweep values must be positive")
+    if sweep_axis == "lambda_a":
+        try:
+            for value in values:
+                kmp.check_lambda_a(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: sweep values: {exc}") from exc
     if sweep_axis == "target-rotation" and not (vias and all(v == int(v) for v in values)):
         raise ConfigError(f"{path}: a target-rotation sweep needs whole-number values and "
                           "a via-point to turn")

@@ -63,8 +63,8 @@ class KernelConfig:
             raise ValueError("l must be positive and finite")
         if not 0 < self.lam < np.inf:
             raise ValueError("lambda must be positive and finite")
-        if self.lambda_a is not None and not 0 < self.lambda_a < np.inf:
-            raise ValueError("lambda_a must be positive and finite when given")
+        if self.lambda_a is not None:
+            check_lambda_a(self.lambda_a)
         if order is not None and order != ("pv" if self.lambda_a is None else "pva"):
             raise ValueError("order must be 'pva' with lambda_a and 'pv' without")
 
@@ -75,6 +75,15 @@ class KernelConfig:
     @property
     def state_dim(self):
         return 3 * self.n_blocks
+
+
+def check_lambda_a(lambda_a):
+    """Raise ValueError unless lambda_a and the acceleration variance 1/lambda_a are
+    positive and finite."""
+    if not (0 < lambda_a < np.inf and 1.0 / float(lambda_a) < np.inf):
+        raise ValueError(f"lambda_a must be finite and above about "
+                         f"{1.0 / np.finfo(float).max:.3g}, where 1/lambda_a overflows; "
+                         f"got {lambda_a!r}")
 
 
 def _variances(value, name):
@@ -288,8 +297,7 @@ def augment_for_acceleration(ref, lambda_a):
     Every mean gains a zero psi_ddot block and every covariance a
     (1/lambda_a) I_3 block.
     """
-    if lambda_a <= 0:
-        raise ValueError("lambda_a must be positive")
+    check_lambda_a(lambda_a)
     if ref.state_dim != 6:
         raise ValueError("reference is already acceleration-augmented")
     n = len(ref)
@@ -443,6 +451,10 @@ def build_model(ext, cfg, scalar_blocks=None):
     phi = np.zeros((n, nb, 3, rank, 3))
     for a in range(3):
         phi[:, :, a, :, a] = features.reshape(nb, n, rank).transpose(1, 0, 2)
+    largest = float(np.abs(ext.covariances).max())
+    if not float(cfg.lam) * largest < np.inf:
+        raise FactorizationFailure(f"kernel.lambda {cfg.lam:g} times the largest row covariance "
+                                   f"entry ({largest:g}) overflows; lower kernel.lambda")
     try:
         chol = np.linalg.cholesky(cfg.lam * ext.covariances)
     except np.linalg.LinAlgError:

@@ -80,6 +80,16 @@ def test_overlapping_domains_rejected():
     WeightCurveSet(np.array([4.0, 6.4]), np.array([2.4, 2.4]))
 
 
+def test_half_widths_below_the_via_time_tolerance_rejected():
+    # 1e-300 used to pass and then divide by an underflowed variance in weight_matrix
+    for width in (1e-300, 5e-324, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="at least 1e-09 s, the via time tolerance"):
+            WeightCurveSet(np.array([4.0]), np.array([width]))
+    curves = WeightCurveSet(np.array([4.0]), np.array([kmp.VIA_TIME_TOL]))
+    weights = curves.weight_matrix(np.linspace(0, 10, 11))
+    assert np.array_equal(weights[:, 1], np.linspace(0, 10, 11) == 4.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6),
        st.lists(st.one_of(st.just(1.0), st.floats(0.05, 1.3)), min_size=6, max_size=6))

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from orifuse import gmm, io, kmp, so3
+from orifuse import cli, gmm, io, kmp, so3
 from orifuse._kernels import rot_exp_many
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import (
@@ -392,6 +392,25 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
 def test_config_rejects_values_the_run_cannot_use(tmp_path, overrides):
     with pytest.raises(ConfigError):
         io.load_config(_base_config(tmp_path, **overrides))
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"kernel": {"l": 0.01, "lambda": 1.0, "lambda_a": 5e-324}}, "kernel: lambda_a"),
+    ({"sweep": {"axis": "lambda_a", "values": [10.0, 5e-324]}}, "sweep values: lambda_a"),
+])
+def test_an_acceleration_weight_whose_inverse_overflows_names_its_key(tmp_path, overrides, key):
+    # 1/lambda_a, the variance of the zero acceleration targets, would overflow
+    with pytest.raises(ConfigError, match=f"{key} must be finite and above about 5.56e-309"):
+        io.load_config(_base_config(tmp_path, **overrides))
+
+
+def test_a_ridge_factor_that_overflows_the_row_covariances_exits_4(tmp_path, capsys):
+    # kernel.lambda is finite, so the configuration loads, but lambda times the
+    # largest covariance entry of the rows is not: the run names the key instead
+    # of overflowing in lambda * Sigma_i
+    cfg = _base_config(tmp_path, kernel={"l": 0.01, "lambda": 1.7e308}, via_points=[RELAXED_VIA])
+    assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "kernel.lambda 1.7e+308 times the largest row covariance entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, key", [
