@@ -410,7 +410,8 @@ def test_a_ridge_factor_that_overflows_the_row_covariances_exits_4(tmp_path, cap
     # of overflowing in lambda * Sigma_i
     cfg = _base_config(tmp_path, kernel={"l": 0.01, "lambda": 1.7e308}, via_points=[RELAXED_VIA])
     assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
-    assert "kernel.lambda 1.7e+308 times the largest row covariance entry" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kernel.lambda 1.7e+308 times the largest row covariance entry" in err
 
 
 @pytest.mark.parametrize("overrides, key", [
