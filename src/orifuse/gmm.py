@@ -15,7 +15,8 @@ from .errors import DegenerateData, SeriesTooShort
 DEFAULT_COMPONENTS = 5
 COVARIANCE_FLOOR = 1e-8
 EM_MAX_ITER = 500
-EM_REL_TOL = 1e-8
+# nats per row: EM stops once an iteration gains less mean log-likelihood than this
+EM_TOL = 1e-5
 # exp(x) rounds to 0 below about -745.13; below this an exp would only take numpy's slow
 # underflow path
 EXP_UNDERFLOW = -746.0
@@ -143,10 +144,22 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
     """Fit a Gaussian mixture over (t, eta) rows by EM.
 
     k-means++ initialization from the given seed, responsibilities computed in
-    log space, a COVARIANCE_FLOOR * I added in every M-step.  Stops after
-    EM_MAX_ITER iterations or when the relative log-likelihood improvement
-    drops below EM_REL_TOL.  The per-iteration
-    log-likelihood trace is kept on the returned mixture.
+    log space, a COVARIANCE_FLOOR * I added in every M-step.  The per-iteration
+    log-likelihood trace, a mean per row, is kept on the returned mixture.
+
+    EM stops after EM_MAX_ITER iterations, or at the first iteration whose gain
+    in mean log-likelihood per row is below EM_TOL = 1e-5 nats; a dip stops it
+    too.  An absolute increment is the classic EM stop (McLachlan and Krishnan,
+    The EM Algorithm and Extensions, 2008).  A gain relative to |ll| set a
+    threshold 2.7x apart between the charts of one sweep (|ll| of 4.96 to
+    13.27) and ran on to gains of about 1e-7 nats, where the mean
+    log-likelihood's own sampling error on those charts is 0.075-0.17 nats.
+    On the target-sweep scene the rule takes 1712 iterations over 15 fits
+    where the relative 1e-8 took 2364, and moves the sweep's costs by at most
+    0.72% (0.91% from an EM run on to gains of 1e-12).  A tolerance of 1e-6
+    takes 1984 iterations and moves them by 0.18%; 3e-5 takes 1582 and moves
+    them by 1.3%, the lambda-sweep's by 1.7%.  The fit is not unit-invariant
+    under either rule: the absolute COVARIANCE_FLOOR ties it to the rows' units.
 
     An iteration is two matrix products plus (K, N) and (K, D, D) work.  The
     E-step whitens the rows, with a row of ones appended, under every component
@@ -165,10 +178,11 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
     parameters stay within about 1e-11 of that sum, relative to their largest
     entry.  A component on the covariance floor has eigenvalues of 1e-8, so the
     same error moves its log-determinant, and the final log-likelihood by up to
-    about 1e-6; where a relative gain lies that close to EM_REL_TOL, the stop
-    moves by an iteration.  The floor also breaks EM's monotone ascent: an
-    M-step plus COVARIANCE_FLOOR * I no longer maximizes, and the trace can dip
-    by about 1e-9 on small row sets (1.2e-9 on 20 rows in 2 dimensions).
+    about 1e-6; where a gain lies that close to EM_TOL, the stop moves by an
+    iteration.  The floor also breaks EM's monotone ascent: an
+    M-step plus COVARIANCE_FLOOR * I no longer maximizes, and the trace can dip:
+    by 1.2e-9 on 20 rows in 2 dimensions, and by 7.3e-6 at iteration 212 of a
+    target-sweep fit whose covariances reach a condition number of 4e8.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -228,7 +242,7 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
         covs = moments[:, 1 + dim:][:, mirror]
         covs -= shift[:, :, None] * shift[:, None, :]
         covs += floor
-        if np.isfinite(prev_ll) and ll - prev_ll < EM_REL_TOL * max(abs(prev_ll), 1.0):
+        if ll - prev_ll < EM_TOL:
             break
         prev_ll = ll
     priors = priors / priors.sum()

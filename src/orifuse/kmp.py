@@ -14,6 +14,7 @@ times (Williams and Seeger, NIPS 2001), as many as the kernel's numerical rank
 on the rows' time span needs, so a build takes time linear in the row count.
 """
 
+import math
 from dataclasses import InitVar, dataclass
 from itertools import islice
 
@@ -31,6 +32,9 @@ EPS_LOOSE_DEFAULT = 1e3
 WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 # minimum chart-distance of a via-point from the ball boundary
 CHART_MARGIN = 1e-3
+# a via's chart velocity steps its target by DEFAULT_DELTA_T, which needs 2 DEFAULT_DELTA_T
+# |omega| of room inside the ball: a via at this speed or faster fits in no chart
+MAX_VIA_SPEED = (np.pi - CHART_MARGIN) / (2.0 * DEFAULT_DELTA_T)
 VIA_TIME_TOL = 1e-9
 _NOT_FINITE = "the kernel regression is not finite; the kernel length scale l is likely too large"
 # query times per slab of the scalar kernel table in predict_many
@@ -115,7 +119,8 @@ class ViaPointSpec:
 
     rotation is the target relative to frame: the world, or the auxiliary
     frame of the run ("aux").  weight_half_width is the half-width of the
-    via's Gaussian weight domain when components are fused.
+    via's Gaussian weight domain when components are fused.  |omega| must be
+    below MAX_VIA_SPEED.
     """
 
     t: float
@@ -138,6 +143,11 @@ class ViaPointSpec:
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (3,) or not np.all(np.isfinite(omega)):
             raise ValueError("omega must be a finite 3-vector")
+        # hypot, unlike a sum of squares, does not overflow
+        if not math.hypot(*omega) < MAX_VIA_SPEED:
+            raise ValueError(f"|omega| must be below {MAX_VIA_SPEED:.6g} rad/s, (pi - "
+                             f"{CHART_MARGIN:g}) / (2 * {DEFAULT_DELTA_T:g} s): a faster via "
+                             "fits in no chart")
         if self.frame not in ("world", "aux"):
             raise ValueError("frame must be 'world' or 'aux'")
         if self.relaxed_axis is not None and self.relaxed_axis not in AXES:

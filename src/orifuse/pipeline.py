@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gmm as gmm_mod
 from . import kmp
+from .errors import ConfigError
 
 # points of the GMR reference grid spanning the demonstration duration
 REF_SIZE = 200
@@ -33,6 +34,22 @@ def demo_grid(demos, n):
     t0 = min(float(d.times[0]) for d in demos)
     t1 = max(float(d.times[-1]) for d in demos)
     return np.linspace(t0, t1, n)
+
+
+def check_via_times(demos, vias):
+    """ConfigError unless every via time lies near the demonstrations' time span.
+
+    The span runs from the first start to the last end; a via may lie up to one
+    span length before or after it, which keeps the kernel's squared time
+    differences far from overflow.
+    """
+    t0, t1 = demo_grid(demos, 2)
+    span = t1 - t0
+    for via in vias:
+        if not t0 - span <= via.t <= t1 + span:
+            raise ConfigError(f"via at t={via.t:g} lies outside {t0 - span:g} to {t1 + span:g} "
+                              f"s: a via time must lie within one demonstration span "
+                              f"({span:g} s) of the demonstrations' {t0:g} to {t1:g} s")
 
 
 def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
@@ -56,11 +73,12 @@ def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
 
     vias is a list of kmp.ViaPointSpec (may be empty for pure reproduction).
     The reference grid spans the demonstration duration with REF_SIZE points;
-    grid_times is the output grid.
+    grid_times is the output grid.  Via times are checked by check_via_times.
 
     gmm_cache is the mixture cache (see the module docstring), a fresh dict
     when None.
     """
+    check_via_times(demos, vias)
     gmm_cache = {} if gmm_cache is None else gmm_cache
     mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
     reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))

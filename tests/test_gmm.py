@@ -207,7 +207,7 @@ def reference_fit_gmm(data, n_components, seed):
         diff = data - means[:, None]  # (K, N, D)
         covs = ((resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / weights[:, None, None]
                 + gmm.COVARIANCE_FLOOR * eye)
-        if np.isfinite(prev_ll) and ll - prev_ll < gmm.EM_REL_TOL * max(abs(prev_ll), 1.0):
+        if ll - prev_ll < gmm.EM_TOL:
             break
         prev_ll = ll
     try:
@@ -239,8 +239,8 @@ def close(a, b, rel):
 @given(mixture_rows())
 def test_fit_gmm_matches_the_reference_em_loop(case):
     # the (K, N) loop sums in another order, so its numbers agree to rounding level and
-    # its iteration count is the reference's unless a relative gain of the reference
-    # lies within 1e-6 (relative) of EM_REL_TOL, where rounding decides the stop
+    # its iteration count is the reference's unless a gain of the reference lies within
+    # 1e-6 (relative) of EM_TOL, where rounding decides the stop
     data, k, seed = case
     try:
         ref = reference_fit_gmm(data, k, seed)
@@ -260,13 +260,29 @@ def test_fit_gmm_matches_the_reference_em_loop(case):
     # rows than dimensions sit on the floor, where rounding moves the traces apart
     slack = 1e-10 + 2.0 * np.abs(trace[:steps] - ref_trace[:steps]).max()
     assert np.diff(trace).min(initial=0.0) >= np.diff(ref_trace).min(initial=0.0) - slack
-    gains = np.diff(ref_trace) / np.maximum(np.abs(ref_trace[:-1]), 1.0)
-    if np.any(np.abs(gains - gmm.EM_REL_TOL) <= 1e-6 * gmm.EM_REL_TOL):
+    gains = np.diff(ref_trace)
+    if np.any(np.abs(gains - gmm.EM_TOL) <= 1e-6 * gmm.EM_TOL):
         return  # a knife-edge stop
     assert trace.size == ref_trace.size
     assert close(mix.priors, ref.priors, rel)
     assert close(mix.means, ref.means, rel)
     assert close(mix.covariances, ref.covariances, rel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixture_rows())
+def test_em_stops_at_the_first_gain_below_em_tol(case):
+    # an absolute gain in mean log-likelihood per row: a relative rule scaled by |ll|
+    # would stop these fits elsewhere
+    data, k, seed = case
+    try:
+        mix = gmm.fit_gmm(data, n_components=k, seed=seed)
+    except DegenerateData:
+        return
+    gains = np.diff(mix.log_likelihoods)
+    assert np.all(gains[:-1] >= gmm.EM_TOL)
+    if mix.log_likelihoods.size < gmm.EM_MAX_ITER:
+        assert gains[-1] < gmm.EM_TOL
 
 
 @st.composite
@@ -328,8 +344,8 @@ def test_moment_m_step_matches_the_reference_em_loop_at_chart_scale(case):
     if floor:
         assert abs(trace[-1] - ref_trace[-1]) <= FLOOR_LL_BOUND
         return
-    gains = np.diff(ref_trace) / np.maximum(np.abs(ref_trace[:-1]), 1.0)
-    if np.any(np.abs(gains - gmm.EM_REL_TOL) <= 1e-6 * gmm.EM_REL_TOL):
+    gains = np.diff(ref_trace)
+    if np.any(np.abs(gains - gmm.EM_TOL) <= 1e-6 * gmm.EM_TOL):
         return  # a knife-edge stop
     assert trace.size == ref_trace.size
     assert close(mix.priors, ref.priors, 1e-9)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from orifuse import cli, gmm, io, kmp, so3
+from orifuse import cli, gmm, io, kmp, pipeline, so3
 from orifuse._kernels import rot_exp_many
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import (
@@ -412,6 +412,28 @@ def test_a_ridge_factor_that_overflows_the_row_covariances_exits_4(tmp_path, cap
     assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "kernel.lambda 1.7e+308 times the largest row covariance entry" in err
+
+
+@pytest.mark.parametrize("omega", [[1e300, 0.0, 0.0], [1.7e308] * 3, [0.0, 1111.0, 1111.0]])
+def test_a_via_too_fast_for_any_chart_exits_2(tmp_path, capsys, omega):
+    # 2 DEFAULT_DELTA_T |omega| reaches pi - CHART_MARGIN: the forward step leaves every
+    # chart, so the via is a configuration error, not a chart-boundary distance
+    cfg = _base_config(tmp_path, via_points=[dict(RELAXED_VIA, omega=omega)])
+    assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "|omega| must be below 1570.3 rad/s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    kmp.ViaPointSpec(4.0, np.eye(3), [0.0, 0.0, 1570.0])
+
+
+@pytest.mark.parametrize("t", [1e300, 20.5, -10.5])
+def test_a_via_time_beyond_the_demonstrations_exits_2_and_names_it(tmp_path, capsys, t):
+    # the demonstrations span 0 to 10 s, so via times run from -10 to 20 s; a run past
+    # them would overflow the kernel's squared time differences
+    cfg = _base_config(tmp_path, via_points=[dict(RELAXED_VIA, t=t)])
+    assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"via at t={t:g} lies outside -10 to 20 s" in capsys.readouterr().err
+    demos = io.load_demos(io.load_config(cfg).demo_paths)
+    pipeline.check_via_times(demos, [kmp.ViaPointSpec(20.0, np.eye(3), np.zeros(3))])
 
 
 @pytest.mark.parametrize("overrides, key", [
