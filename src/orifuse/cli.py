@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import demo_gen, fusion, io, so3
-from .errors import ConfigError, OrifuseError
-from .pipeline import demo_grid, fit_projected_mixture, reproduce_with_via_points
+from .errors import ConfigError, IoError, OrifuseError
+from .pipeline import check_vias, demo_grid, fit_projected_mixture, reproduce_with_via_points
 
 
 def _add_common(sub):
@@ -35,6 +35,16 @@ def _add_common(sub):
     sub.add_argument("--grid", type=int, default=None, help="override the config's grid size")
 
 
+def _output_dir(path):
+    """The directory path, made with its parents; IoError (exit 6) when it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot make the output directory {out}: {exc}") from exc
+    return out
+
+
 def _load_run(args):
     """(config, output dir, demos) of a command reading --config.
 
@@ -42,7 +52,8 @@ def _load_run(args):
     a sweep axis.  fuse, eval and target-rotation sweeps take one chart per
     via-point (per-iovp); every other command takes one chart, and a
     first-demo-start chart is resolved into aux_rotation here.  These checks
-    run before the demonstrations load and the output directory is made.
+    run before the demonstrations load, and pipeline.check_vias after, before
+    the output directory is made.
     """
     cfg = io.load_config(args.config, seed=args.seed, grid=args.grid)
     if args.command == "sweep" and cfg.sweep_axis is None:
@@ -56,9 +67,8 @@ def _load_run(args):
     demos = io.load_demos(cfg.demo_paths)
     if cfg.aux_policy == "first-demo-start":
         cfg = replace(cfg, aux_rotation=demos[0].rotations[0])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out, demos
+    check_vias(demos, cfg.via_points, demo_grid(demos, cfg.grid))
+    return cfg, _output_dir(args.out), demos
 
 
 def _adaptation(cfg, demos, gmm_cache=None):
@@ -81,8 +91,7 @@ def _cmd_gen_demos(args):
         raise ConfigError("gen-demos needs count >= 1, samples >= 2, a finite duration > 0 and "
                           f"seed >= 0; got {args.count}, {args.samples}, {args.duration} "
                           f"and {args.seed}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     demos = demo_gen.generate_demos(
         args.profile, args.count, args.seed, duration=args.duration, samples=args.samples
     )

@@ -81,8 +81,8 @@ def _read_table(path, magic):
     """(header fields, numeric rows) of a table file; a header n= must count the rows."""
     path = Path(path)
     try:
-        raw = path.read_text()
-    except OSError as exc:
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
     lines = raw.splitlines()
     if not lines:
@@ -264,8 +264,8 @@ def save_mixture(path, mixture):
 
 def load_mixture(path):
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse mixture file: {exc}", path=path) from exc
     return GaussianMixture(
         np.asarray(doc["priors"], dtype=float),
@@ -306,7 +306,7 @@ _KEYS = {
 # why a retired key is gone, appended to its unknown-key message
 _RETIRED = {
     "memory": "the memory average always runs; 'fuse --no-memory' is the diagnostic ablation",
-    "delta_t_via": f"via velocities are stepped by the fixed {kmp.DEFAULT_DELTA_T:g} s",
+    "delta_t_via": "via velocities enter the chart in closed form, with no time step",
 }
 
 
@@ -366,8 +366,8 @@ def load_config(path, seed=None, grid=None):
     """Parse and check a JSON run configuration in one pass; seed and grid override its own."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -446,9 +446,12 @@ def _parse_config(doc, path, seed, grid):
                 kmp.check_lambda_a(value)
         except ValueError as exc:
             raise ConfigError(f"{path}: sweep values: {exc}") from exc
-    if sweep_axis == "target-rotation" and not (vias and all(v == int(v) for v in values)):
-        raise ConfigError(f"{path}: a target-rotation sweep needs whole-number values and "
-                          "a via-point to turn")
+    # above 2**53 floats skip whole numbers; up to it, the turn (i - 6) pi / 6 keeps its
+    # squared angle in rot_exp far from overflow
+    if sweep_axis == "target-rotation" and not (
+            vias and all(v == int(v) and abs(v) <= 2**53 for v in values)):
+        raise ConfigError(f"{path}: sweep.values: a target-rotation sweep needs whole-number "
+                          "values of at most 2**53 in size and a via-point to turn")
     return RunConfig(
         demo_paths=demo_paths,
         components=components,

@@ -21,20 +21,16 @@ from itertools import islice
 import numpy as np
 
 from . import so3
-from ._kernels import rot_exp, rot_exp_many, rot_log, rot_log_many
+from ._kernels import rot_exp_many, rot_log, rot_log_many
 from .errors import ChartBoundaryError, ConfigError, FactorizationFailure, SeriesTooShort
 from .gmm import ReferenceTrajectory
 
-DEFAULT_DELTA_T = 1e-3
 AXES = ("x", "y", "z")
 EPS_STRICT_DEFAULT = 1e-10
 EPS_LOOSE_DEFAULT = 1e3
 WEIGHT_HALF_WIDTH_DEFAULT = 2.4
 # minimum chart-distance of a via-point from the ball boundary
 CHART_MARGIN = 1e-3
-# a via's chart velocity steps its target by DEFAULT_DELTA_T, which needs 2 DEFAULT_DELTA_T
-# |omega| of room inside the ball: a via at this speed or faster fits in no chart
-MAX_VIA_SPEED = (np.pi - CHART_MARGIN) / (2.0 * DEFAULT_DELTA_T)
 VIA_TIME_TOL = 1e-9
 _NOT_FINITE = "the kernel regression is not finite; the kernel length scale l is likely too large"
 # query times per slab of the scalar kernel table in predict_many
@@ -119,8 +115,7 @@ class ViaPointSpec:
 
     rotation is the target relative to frame: the world, or the auxiliary
     frame of the run ("aux").  weight_half_width is the half-width of the
-    via's Gaussian weight domain when components are fused.  |omega| must be
-    below MAX_VIA_SPEED.
+    via's Gaussian weight domain when components are fused.
     """
 
     t: float
@@ -143,11 +138,6 @@ class ViaPointSpec:
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (3,) or not np.all(np.isfinite(omega)):
             raise ValueError("omega must be a finite 3-vector")
-        # hypot, unlike a sum of squares, does not overflow
-        if not math.hypot(*omega) < MAX_VIA_SPEED:
-            raise ValueError(f"|omega| must be below {MAX_VIA_SPEED:.6g} rad/s, (pi - "
-                             f"{CHART_MARGIN:g}) / (2 * {DEFAULT_DELTA_T:g} s): a faster via "
-                             "fits in no chart")
         if self.frame not in ("world", "aux"):
             raise ValueError("frame must be 'world' or 'aux'")
         if self.relaxed_axis is not None and self.relaxed_axis not in AXES:
@@ -237,29 +227,30 @@ class OrientationTrajectory:
 def transform_via_point(vp, R_aux):
     """Express a desired point in the chart of R_aux.
 
-    With R = vp.target_rotation(R_aux) the world target, psi = log(R_aux^T R);
-    the chart velocity comes from stepping the desired motion forward by
-    delta_t = DEFAULT_DELTA_T:
+    With R = vp.target_rotation(R_aux) the world target, psi = log(R_aux^T R)
+    and theta = |psi|, the chart velocity is the closed form (Sola, Deray and
+    Atchuthan, arXiv 1812.01537), finite on the closed pi-ball:
 
-        R_plus = R * exp(R^T omega * delta_t)
-        psi_dot = (log(R_aux^T R_plus) - psi) / delta_t
+        psi_dot = J_l(psi)^-1 R_aux^T omega
+        J_l^-1 = I - [psi]x / 2 + (1/theta^2 - (1 + cos theta) / (2 theta sin theta)) [psi]x^2
 
-    Returns (t, eta, covariance) with eta = [psi, psi_dot].
+    A target beyond pi - CHART_MARGIN raises ChartBoundaryError.  Returns (t, eta,
+    covariance) with eta = [psi, psi_dot].
     """
-    delta_t = DEFAULT_DELTA_T
     R_aux = so3.check_rotation(R_aux, name="R_aux")
-    R = vp.target_rotation(R_aux)
-    psi = rot_log(R_aux.T @ R)
-    margin = CHART_MARGIN + 2.0 * delta_t * float(np.linalg.norm(vp.omega))
-    if np.linalg.norm(psi) > np.pi - margin:
+    psi = rot_log(R_aux.T @ vp.target_rotation(R_aux))
+    theta = float(np.linalg.norm(psi))
+    if theta > np.pi - CHART_MARGIN:
         raise ChartBoundaryError(
-            f"via-point at t={vp.t} lies {np.pi - np.linalg.norm(psi):.2e} rad from the "
+            f"via-point at t={vp.t} lies {np.pi - theta:.2e} rad from the "
             "chart boundary; choose an auxiliary frame closer to the target"
         )
-    body_step = R.T @ vp.omega * delta_t
-    R_plus = R @ rot_exp(body_step)
-    psi_plus = rot_log(R_aux.T @ R_plus)
-    psi_dot = (psi_plus - psi) / delta_t
+    # (1 + cos)/(2 theta sin) = 1/(2 theta tan(theta/2)); its limit 1/12 is exact below 1e-4
+    coef = 1.0 / 12.0 if theta < 1e-4 else (
+        1.0 / (theta * theta) - 1.0 / (2.0 * theta * math.tan(0.5 * theta)))
+    v = R_aux.T @ vp.omega
+    psi_v = np.cross(psi, v)
+    psi_dot = v - 0.5 * psi_v + coef * np.cross(psi, psi_v)
     return vp.t, np.concatenate([psi, psi_dot]), vp.covariance_matrix()
 
 

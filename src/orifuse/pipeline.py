@@ -11,6 +11,7 @@ costs a fit, never a different result.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +37,28 @@ def demo_grid(demos, n):
     return np.linspace(t0, t1, n)
 
 
-def check_via_times(demos, vias):
-    """ConfigError unless every via time lies near the demonstrations' time span.
+def check_vias(demos, vias, grid_times):
+    """ConfigError unless every via's time suits the demonstrations and its speed the grid.
 
-    The span runs from the first start to the last end; a via may lie up to one
-    span length before or after it, which keeps the kernel's squared time
-    differences far from overflow.
+    A via may lie up to one span length outside the demonstrations' span, from the first
+    start to the last end, far from overflow of the kernel's squared time differences.
+    Its |omega| must be below pi / (2 step), step the largest of grid_times: above it the
+    two-step central difference of kmp.angular_velocities wraps at pi.
     """
     t0, t1 = demo_grid(demos, 2)
     span = t1 - t0
+    step = float(np.max(np.diff(grid_times), initial=0.0))
+    max_speed = math.pi / (2.0 * step) if step > 0 else math.inf
     for via in vias:
         if not t0 - span <= via.t <= t1 + span:
             raise ConfigError(f"via at t={via.t:g} lies outside {t0 - span:g} to {t1 + span:g} "
                               f"s: a via time must lie within one demonstration span "
                               f"({span:g} s) of the demonstrations' {t0:g} to {t1:g} s")
+        speed = math.hypot(*via.omega)  # unlike a sum of squares, hypot does not overflow
+        if not speed < max_speed:
+            raise ConfigError(f"via at t={via.t:g} has |omega| {speed:.6g} rad/s: the grid's "
+                              "two-step velocity wraps at pi, so it must be below pi / (2 x "
+                              f"{step:.6g} s) = {max_speed:.6g} rad/s")
 
 
 def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
@@ -73,12 +82,12 @@ def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
 
     vias is a list of kmp.ViaPointSpec (may be empty for pure reproduction).
     The reference grid spans the demonstration duration with REF_SIZE points;
-    grid_times is the output grid.  Via times are checked by check_via_times.
+    grid_times is the output grid; check_vias checks the vias against both.
 
     gmm_cache is the mixture cache (see the module docstring), a fresh dict
     when None.
     """
-    check_via_times(demos, vias)
+    check_vias(demos, vias, grid_times)
     gmm_cache = {} if gmm_cache is None else gmm_cache
     mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
     reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))

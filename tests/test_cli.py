@@ -331,6 +331,44 @@ def test_huge_sweep_value_is_a_config_error(tmp_path, demo_dir, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [1e200, -1e300])
+def test_a_huge_whole_target_rotation_step_is_a_config_error(tmp_path, demo_dir, capsys, value):
+    # whole, but its turn (i - 6) pi / 6 would overflow rot_exp's squared angle
+    cfg = readme_fusion_config(tmp_path, demo_dir,
+                               sweep={"axis": "target-rotation", "values": [value]})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "sweep.values: a target-rotation sweep needs whole-number values of at most 2**53" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["adapt", "gen-demos"])
+def test_an_output_path_on_a_file_exits_6_and_names_it(tmp_path, demo_dir, capsys, command,
+                                                        below):
+    # --out naming an existing file, or a path below one, cannot be made a directory
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / below
+    argv = ["gen-demos", "--count", "1", "--samples", "3", "--out", out]
+    if command == "adapt":
+        argv = ["adapt", "--config", write_config(tmp_path / "cfg.json", demo_dir), "--out", out]
+    assert run_cli(*argv) == 6
+    assert f"cannot make the output directory {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, code", [("config", 2), ("demo", 3)])
+def test_a_file_that_is_not_utf8_names_itself(tmp_path, demo_dir, capsys, kind, code):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{")
+    cfg = bad if kind == "config" else write_config(tmp_path / "cfg.json", demo_dir,
+                                                    demos=[str(bad)])
+    assert run_cli("adapt", "--config", cfg, "--out", tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_target_rotation_step_6_is_the_eval_row(tmp_path, demo_dir):
     # step i turns the last via's target by (i - 6) pi / 6, so step 6 leaves it as it is
     cfg = write_config(tmp_path / "cfg.json", demo_dir, via_points=IOVP_VIAS,

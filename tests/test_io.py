@@ -267,6 +267,13 @@ def test_mixture_roundtrip(tmp_path, mix):
         assert getattr(loaded, name).tobytes() == getattr(mix, name).tobytes()
 
 
+def test_a_mixture_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "mix.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ParseError, match="mix.json: cannot parse mixture file: 'utf-8' codec"):
+        io.load_mixture(path)
+
+
 def _base_config(tmp_path, **overrides):
     demos = generate_demos("s61-like", 2, seed=0)
     for i, d in enumerate(demos):
@@ -367,6 +374,11 @@ RELAXED_VIA = {"t": 4.0, "psi": [0.2, 0, 0], "relaxed_axis": "y"}
     {"aux_frame": "per-iovp", "via_points": [RELAXED_VIA],
      "sweep": {"axis": "target-rotation", "values": [1.5, 1]}},
     {"aux_frame": "per-iovp", "sweep": {"axis": "target-rotation", "values": [0]}},
+    # whole, but so large that the turn's squared angle overflows in rot_exp
+    {"aux_frame": "per-iovp", "via_points": [RELAXED_VIA],
+     "sweep": {"axis": "target-rotation", "values": [1e200]}},
+    {"aux_frame": "per-iovp", "via_points": [RELAXED_VIA],
+     "sweep": {"axis": "target-rotation", "values": [0, -1e300]}},
     {"via_points": [dict(RELAXED_VIA, relaxed_axis=None, eps_strict=10**400)]},
     {"via_points": [dict(RELAXED_VIA, eps_loose=10**400)]},
     {"via_points": [dict(RELAXED_VIA, weight_half_width=10**400)]},
@@ -416,13 +428,16 @@ def test_a_ridge_factor_that_overflows_the_row_covariances_exits_4(tmp_path, cap
 
 @pytest.mark.parametrize("omega", [[1e300, 0.0, 0.0], [1.7e308] * 3, [0.0, 1111.0, 1111.0]])
 def test_a_via_too_fast_for_any_chart_exits_2(tmp_path, capsys, omega):
-    # 2 DEFAULT_DELTA_T |omega| reaches pi - CHART_MARGIN: the forward step leaves every
-    # chart, so the via is a configuration error, not a chart-boundary distance
+    # the 50-point grid on 0 to 10 s measures angular velocity over two 0.204 s steps,
+    # which wrap at pi: a faster via is a configuration error, reported before any output
     cfg = _base_config(tmp_path, via_points=[dict(RELAXED_VIA, omega=omega)])
     assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "|omega| must be below 1570.3 rad/s" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "via at t=4 has |omega|" in err and "below pi / (2 x 0.204082 s) = 7.6969 rad/s" in err
     assert not (tmp_path / "out").exists()
-    kmp.ViaPointSpec(4.0, np.eye(3), [0.0, 0.0, 1570.0])
+    demos = io.load_demos(io.load_config(cfg).demo_paths)
+    pipeline.check_vias(demos, [kmp.ViaPointSpec(4.0, np.eye(3), [0.0, 0.0, 7.69])],
+                        pipeline.demo_grid(demos, 50))
 
 
 @pytest.mark.parametrize("t", [1e300, 20.5, -10.5])
@@ -433,7 +448,8 @@ def test_a_via_time_beyond_the_demonstrations_exits_2_and_names_it(tmp_path, cap
     assert cli.main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"via at t={t:g} lies outside -10 to 20 s" in capsys.readouterr().err
     demos = io.load_demos(io.load_config(cfg).demo_paths)
-    pipeline.check_via_times(demos, [kmp.ViaPointSpec(20.0, np.eye(3), np.zeros(3))])
+    pipeline.check_vias(demos, [kmp.ViaPointSpec(20.0, np.eye(3), np.zeros(3))],
+                        pipeline.demo_grid(demos, 50))
 
 
 @pytest.mark.parametrize("overrides, key", [

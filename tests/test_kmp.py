@@ -416,8 +416,8 @@ def test_transform_via_point_zero_velocity():
 
 
 def test_transform_via_point_velocity_limit_at_origin():
-    # at the chart origin psi_dot is the body-frame velocity, up to rounding, at the
-    # fixed step kmp.DEFAULT_DELTA_T
+    # at the chart origin J_l^-1 is the identity, so psi_dot is the velocity R_aux^T omega
+    # in the chart's frame, up to rounding
     R_aux = so3.exp_map([0.5, -0.2, 0.1])
     omega = np.array([0.0, 0.0, 0.3])
     vp = kmp.ViaPointSpec(0.0, R_aux, omega, np.diag([1e-6] * 6))
@@ -433,6 +433,41 @@ def test_transform_via_point_paper_value_roundtrip():
     vp = kmp.ViaPointSpec(4.0, R, omega, np.diag([1e-6] * 6))
     _, eta, _ = kmp.transform_via_point(vp, R_aux)
     assert np.linalg.norm(eta[:3] - psi) < 1e-6
+
+
+def unit_vectors():
+    return st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+        lambda u: np.linalg.norm(u) > 0.1).map(lambda u: u / np.linalg.norm(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=unit_vectors(), direction=unit_vectors(), aux=unit_vectors(),
+       theta=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, np.pi - 2e-3)))
+def test_chart_velocity_matches_a_central_difference(axis, direction, aux, theta):
+    # psi_dot = J_l(psi)^-1 R_aux^T omega is the derivative of log(R_aux^T R exp(t R^T omega))
+    # at t = 0.  It is linear in omega, so one speed tests them all; at 30 rad/s the
+    # difference's rounding, about 1e-13 / h near the shell, stays below 1e-8 relative
+    R_aux = so3.exp_map(2.0 * aux)
+    R = R_aux @ so3.exp_map(theta * axis)
+    omega = 30.0 * direction
+    _, eta, _ = kmp.transform_via_point(kmp.ViaPointSpec(0.0, R, omega), R_aux)
+    h = 1e-6
+    ahead, behind = (so3.log_map(R_aux.T @ R @ so3.exp_map(s * h * R.T @ omega))
+                     for s in (1.0, -1.0))
+    difference = (ahead - behind) / (2.0 * h)
+    assert np.linalg.norm(eta[3:] - difference) <= 1e-8 * np.linalg.norm(eta[3:])
+
+
+def test_a_fast_via_well_inside_the_chart_transforms():
+    # a 1500 rad/s via 0.9 rad inside the pi-ball: the chart velocity needs no room of
+    # its own, so only the target's distance from the boundary is checked
+    R_aux = so3.exp_map([0.3, -0.2, 0.1])
+    omega = np.array([0.0, 0.0, 1500.0])
+    vp = kmp.ViaPointSpec(4.0, R_aux @ so3.exp_map([np.pi - 0.9, 0.0, 0.0]), omega)
+    _, eta, _ = kmp.transform_via_point(vp, R_aux)
+    assert abs(np.linalg.norm(eta[:3]) - (np.pi - 0.9)) < 1e-12
+    assert np.all(np.isfinite(eta[3:]))
+    assert np.linalg.norm(eta[3:]) >= np.linalg.norm(omega)
 
 
 def test_transform_via_point_near_boundary_rejected():
