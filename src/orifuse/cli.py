@@ -7,7 +7,10 @@ files, whatever the BLAS thread count.  Every command but gen-demos reads its
 settings from one validated io.RunConfig: --config and --out are required,
 and --seed and --grid override the config's gmm seed and grid.  A sweep
 prepares what its trials share, then runs every trial on one pool of --jobs
-threads.
+threads: a lambda_a sweep fits its chart's mixture and builds its first
+value's model once, and every other trial solves only its acceleration
+weight from that model's factor (kmp.RowFactor.solve); a target-rotation
+sweep builds the components of the vias that do not turn once.
 
 Exit codes, owned by errors.py: 0 success, 1 any other OrifuseError,
 2 configuration, 3 input parsing or timing, 4 numeric failure, 5 via-domain
@@ -23,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import demo_gen, fusion, io, so3
+from . import demo_gen, fusion, io, kmp, so3
 from .errors import ConfigError, IoError, OrifuseError
-from .pipeline import check_vias, demo_grid, fit_projected_mixture, reproduce_with_via_points
+from .pipeline import (check_kernel, check_vias, demo_grid, regression_rows,
+                       reproduce_with_via_points)
 
 
 def _add_common(sub):
@@ -52,8 +56,8 @@ def _load_run(args):
     a sweep axis.  fuse, eval and target-rotation sweeps take one chart per
     via-point (per-iovp); every other command takes one chart, and a
     first-demo-start chart is resolved into aux_rotation here.  These checks
-    run before the demonstrations load, and pipeline.check_vias after, before
-    the output directory is made.
+    run before the demonstrations load, and pipeline.check_vias and
+    pipeline.check_kernel after, before the output directory is made.
     """
     cfg = io.load_config(args.config, seed=args.seed, grid=args.grid)
     if args.command == "sweep" and cfg.sweep_axis is None:
@@ -68,22 +72,19 @@ def _load_run(args):
     if cfg.aux_policy == "first-demo-start":
         cfg = replace(cfg, aux_rotation=demos[0].rotations[0])
     check_vias(demos, cfg.via_points, demo_grid(demos, cfg.grid))
+    check_kernel(demos, cfg.kernel.l)
     return cfg, _output_dir(args.out), demos
 
 
-def _adaptation(cfg, demos, gmm_cache=None):
-    """The adapted trajectory and each via's (geodesic, omega) error at its nearest grid time."""
-    traj = reproduce_with_via_points(
-        demos, cfg.aux_rotation, cfg.via_points, cfg.kernel, demo_grid(demos, cfg.grid),
-        n_components=cfg.components, seed=cfg.seed, gmm_cache=gmm_cache,
-    ).trajectory
+def _via_errors(cfg, traj):
+    """Each via's (geodesic, omega) error in traj at its nearest grid time."""
     errors = []
     for via in cfg.via_points:
         i = int(np.argmin(np.abs(traj.times - via.t)))
         errors.append((so3.geodesic_distance(traj.rotations[i],
                                              via.target_rotation(cfg.aux_rotation)),
                        float(np.linalg.norm(traj.omega_world[i] - via.omega))))
-    return traj, errors
+    return errors
 
 
 def _cmd_gen_demos(args):
@@ -121,7 +122,11 @@ def _cmd_learn(args):
 
 def _cmd_adapt(args):
     cfg, out, demos = _load_run(args)
-    traj, errors = _adaptation(cfg, demos)
+    traj = reproduce_with_via_points(
+        demos, cfg.aux_rotation, cfg.via_points, cfg.kernel, demo_grid(demos, cfg.grid),
+        n_components=cfg.components, seed=cfg.seed,
+    ).trajectory
+    errors = _via_errors(cfg, traj)
     io.save_trajectory(out / "trajectory.csv", traj)
     metrics = {"acceleration_cost": fusion.trajectory_acceleration_cost(traj)}
     for idx, (rot_err, omega_err) in enumerate(errors):
@@ -236,15 +241,22 @@ def _cmd_sweep(args):
     cfg, out, demos = _load_run(args)
     cache = {}
     if cfg.sweep_axis == "lambda_a":
-        # every trial runs in the one chart, so its mixture is fitted once, before them
-        fit_projected_mixture(demos, cfg.aux_rotation, cfg.components, cfg.seed, cache)
+        # every trial runs in the one chart and changes only the weight of the zero
+        # acceleration targets, so the mixture and the first value's model are built
+        # once, before them; every other value runs only stage 2 of the regression,
+        # from that model's factor
+        first = float(cfg.sweep_values[0])
+        _, rows = regression_rows(demos, cfg.aux_rotation, cfg.via_points, first,
+                                  cfg.components, cfg.seed, cache)
+        built = kmp.build_model(rows, replace(cfg.kernel, lambda_a=first))
+        grid = demo_grid(demos, cfg.grid)
         columns = ["lambda_a", "acceleration_cost", "max_via_err"]
 
         def trial(value):
             lam_a = float(value)
-            kernel = replace(cfg.kernel, lambda_a=lam_a)
-            traj, errors = _adaptation(replace(cfg, kernel=kernel), demos, cache)
-            errs = [rot_err for rot_err, _ in errors]
+            model = built if lam_a == first else built.factor.solve(lam_a)
+            traj = kmp.reproduce_orientation_trajectory(model, cfg.aux_rotation, grid)
+            errs = [rot_err for rot_err, _ in _via_errors(cfg, traj)]
             return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
     else:
         # only the last via turns, so the others' components are built once, before them

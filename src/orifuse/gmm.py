@@ -72,11 +72,17 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Time-sorted regression rows; D = 6 for (psi, psi_dot), 9 with psi_ddot."""
+    """Time-sorted regression rows; D = 6 for (psi, psi_dot), 9 with psi_ddot.
+
+    default_acc marks the rows whose psi_ddot block is the default (1/lambda_a) I with
+    a zero target, as kmp.augment_for_acceleration adds them; kmp.build_model takes
+    their weight from the kernel's lambda_a.  None marks no row.
+    """
 
     times: np.ndarray        # (N,)
     means: np.ndarray        # (N, D)
     covariances: np.ndarray  # (N, D, D)
+    default_acc: np.ndarray | None = None  # (N,) bool
 
     def __len__(self):
         return self.times.shape[0]

@@ -100,16 +100,17 @@ def _read_table(path, magic):
             raise ParseError(
                 f"expected {width} columns, found {len(parts)}", path=path, line=lineno
             )
-        row = np.empty(width)
-        for col, part in enumerate(parts):
-            try:
-                row[col] = float(part)
-            except ValueError:
-                raise ParseError(
-                    f"not a number: {part.strip()!r}", path=path, line=lineno, column=col + 1
-                ) from None
-        rows.append(row)
-    data = np.vstack(rows) if rows else np.empty((0, 0))
+        try:
+            rows.append(list(map(float, parts)))
+        except ValueError:
+            # only a bad line converts cell by cell, to name the first bad cell
+            for col, part in enumerate(parts):
+                try:
+                    float(part)
+                except ValueError:
+                    raise ParseError(f"not a number: {part.strip()!r}", path=path,
+                                     line=lineno, column=col + 1) from None
+    data = np.array(rows) if rows else np.empty((0, 0))
     if "n" in header and header["n"] != str(len(data)):
         raise ParseError(f"header says n={header['n']} but the file has {len(data)} rows",
                          path=path, line=1)
@@ -263,15 +264,34 @@ def save_mixture(path, mixture):
 
 
 def load_mixture(path):
+    """The mixture save_mixture wrote.  A file without the keys of one, of another schema
+    version, or whose arrays do not fit K priors in R^7 is a ParseError naming the key."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse mixture file: {exc}", path=path) from exc
-    return GaussianMixture(
-        np.asarray(doc["priors"], dtype=float),
-        np.asarray(doc["means"], dtype=float),
-        np.asarray(doc["covariances"], dtype=float),
-    )
+    if not isinstance(doc, dict):
+        raise ParseError("a mixture file holds a JSON object", path=path)
+    for key in ("schema_version", "priors", "means", "covariances"):
+        if key not in doc:
+            raise ParseError(f"mixture file has no {key!r}", path=path)
+    if type(doc["schema_version"]) is not int or doc["schema_version"] != SCHEMA_VERSION:
+        raise ParseError(f"'schema_version' must be {SCHEMA_VERSION}, got "
+                         f"{doc['schema_version']!r}", path=path)
+    k = len(doc["priors"]) if isinstance(doc["priors"], list) else 0
+    if k == 0:
+        raise ParseError("'priors' must be a non-empty list of numbers", path=path)
+    arrays = []
+    for key, shape in (("priors", (k,)), ("means", (k, 7)), ("covariances", (k, 7, 7))):
+        try:
+            array = np.asarray(doc[key])
+        except ValueError:  # ragged nesting
+            array = None
+        if array is None or array.dtype.kind not in "iuf" or array.shape != shape:
+            raise ParseError(f"{key!r} must be numbers of shape {shape}, one entry per prior",
+                             path=path)
+        arrays.append(array.astype(float))
+    return GaussianMixture(*arrays)
 
 
 @dataclass(frozen=True)

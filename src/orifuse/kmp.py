@@ -12,10 +12,20 @@ d^p/da^p d^q/db^q g, tensored with I_3.  build_model never forms K: it solves
 the same regression in the weight space of Nystrom features on a few inducing
 times (Williams and Seeger, NIPS 2001), as many as the kernel's numerical rank
 on the rows' time span needs, so a build takes time linear in the row count.
+
+A build has two stages.  Every row covariance is block diagonal between
+(psi, psi_dot) and psi_ddot, so the zero acceleration targets that lambda_a
+weighs enter the weight-space least squares as sqrt(lambda_a / lambda) times
+their raw features.  factor_rows (stage 1) does all the work that lambda_a
+leaves alone: features, whitening and one QR of every other row, plus a QR of
+the default psi_ddot rows' raw features.  RowFactor.solve (stage 2) stacks the
+two R factors at one lambda_a and solves.  build_model runs both; a lambda_a
+sweep builds the model of its first value and runs only stage 2 for the
+others, from that model's factor.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -261,7 +271,8 @@ def extend_reference(ref, vias, R_aux, lambda_a=None):
     augment_for_acceleration, a via row its own acceleration block or
     (1/lambda_a) I.  A via-point within VIA_TIME_TOL of a reference time
     replaces that row: the user's tighter covariance wins.  Via-points that
-    close to each other raise ValueError.
+    close to each other raise ValueError.  With lambda_a, default_acc marks every
+    row but the vias with their own acceleration block.
     """
     if ref.state_dim != 6:
         raise ValueError("the reference must hold (psi, psi_dot) rows")
@@ -276,6 +287,7 @@ def extend_reference(ref, vias, R_aux, lambda_a=None):
                          f"t={ordered[close[0] + 1]:g} share one time")
     means = np.zeros((len(vias), dim))
     covs = np.zeros((len(vias), dim, dim))
+    own_acc = np.zeros(len(vias), dtype=bool)
     if lambda_a is not None:
         covs[:, 6:, 6:] = np.eye(3) / lambda_a
     for i, vp in enumerate(vias):
@@ -285,11 +297,16 @@ def extend_reference(ref, vias, R_aux, lambda_a=None):
                               "has no lambda_a")
         means[i, :6] = eta
         covs[i, :cov.shape[0], :cov.shape[0]] = cov
+        own_acc[i] = cov.shape[0] == 9
     keep = ~(np.abs(ref.times[:, None] - via_t) <= VIA_TIME_TOL).any(axis=1)
     times = np.concatenate([ref.times[keep], via_t])
     order = np.argsort(times, kind="stable")
+    default_acc = None
+    if lambda_a is not None:
+        default_acc = np.concatenate([ref.default_acc[keep], ~own_acc])[order]
     return ReferenceTrajectory(times[order], np.concatenate([ref.means[keep], means])[order],
-                               np.concatenate([ref.covariances[keep], covs])[order])
+                               np.concatenate([ref.covariances[keep], covs])[order],
+                               default_acc)
 
 
 def augment_for_acceleration(ref, lambda_a):
@@ -307,7 +324,7 @@ def augment_for_acceleration(ref, lambda_a):
     covs = np.zeros((n, 9, 9))
     covs[:, :6, :6] = ref.covariances
     covs[:, 6:, 6:] = np.eye(3) / lambda_a
-    return ReferenceTrajectory(ref.times.copy(), means, covs)
+    return ReferenceTrajectory(ref.times.copy(), means, covs, np.ones(n, dtype=bool))
 
 
 def _gaussian_derivatives(d, l):
@@ -344,14 +361,17 @@ class KmpModel:
     times are the regression's row times; inducing are the times z of the
     features it was solved on, and alpha holds, per derivative block q, the
     (M, 3) weights of the scalar table columns S[p, q](t*, z) in predict_many.
+    factor is the RowFactor it was solved from, so factor.solve(lambda_a) gives
+    the model of the same rows at another acceleration weight.
     """
 
-    def __init__(self, times, inducing, alpha, cfg, scalar_blocks):
+    def __init__(self, times, inducing, alpha, cfg, scalar_blocks, factor=None):
         self.times = times
         self.inducing = inducing
         self.alpha = alpha  # (n_blocks, M, 3)
         self.cfg = cfg
         self._scalar_blocks = scalar_blocks
+        self.factor = factor
 
     def predict_many(self, t_stars, rows=None):
         """Predictions on a batch of query times, shape (Q, 3 * rows).
@@ -420,9 +440,76 @@ def build_model(ext, cfg, scalar_blocks=None):
     product with the scalar table S(t*, z).  A lambda Sigma_i that is not positive
     definite raises FactorizationFailure.
 
+    The build runs in two stages: factor_rows (stage 1) factors every row but the
+    default psi_ddot ones (ext.default_acc), and RowFactor.solve (stage 2) adds those
+    at the kernel's lambda_a.  The model keeps its factor, so that a lambda_a sweep
+    runs stage 1 once and model.factor.solve per further value.
+
     scalar_blocks(a, b, order) may override the Gaussian table, which builds only
     the rows a prediction asks for; the kernel-trick equivalence tests inject an
     explicit finite basis here, and a prediction slices its rows from that table.
+    """
+    return factor_rows(ext, cfg, scalar_blocks).solve(cfg.lambda_a)
+
+
+@dataclass(frozen=True)
+class RowFactor:
+    """Stage 1 of build_model: the regression factored but for its acceleration weight.
+
+    upper is the R factor of [Psi r; I 0] over every row but the default psi_ddot
+    rows, (k + 1) x (k + 1).  acc_upper is the R factor of those rows' raw features,
+    None when there is none: every row covariance is block diagonal between
+    (psi, psi_dot) and psi_ddot, so a default row whitens to sqrt(lambda_a / lambda)
+    times its raw psi_ddot features, with a zero target.  largest is the largest row
+    covariance entry and default_t the first default row's time, for stage 2's messages.
+    """
+
+    times: np.ndarray
+    inducing: np.ndarray
+    proj: np.ndarray
+    cfg: KernelConfig
+    scalar_blocks: object
+    upper: np.ndarray
+    acc_upper: np.ndarray | None
+    largest: float
+    default_t: float | None
+
+    def solve(self, lambda_a):
+        """Stage 2: the model at acceleration weight lambda_a (None for (psi, psi_dot) rows).
+
+        One QR of [upper; sqrt(lambda_a / lambda) acc_upper] and the triangular solve.
+        lambda / lambda_a, the default rows' lambda Sigma_i, must be positive and finite.
+        """
+        cfg = replace(self.cfg, lambda_a=lambda_a)
+        if cfg.n_blocks != self.cfg.n_blocks:
+            raise ValueError("lambda_a must be given exactly when the rows hold psi_ddot")
+        upper = self.upper
+        k = upper.shape[1] - 1
+        if self.acc_upper is not None:
+            var = cfg.lam * (1.0 / lambda_a)
+            if not var < np.inf:
+                raise FactorizationFailure(_overflow(cfg.lam, max(self.largest, 1.0 / lambda_a)))
+            if not var > 0.0:
+                raise FactorizationFailure(_not_positive_definite(self.default_t))
+            stacked = np.zeros((k + 1 + self.acc_upper.shape[0], k + 1))
+            stacked[:k + 1] = upper
+            stacked[k + 1:, :k] = self.acc_upper / math.sqrt(var)
+            upper = np.linalg.qr(stacked, mode="r")
+        w = np.linalg.solve(upper[:k, :k], upper[:k, k])
+        nb, rank = cfg.n_blocks, self.proj.shape[1]
+        alpha = self.proj.reshape(nb, self.inducing.shape[0], rank) @ w.reshape(rank, 3)
+        # nothing above checks for inf or nan, which the solves may let through
+        if not np.all(np.isfinite(alpha)):
+            raise FactorizationFailure(_NOT_FINITE)
+        return KmpModel(self.times, self.inducing, alpha, cfg, self.scalar_blocks, self)
+
+
+def factor_rows(ext, cfg, scalar_blocks=None):
+    """Stage 1 of build_model (see there and RowFactor): everything lambda_a leaves alone.
+
+    The default rows' psi_ddot covariance blocks enter only the overflow check of
+    lambda times the largest covariance entry, so rows that differ only in lambda_a
+    give the same factor, bit for bit, and cfg.lambda_a only marks the psi_ddot block.
     """
     if len(ext) < 1:
         raise ValueError("need at least one reference point")
@@ -452,39 +539,58 @@ def build_model(ext, cfg, scalar_blocks=None):
     phi = np.zeros((n, nb, 3, rank, 3))
     for a in range(3):
         phi[:, :, a, :, a] = features.reshape(nb, n, rank).transpose(1, 0, 2)
+    default = ext.default_acc if ext.default_acc is not None and ext.default_acc.any() else None
     largest = float(np.abs(ext.covariances).max())
     if not float(cfg.lam) * largest < np.inf:
-        raise FactorizationFailure(f"kernel.lambda {cfg.lam:g} times the largest row covariance "
-                                   f"entry ({largest:g}) overflows; lower kernel.lambda")
+        raise FactorizationFailure(_overflow(cfg.lam, largest))
+    scaled = cfg.lam * ext.covariances
+    if default is not None:
+        scaled[default, 6:, 6:] = np.eye(3)  # a stand-in: these whitened rows are dropped
     try:
-        chol = np.linalg.cholesky(cfg.lam * ext.covariances)
+        chol = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
-        raise FactorizationFailure(_not_positive_definite(ext, cfg)) from None
+        bad = next(t for t, matrix in zip(ext.times, scaled) if not _has_cholesky(matrix))
+        raise FactorizationFailure(_not_positive_definite(bad)) from None
     k = 3 * rank
     white = np.linalg.solve(chol, np.concatenate(
         [phi.reshape(n, dim, k), ext.means[:, :, None]], axis=2))
+    if default is None:
+        rows = white.reshape(n * dim, k + 1)
+        acc_upper = default_t = None
+    else:
+        keep = np.ones((n, dim), dtype=bool)
+        keep[default, 6:] = False
+        rows = white[keep]
+        # their features are B (x) I_3, so R (x) I_3 of the scalar features' R is an R factor
+        acc_upper = np.kron(np.linalg.qr(features.reshape(nb, n, rank)[2, default], mode="r"),
+                            np.eye(3))
+        default_t = float(ext.times[default][0])
     # w = argmin |Psi w - r|^2 + |w|^2 from the R factor of [Psi r; I 0], whose last
     # column holds Q^T r: the normal equations would square the condition number,
     # which a tight via row's whitening makes large
-    stacked = np.zeros((n * dim + k, k + 1))
-    stacked[:n * dim] = white.reshape(n * dim, k + 1)
-    stacked[n * dim:, :k] = np.eye(k)
+    stacked = np.zeros((rows.shape[0] + k, k + 1))
+    stacked[:rows.shape[0]] = rows
+    stacked[rows.shape[0]:, :k] = np.eye(k)
     upper = np.linalg.qr(stacked, mode="r")
-    w = np.linalg.solve(upper[:k, :k], upper[:k, k])
-    alpha = proj.reshape(nb, z.shape[0], rank) @ w.reshape(rank, 3)
-    # nothing above checks for inf or nan, which the solves may let through
-    if not np.all(np.isfinite(alpha)):
-        raise FactorizationFailure(_NOT_FINITE)
-    return KmpModel(ext.times.copy(), z.copy(), alpha, cfg, scalar_blocks)
+    return RowFactor(ext.times.copy(), z.copy(), proj, cfg, scalar_blocks, upper, acc_upper,
+                     largest, default_t)
 
 
-def _not_positive_definite(ext, cfg):
-    """The message for the first row whose lambda Sigma_i has no Cholesky factor."""
-    for t, cov in zip(ext.times, ext.covariances):
-        try:
-            np.linalg.cholesky(cfg.lam * cov)
-        except np.linalg.LinAlgError:
-            break
+def _overflow(lam, largest):
+    return (f"kernel.lambda {lam:g} times the largest row covariance entry ({largest:g}) "
+            "overflows; lower kernel.lambda")
+
+
+def _has_cholesky(matrix):
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _not_positive_definite(t):
+    """The message for the row at time t, whose lambda Sigma_i has no Cholesky factor."""
     return (f"lambda*Sigma of the row at t={t:g} is not positive definite; raise the "
             "via variances (eps_strict, orientation_var, velocity_var, acceleration_var)")
 

@@ -61,6 +61,28 @@ def check_vias(demos, vias, grid_times):
                               f"{step:.6g} s) = {max_speed:.6g} rad/s")
 
 
+# the kernel derivative table's terms stay below 64 M^4 (check_kernel); below this M,
+# they stay finite
+MAX_KERNEL_REACH = (np.finfo(float).max / 64.0) ** 0.25
+
+
+def check_kernel(demos, l):
+    """ConfigError unless the kernel's derivative table stays finite for l on the demonstrations.
+
+    Rows and queries lie within one span of the demonstrations (check_vias), so no two
+    times are more than 3 spans apart.  kmp._gaussian_derivatives forms, up to the fourth
+    derivative, terms l^a d^c with c <= 2a <= 8, each at most 64 M^4 for
+    M = max(1, l, l (3 span)^2), so M must stay below MAX_KERNEL_REACH.
+    """
+    t0, t1 = demo_grid(demos, 2)
+    # as Python floats, products overflow to inf without a warning
+    l, span = float(l), float(t1 - t0)
+    if not max(l, l * (3.0 * span) * (3.0 * span)) < MAX_KERNEL_REACH:
+        raise ConfigError(f"kernel.l {l:g} is too large: l and l x (3 x {span:g} s, three "
+                          f"demonstration spans)^2 must stay below {MAX_KERNEL_REACH:.4g}, "
+                          "where the kernel's derivative table overflows")
+
+
 def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
     """Fit (or recall from the cache dict) the mixture of chart-projected demonstrations."""
     digest = hashlib.sha256()
@@ -76,22 +98,30 @@ def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
     return mixture
 
 
+def regression_rows(demos, R_aux, vias, lambda_a, n_components, seed, gmm_cache):
+    """(mixture, rows): the mixture of gmm_cache and its GMR reference extended by the vias."""
+    mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
+    reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
+    return mixture, kmp.extend_reference(reference, vias, R_aux, lambda_a)
+
+
 def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
                               n_components=gmm_mod.DEFAULT_COMPONENTS, seed=0, gmm_cache=None):
     """Learn from demonstrations and adapt towards the given via-points.
 
     vias is a list of kmp.ViaPointSpec (may be empty for pure reproduction).
     The reference grid spans the demonstration duration with REF_SIZE points;
-    grid_times is the output grid; check_vias checks the vias against both.
+    grid_times is the output grid; check_vias checks the vias against both, and
+    check_kernel the kernel's l against the demonstrations.
 
     gmm_cache is the mixture cache (see the module docstring), a fresh dict
     when None.
     """
     check_vias(demos, vias, grid_times)
+    check_kernel(demos, cfg.l)
     gmm_cache = {} if gmm_cache is None else gmm_cache
-    mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
-    reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
-    extended = kmp.extend_reference(reference, vias, R_aux, cfg.lambda_a)
+    mixture, extended = regression_rows(demos, R_aux, vias, cfg.lambda_a, n_components, seed,
+                                        gmm_cache)
     model = kmp.build_model(extended, cfg)
     trajectory = kmp.reproduce_orientation_trajectory(model, R_aux, grid_times)
     return PipelineResult(trajectory, mixture)

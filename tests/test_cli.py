@@ -413,6 +413,22 @@ def test_a_tiny_ridge_factor_still_meets_the_strict_via(tmp_path, demo_dir, lam)
     assert float(metrics["acceleration_cost"]) < 1.0
 
 
+@pytest.mark.parametrize("l, lambda_a, code", [(1.7e308, None, 2), (1e154, None, 2),
+                                               (1e77, 100.0, 2), (1e74, None, 2),
+                                               (1e73, 100.0, 0)])
+def test_a_kernel_too_narrow_for_the_demonstrations_exits_2_and_names_l(
+        tmp_path, demo_dir, capsys, l, lambda_a, code):
+    # the README per-iovp example at grid 30: l times the squared time differences of the
+    # 10 s demonstrations overflowed in the kernel's derivative table, with a RuntimeWarning,
+    # before any check named l; the bound is 4.1e76 on l x 30^2, so 1e73 still runs
+    kernel = {"l": l, "lambda": 1.0} if lambda_a is None else {
+        "l": l, "lambda": 1.0, "lambda_a": lambda_a}
+    cfg = readme_fusion_config(tmp_path, demo_dir, kernel=kernel)
+    assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out", "--grid", 30) == code
+    assert (f"kernel.l {l:g} is too large" in capsys.readouterr().err) == (code == 2)
+    assert (tmp_path / "out").exists() == (code == 0)
+
+
 def readme_target_sweep(tmp_path, demo_dir):
     """The README's per-iovp example as a target-rotation sweep over steps 5, 6 and 7."""
     return readme_fusion_config(tmp_path, demo_dir, "sweep.json",
@@ -459,17 +475,38 @@ def test_target_sweep_builds_each_distinct_regression_once(tmp_path, demo_dir, b
         assert len(builds) == 5 + 3 * 2, jobs
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The lambda_a of every kmp.RowFactor.solve call, that is of every stage 2 of a build."""
+    from orifuse import kmp
+
+    calls = []
+    original = kmp.RowFactor.solve
+
+    def counting(self, lambda_a):
+        calls.append(lambda_a)
+        return original(self, lambda_a)
+
+    monkeypatch.setattr(kmp.RowFactor, "solve", counting)
+    return calls
+
+
 def test_lambda_sweep_fits_its_mixture_once_and_builds_one_model_per_value(
-        tmp_path, demo_dir, builds, fits):
-    # the one chart's mixture is fitted before the trials, whatever --jobs is
+        tmp_path, demo_dir, monkeypatch, solves, fits):
+    # the one chart's mixture and the first value's model are built before the trials,
+    # whatever --jobs is: one stage 1, and one stage 2 per value, the other values' in
+    # their trials
+    from orifuse import kmp
+
+    factors = count_calls(monkeypatch, kmp, "factor_rows")
     cfg = write_config(tmp_path / "cfg.json", demo_dir,
                        sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
     for jobs in (1, 2):
-        builds.clear()
-        fits.clear()
+        for calls in (solves, fits, factors):
+            calls.clear()
         assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"sweep{jobs}",
                        "--grid", 201, "--jobs", jobs) == 0
-        assert (len(fits), len(builds)) == (1, 3), jobs
+        assert (len(fits), len(factors), len(solves)) == (1, 1, 3), jobs
 
 
 def test_eval_builds_the_baseline_component_once(tmp_path, demo_dir, builds):
@@ -566,21 +603,53 @@ def test_grid_has_an_upper_limit(tmp_path, demo_dir, capsys):
     assert "at most 1000000" in capsys.readouterr().err
 
 
-def test_sweep_runs_each_trial_once(tmp_path, demo_dir, monkeypatch):
-    from orifuse import cli
+def test_lambda_sweep_rows_are_adapt_metrics_at_each_value(tmp_path, demo_dir):
+    # a trial solves stage 2 from the factor of the first value's model, adapt builds its
+    # own: each row must equal, cell for cell, the adapt metrics at its lambda_a.  The via
+    # at t = 4 has its own acceleration variance 1/10, the default's at the first value,
+    # and must keep it at the others
+    values = [10.0, 1e3, 1e5]
+    doc = json.loads(write_config(tmp_path / "base.json", demo_dir).read_text())
+    doc["via_points"][1]["acceleration_var"] = 0.1
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(dict(doc, sweep={"axis": "lambda_a", "values": values})))
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 0
+    rows = (tmp_path / "sweep" / "table.csv").read_text().splitlines()[2:]
+    for row, value in zip(rows, values, strict=True):
+        doc["kernel"]["lambda_a"] = value
+        adapt = tmp_path / f"adapt_{value:g}.json"
+        adapt.write_text(json.dumps(doc))
+        assert run_cli("adapt", "--config", adapt, "--out", tmp_path / f"adapt_{value:g}") == 0
+        lines = (tmp_path / f"adapt_{value:g}" / "metrics.csv").read_text().splitlines()[1:]
+        metrics = dict(line.split(",") for line in lines)
+        errors = [float(v) for k, v in metrics.items() if k.endswith("_geodesic_err")]
+        lam_a, cost, max_err = row.split(",")
+        assert float(lam_a) == value
+        assert cost == metrics["acceleration_cost"]
+        assert float(max_err) == max(errors)
 
-    calls = []
-    original = cli.reproduce_with_via_points
 
-    def counting(*args, **kwargs):
-        calls.append(args[3].lambda_a)
-        return original(*args, **kwargs)
+@pytest.mark.parametrize("lam, values, message", [
+    (1e10, [1.0, 1e-300], r"kernel.lambda 1e\+10 times the largest row covariance entry "
+                          r"\(1e\+300\) overflows"),
+    (1e-300, [1.0, 1e30], "lambda[*]Sigma of the row at t=0 is not positive definite"),
+])
+def test_a_lambda_sweep_value_without_a_factor_exits_4(tmp_path, demo_dir, capsys, lam,
+                                                       values, message):
+    # the first value factors; at the second, lambda / lambda_a of the default
+    # acceleration rows overflows or rounds to 0, which the trial's stage 2 reports
+    cfg = write_config(tmp_path / "cfg.json", demo_dir, kernel={"l": 0.01, "lambda": lam},
+                       sweep={"axis": "lambda_a", "values": values})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 4
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "sweep" / "table.csv").exists()
 
-    monkeypatch.setattr(cli, "reproduce_with_via_points", counting)
+
+def test_sweep_runs_each_trial_once(tmp_path, demo_dir, solves):
     cfg = write_config(tmp_path / "cfg.json", demo_dir,
                        sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5]})
     assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep", "--jobs", "2") == 0
-    assert sorted(calls) == [10.0, 1e3, 1e5]
+    assert sorted(solves) == [10.0, 1e3, 1e5]
     rows = (tmp_path / "sweep" / "table.csv").read_text().splitlines()[2:]
     assert [float(r.split(",")[0]) for r in rows] == [10.0, 1e3, 1e5]
 

@@ -274,6 +274,48 @@ def test_a_mixture_file_that_is_not_utf8_is_a_parse_error(tmp_path):
         io.load_mixture(path)
 
 
+ONE_COMPONENT = {"schema_version": 1, "priors": [1.0], "means": [[0.0] * 7],
+                 "covariances": [np.eye(7).tolist()]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "mixture file has no 'schema_version'"),
+    ([1], "a mixture file holds a JSON object"),
+    ({k: v for k, v in ONE_COMPONENT.items() if k != "covariances"},
+     "mixture file has no 'covariances'"),
+    (dict(ONE_COMPONENT, schema_version=2), "'schema_version' must be 1, got 2"),
+    (dict(ONE_COMPONENT, schema_version=True), "'schema_version' must be 1, got True"),
+    (dict(ONE_COMPONENT, priors=[]), "'priors' must be a non-empty list of numbers"),
+    (dict(ONE_COMPONENT, priors=["1"]), r"'priors' must be numbers of shape \(1,\)"),
+    (dict(ONE_COMPONENT, means=[[0.0, 0.0]], covariances=[[[1.0]]]),
+     r"'means' must be numbers of shape \(1, 7\)"),
+    (dict(ONE_COMPONENT, covariances=[[[1.0]]]),
+     r"'covariances' must be numbers of shape \(1, 7, 7\)"),
+    (dict(ONE_COMPONENT, priors=[0.5, 0.5]), r"'means' must be numbers of shape \(2, 7\)"),
+    (dict(ONE_COMPONENT, means=[[0.0] * 7, [0.0]]), r"'means' must be numbers of shape"),
+])
+def test_a_mixture_file_of_the_wrong_form_is_a_parse_error_naming_the_key(tmp_path, doc,
+                                                                          message):
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=message) as info:
+        io.load_mixture(path)
+    assert info.value.exit_code == 3
+
+
+def test_learn_writes_the_mixture_it_fits(tmp_path):
+    # learn's mixture.json loads back, bit for bit, as the mixture the run fitted
+    cfg = _base_config(tmp_path)
+    assert cli.main(["learn", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    loaded = io.load_mixture(tmp_path / "out" / "mixture.json")
+    run = io.load_config(cfg)
+    demos = io.load_demos(run.demo_paths)
+    fitted = pipeline.fit_projected_mixture(demos, demos[0].rotations[0], run.components,
+                                            run.seed, {})
+    for name in ("priors", "means", "covariances"):
+        assert getattr(loaded, name).tobytes() == getattr(fitted, name).tobytes()
+
+
 def _base_config(tmp_path, **overrides):
     demos = generate_demos("s61-like", 2, seed=0)
     for i, d in enumerate(demos):

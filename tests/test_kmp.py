@@ -339,6 +339,64 @@ def test_the_weight_space_solve_matches_the_dense_solve(demo_reference, l, lam, 
     assert error <= 1e-5 * max(1.0, np.abs(dense[:, :3]).max())
 
 
+def one_qr_model(ext, cfg):
+    """The regression solved in one stage: every row whitened by the Cholesky factor of its
+    own lambda Sigma_i, psi_ddot blocks too, and one QR of all of them over [I 0]."""
+    blocks = gaussian_blocks(cfg.l)
+    nb, n = cfg.n_blocks, len(ext)
+    z, proj = kmp._feature_map(ext.times, nb, blocks)
+    features = kmp._table(blocks(ext.times, z, nb)) @ proj
+    rank = proj.shape[1]
+    k = 3 * rank
+    phi = np.zeros((n, nb, 3, rank, 3))
+    for a in range(3):
+        phi[:, :, a, :, a] = features.reshape(nb, n, rank).transpose(1, 0, 2)
+    white = np.linalg.solve(np.linalg.cholesky(cfg.lam * ext.covariances), np.concatenate(
+        [phi.reshape(n, 3 * nb, k), ext.means[:, :, None]], axis=2))
+    upper = np.linalg.qr(np.vstack([white.reshape(-1, k + 1), np.eye(k, k + 1)]), mode="r")
+    w = np.linalg.solve(upper[:k, :k], upper[:k, k])
+    alpha = proj.reshape(nb, z.shape[0], rank) @ w.reshape(rank, 3)
+    return kmp.KmpModel(ext.times, z, alpha, cfg, blocks)
+
+
+# (reference row, whether the via replaces it or lies half a step after it, the via's own
+# acceleration variance or None)
+ACC_VIA = st.tuples(st.integers(0, REF_SIZE - 2), st.booleans(),
+                    st.one_of(st.none(), decades(-6, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lambda_a=decades(-3, 8), l=decades(-3, -0.5), lam=decades(-2, 2),
+       eps_strict=decades(-12, -2), specs=st.lists(ACC_VIA, max_size=3, unique_by=lambda v: v[0]),
+       seed=st.integers(0, 2**16))
+def test_two_stage_build_matches_one_qr_of_every_row(demo_reference, lambda_a, l, lam,
+                                                     eps_strict, specs, seed):
+    # stage 1 and stage 2 solve the least squares that one QR of every row solves; both
+    # are backward stable, so they differ by rounding times the whitened system's
+    # condition number, which tight vias and a large lambda_a raise: at most 1.8e-9 of
+    # max(1, |prediction|) in 300 draws of these ranges, and the bound leaves 50x
+    reference, R_aux = demo_reference
+    rng = np.random.default_rng(seed)
+    step = reference.times[1] - reference.times[0]
+    turns = rng.uniform(-0.2, 0.2, (len(specs), 3))
+    vias = [kmp.ViaPointSpec(reference.times[i] + (0.0 if on_row else 0.5 * step),
+                             R_aux @ so3.exp_map(reference.means[i, :3] + turn), np.zeros(3),
+                             eps_strict=eps_strict, velocity_var=1e3, acceleration_var=acc)
+            for (i, on_row, acc), turn in zip(specs, turns)]
+    ext = kmp.extend_reference(reference, vias, R_aux, lambda_a)
+    cfg = kmp.KernelConfig(l=l, lam=lam, lambda_a=lambda_a)
+    model = kmp.build_model(ext, cfg)
+    queries = np.linspace(0, 10, 201)
+    expected = one_qr_model(ext, cfg).predict_many(queries)
+    assert (np.abs(model.predict_many(queries) - expected).max()
+            <= 1e-7 * max(1.0, np.abs(expected).max()))
+    # stage 1 reads the default psi_ddot blocks only for its overflow check, so the rows
+    # built at another lambda_a give the same model, bit for bit
+    other = kmp.extend_reference(reference, vias, R_aux, 1.0)
+    factor = kmp.factor_rows(other, kmp.KernelConfig(l=l, lam=lam, lambda_a=1.0))
+    assert np.array_equal(factor.solve(lambda_a).alpha, model.alpha)
+
+
 BUILD_AND_PREDICT = """
 import hashlib
 import numpy as np
