@@ -17,9 +17,11 @@ COVARIANCE_FLOOR = 1e-8
 EM_MAX_ITER = 500
 # nats per row: EM stops once an iteration gains less mean log-likelihood than this
 EM_TOL = 1e-5
-# exp(x) rounds to 0 below about -745.13; below this an exp would only take numpy's slow
-# underflow path
-EXP_UNDERFLOW = -746.0
+# the E-step's exp runs only above this shifted log-probability and writes 0 elsewhere:
+# exp(-700) = 9.9e-305 is normal, and so is its share of a row's total (1 to K) for any
+# K below 4400; between -708.4 and -745.1 exp is subnormal and takes numpy's slow path,
+# and a subnormal responsibility slows the moment product
+EXP_UNDERFLOW = -700.0
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,47 @@ def _kmeanspp_init(data, k, rng):
     return priors, means, covs
 
 
+def _upper_pairs(size):
+    """np.triu_indices(size) and a factor per pair: -1/2 on the diagonal, -1 off it.
+
+    The factors turn the upper triangle of a symmetric Q into the coefficients of
+    -h^T Q h / 2 over upper(h h^T).
+    """
+    rows, cols = np.triu_indices(size)
+    return rows, cols, np.where(rows == cols, -0.5, -1.0)
+
+
+def _homogeneous_design(data, centre, pairs):
+    """upper(h h^T) of every row's h = [1, x - centre], one row per pair: (M, N).
+
+    In np.triu_indices order the rows are [1, x - c, upper((x - c)(x - c)^T)].
+    """
+    h = np.vstack([np.ones(data.shape[0]), (data - centre).T])
+    return h[pairs[0]] * h[pairs[1]]
+
+
+def _log_density_coefficients(means, covs, centre, pairs):
+    """Coefficients of log N(x; mu_k, Sigma_k) over the homogeneous design's rows: (K, M).
+
+    Q_k = W_k^T W_k with W_k = [-L_k^-1 (mu_k - c) | L_k^-1], times the pairs' factors;
+    the ones row also carries -sum log diag L_k - (D/2) log 2 pi (fit_gmm derives it).
+    """
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateData(f"covariance not positive definite: {exc}") from exc
+    chol_inv = np.linalg.inv(chol)
+    k, dim = means.shape
+    w = np.empty((k, dim, dim + 1))
+    w[:, :, 1:] = chol_inv
+    w[:, :, 0] = (chol_inv @ (centre - means)[:, :, None])[:, :, 0]
+    quad = np.matmul(w.transpose(0, 2, 1), w)
+    coef = quad[:, pairs[0], pairs[1]] * pairs[2]
+    coef[:, 0] -= (np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                   + 0.5 * dim * np.log(2.0 * np.pi))
+    return coef
+
+
 def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
     """Fit a Gaussian mixture over (t, eta) rows by EM.
 
@@ -167,28 +210,43 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
     them by 1.3%, the lambda-sweep's by 1.7%.  The fit is not unit-invariant
     under either rule: the absolute COVARIANCE_FLOOR ties it to the rows' units.
 
-    An iteration is two matrix products plus (K, N) and (K, D, D) work.  The
-    E-step whitens the rows, with a row of ones appended, under every component
-    in one (K*D x D+1) @ (D+1 x N) product: the last column of a component's
-    block is -L^-1 mu.  One constant log pi_k - sum log diag L_k - (D/2) log 2 pi
-    per component and the log-sum-exp over components follow; exp runs only on
-    entries above EXP_UNDERFLOW and writes 0 elsewhere.  The M-step takes every
-    sum from one (K x N) @ (N x M) product of the responsibilities with a design
-    matrix [1, x - c, upper((x - c)(x - c)^T)] made once per fit, c the rows'
-    mean and M = 1 + D + D(D+1)/2: the weights, the mean shifts s from c and the
-    second moments about c, whose upper triangle is mirrored into each
-    covariance before s s^T is subtracted.
+    An iteration is two matrix products plus (K, N) and (K, D, D) work, and both
+    products share one design matrix made once per fit: upper(h h^T) of every row's
+    homogeneous h = [1, x - c], c the rows' mean, an (M, N) array with
+    M = (D+1)(D+2)/2 (36 at D = 7) whose rows, in np.triu_indices order, are
+    [1, x - c, upper((x - c)(x - c)^T)].  With L_k the Cholesky factor of Sigma_k and
+    W_k = [-L_k^-1 (mu_k - c) | L_k^-1], W_k h = L_k^-1 (x - mu_k), so the
+    Mahalanobis term is h^T Q_k h with Q_k = W_k^T W_k.  The E-step takes every
+    log pi_k N(x_n; mu_k, Sigma_k) from one (K x M) @ (M x N) product: a coefficient
+    is -Q_k/2 on the diagonal and -Q_k off it (both triangles in one), and the ones
+    row also carries log pi_k - sum log diag L_k - (D/2) log 2 pi.  Q_k comes from
+    the triangular factor's inverse, as the whitening it replaced did: an LU inverse of
+    Sigma_k rounds differently at floor components, and on the target-sweep scene it
+    moved one fit's final log-likelihood by 28 nats per row and the 15 fits' iterations
+    from 1712 to 1701.  The log-sum-exp over components follows, with exp only above
+    EXP_UNDERFLOW = -700 and 0 elsewhere, so that neither exp nor the normalized
+    responsibility is subnormal (see EXP_UNDERFLOW).  The M-step is resp @ design^T:
+    its columns, divided by the weights, are upper(E[h h^T]) under each component,
+    which hold the weights, the mean shifts s from c and the second moments about c,
+    whose upper triangle is mirrored into each covariance before s s^T is subtracted.
 
-    Moments about c lose precision as eps E|x - c|^2 against a sum about each
-    component's own mean.  On chart-scale rows (psi_dot up to 50 rad/s) the
-    parameters stay within about 1e-11 of that sum, relative to their largest
-    entry.  A component on the covariance floor has eigenvalues of 1e-8, so the
-    same error moves its log-determinant, and the final log-likelihood by up to
-    about 1e-6; where a gain lies that close to EM_TOL, the stop moves by an
-    iteration.  The floor also breaks EM's monotone ascent: an
-    M-step plus COVARIANCE_FLOOR * I no longer maximizes, and the trace can dip:
-    by 1.2e-9 on 20 rows in 2 dimensions, and by 7.3e-6 at iteration 212 of a
+    Working about c costs precision to cancellation in both steps.  The moments lose
+    eps E|x - c|^2 against a sum about each component's own mean; the quadratic form
+    loses about eps |h|^T |Q_k| |h| per row against a whitening of x - mu_k (the test
+    suite bounds it by (M + 1 + 5 (D + 1)) eps times the magnitudes of the
+    log-density's terms, and has seen 7.3 eps of them).  On chart-scale rows (psi_dot
+    up to 50 rad/s) the parameters stay within about 1e-11 of the reference sums,
+    relative to their largest entry.  A component on the covariance floor has
+    eigenvalues of 1e-8, so |Q_k| reaches 1e8 there and its log-density errs by the
+    same order as the moments' error moves its log-determinant: the final
+    log-likelihood moves by up to a few 1e-6, and where a gain lies that close to
+    EM_TOL, the stop moves by an iteration.  The floor also breaks EM's monotone
+    ascent: an M-step plus COVARIANCE_FLOOR * I no longer maximizes, and the trace can
+    dip: by 1.2e-9 on 20 rows in 2 dimensions, and by 7.3e-6 at iteration 212 of a
     target-sweep fit whose covariances reach a condition number of 4e8.
+
+    Rows whose squared deviations could overflow, any entry above
+    sqrt(max float / (4 n D)), raise DegenerateData before k-means++ seeds.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -200,35 +258,30 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
         raise DegenerateData(
             f"{n} rows cannot support {n_components} components (need >= {10 * n_components})"
         )
+    # k-means++ and the moment sums add up n * dim squared deviations, each at most
+    # (2 max|x|)^2: bound them before anything squares a row
+    limit = np.sqrt(np.finfo(float).max / (4.0 * n * dim))
+    largest = np.abs(data).max()
+    if not largest <= limit:
+        raise DegenerateData(
+            f"squared deviations of the rows overflow: an entry of {largest:.3g} exceeds "
+            f"{limit:.3g} for {n} rows in {dim} dimensions"
+        )
     rng = np.random.default_rng(seed)
     priors, means, covs = _kmeanspp_init(data, n_components, rng)
-    rows = np.vstack([data.T, np.ones(n)])  # (D+1, N)
     centre = data.mean(axis=0)
-    upper = np.triu_indices(dim)
-    centred = data - centre
-    design = np.hstack([np.ones((n, 1)), centred, centred[:, upper[0]] * centred[:, upper[1]]])
-    mirror = np.empty((dim, dim), dtype=int)  # covariance entry (i, j) -> its upper moment
-    mirror[upper] = mirror[upper[::-1]] = np.arange(upper[0].size)
-    # the whitened rows, made once: at hundreds of kB a fresh array per iteration costs
-    # more in page faults than its arithmetic
-    z = np.empty((n_components, dim, n))
+    pairs = _upper_pairs(dim + 1)
+    design = _homogeneous_design(data, centre, pairs)
+    index = np.empty((dim + 1, dim + 1), dtype=int)  # entry (i, j) of h h^T -> its design row
+    index[pairs[:2]] = index[pairs[1::-1]] = np.arange(design.shape[0])
     floor = COVARIANCE_FLOOR * np.eye(dim)
     trace = []
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
-        # E-step in log space
-        try:
-            chol = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateData(f"covariance not positive definite: {exc}") from exc
-        chol_inv = np.linalg.inv(chol)
-        whiten = np.concatenate([chol_inv, -(chol_inv @ means[:, :, None])], axis=2)
-        np.matmul(whiten.reshape(n_components * dim, dim + 1), rows,
-                  out=z.reshape(n_components * dim, n))
-        log_prob = np.einsum("kdn,kdn->kn", z, z)  # (K, N) Mahalanobis terms
-        log_prob *= -0.5
-        log_prob += (np.log(priors) - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                     - 0.5 * dim * np.log(2.0 * np.pi))[:, None]
+        # E-step in log space: every log pi_k N(x_n; mu_k, Sigma_k) from one product
+        coef = _log_density_coefficients(means, covs, centre, pairs)
+        coef[:, 0] += np.log(priors)
+        log_prob = coef @ design
         top = log_prob.max(axis=0)
         log_prob -= top
         resp = np.exp(log_prob, out=np.zeros_like(log_prob), where=log_prob > EXP_UNDERFLOW)
@@ -236,16 +289,16 @@ def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
         ll = float((top + np.log(total)).mean())
         trace.append(ll)
         resp /= total
-        # M-step from the moments, with covariance floor
-        moments = resp @ design
+        # M-step from upper(E[h h^T]) under each component, with covariance floor
+        moments = resp @ design.T
         weights = moments[:, 0]
         if np.any(weights <= 0):
             raise DegenerateData("a mixture component lost all responsibility")
         priors = weights / n
         moments[:, 1:] /= weights[:, None]
-        shift = moments[:, 1:1 + dim]
+        shift = moments[:, index[0, 1:]]
         means = centre + shift
-        covs = moments[:, 1 + dim:][:, mirror]
+        covs = moments[:, index[1:, 1:]]
         covs -= shift[:, :, None] * shift[:, None, :]
         covs += floor
         if ll - prev_ll < EM_TOL:

@@ -8,6 +8,7 @@ import pytest
 import orifuse
 from orifuse import cli, io, so3
 from orifuse.cli import main
+from orifuse.demo_gen import generate_demos
 from orifuse._kernels import rot_log_many
 
 
@@ -427,6 +428,23 @@ def test_a_kernel_too_narrow_for_the_demonstrations_exits_2_and_names_l(
     assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out", "--grid", 30) == code
     assert (f"kernel.l {l:g} is too large" in capsys.readouterr().err) == (code == 2)
     assert (tmp_path / "out").exists() == (code == 0)
+
+
+def test_demonstrations_whose_squared_chart_velocities_overflow_exit_4(tmp_path, capsys):
+    # a sampling step of about 1.7e-157 s makes psi_dot reach 1.8e154 rad/s: its square
+    # overflowed in the k-means++ seeding, which then drew from NaN probabilities
+    paths = []
+    for i, demo in enumerate(generate_demos("s61-like", 3, 0, samples=60)):
+        paths.append(tmp_path / f"demo_{i}.csv")
+        io.save_demo(paths[-1], orifuse.Demonstration(demo.times * 1e-155, demo.rotations))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "demos": [str(p) for p in paths],
+        "gmm": {"components": 3, "seed": 0}, "kernel": {"l": 1.0, "lambda": 1.0},
+        "grid": 30, "via_points": [], "aux_frame": "first-demo-start",
+    }))
+    assert run_cli("learn", "--config", cfg, "--out", tmp_path / "out") == 4
+    assert "squared deviations of the rows overflow" in capsys.readouterr().err
 
 
 def readme_target_sweep(tmp_path, demo_dir):

@@ -235,38 +235,61 @@ def close(a, b, rel):
     return np.all(np.abs(a - b) <= rel * max(np.abs(b).max(), 1.0))
 
 
+def on_the_floor(covs):
+    """Whether a component sits on the covariance floor.
+
+    Fewer rows than dimensions put it there, with a condition number up to 1e8; a
+    component of few rows with a small spread sits there with a small one, and only its
+    smallest eigenvalue tells it apart.
+    """
+    return (np.linalg.cond(covs).max() >= 1e6
+            or np.linalg.eigvalsh(covs).min() <= 100.0 * gmm.COVARIANCE_FLOOR)
+
+
+# The largest final log-likelihood difference from the reference on draws with a
+# component on the covariance floor, in draws of chart_rows' recipe made with numpy
+# alone, a spike in every demonstration of a draw or in none (fits whose iteration count
+# changed included): 9.3e-7 in 4900 draws with the whitening E-step, 2.6e-6 in 1500 with
+# the design-product one.  It bounds every trace entry of such draws, too.
+FLOOR_LL_BOUND = 1e-5
+
+# both loops run this many iterations, as many as three in four mixture_rows draws need
+# to stop on their own
+FIXED_ITERATIONS = 50
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixture_rows())
 def test_fit_gmm_matches_the_reference_em_loop(case):
-    # the (K, N) loop sums in another order, so its numbers agree to rounding level and
-    # its iteration count is the reference's unless a gain of the reference lies within
-    # 1e-6 (relative) of EM_TOL, where rounding decides the stop
+    # the design-product loop sums in another order, so over the same iterations its
+    # numbers agree with the reference's to rounding level; where each loop stops is
+    # test_em_stops_at_the_first_gain_below_em_tol's concern
     data, k, seed = case
-    try:
-        ref = reference_fit_gmm(data, k, seed)
-    except DegenerateData:
-        with pytest.raises(DegenerateData):
-            gmm.fit_gmm(data, n_components=k, seed=seed)
-        return
-    mix = gmm.fit_gmm(data, n_components=k, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gmm, "EM_TOL", -np.inf)
+        patch.setattr(gmm, "EM_MAX_ITER", FIXED_ITERATIONS)
+        try:
+            ref = reference_fit_gmm(data, k, seed)
+        except DegenerateData:
+            with pytest.raises(DegenerateData):
+                gmm.fit_gmm(data, n_components=k, seed=seed)
+            return
+        mix = gmm.fit_gmm(data, n_components=k, seed=seed)
     trace, ref_trace = mix.log_likelihoods, ref.log_likelihoods
-    # 1e-9, unless a component sits on the covariance floor (fewer rows than dimensions):
-    # condition numbers reach 1e8 there, and the whitening's rounding grows with them
-    rel = max(1e-9, 10.0 * np.finfo(float).eps * np.linalg.cond(ref.covariances).max())
-    steps = min(trace.size, ref_trace.size)
-    assert close(trace[:steps], ref_trace[:steps], rel)
+    assert trace.size == ref_trace.size == FIXED_ITERATIONS
+    # a floor component's log-determinant turns the moments' rounding into up to about
+    # 1e-7 of log-likelihood; the parameters stay within 1e-10 on every draw
+    if on_the_floor(ref.covariances):
+        assert np.abs(trace - ref_trace).max() <= FLOOR_LL_BOUND
+    else:
+        assert close(trace, ref_trace, 1e-9)
     # monotone as the reference is: the floor added after each M-step lets both traces
-    # dip on a few small row sets (by 1.2e-9 at most here), and components with fewer
-    # rows than dimensions sit on the floor, where rounding moves the traces apart
-    slack = 1e-10 + 2.0 * np.abs(trace[:steps] - ref_trace[:steps]).max()
-    assert np.diff(trace).min(initial=0.0) >= np.diff(ref_trace).min(initial=0.0) - slack
-    gains = np.diff(ref_trace)
-    if np.any(np.abs(gains - gmm.EM_TOL) <= 1e-6 * gmm.EM_TOL):
-        return  # a knife-edge stop
-    assert trace.size == ref_trace.size
-    assert close(mix.priors, ref.priors, rel)
-    assert close(mix.means, ref.means, rel)
-    assert close(mix.covariances, ref.covariances, rel)
+    # dip on a few small row sets (by 1.2e-9 at most here)
+    slack = 1e-10 + 2.0 * np.abs(trace - ref_trace).max()
+    assert np.diff(trace).min() >= np.diff(ref_trace).min() - slack
+    assert close(mix.priors, ref.priors, 1e-9)
+    assert close(mix.means, ref.means, 1e-9)
+    assert close(mix.covariances, ref.covariances, 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -315,13 +338,6 @@ def chart_rows(draw):
     return np.vstack(blocks), k, draw(st.integers(0, 99))
 
 
-# The largest final log-likelihood difference from the reference on draws with a
-# component on the covariance floor: 9.3e-7 in 4900 draws of chart_rows' recipe made
-# with numpy alone, a spike in every demonstration of a draw or in none (fits whose
-# iteration count changed included), with a 10x margin.
-FLOOR_LL_BOUND = 1e-5
-
-
 @settings(max_examples=150, deadline=None)
 @given(chart_rows())
 def test_moment_m_step_matches_the_reference_em_loop_at_chart_scale(case):
@@ -337,11 +353,7 @@ def test_moment_m_step_matches_the_reference_em_loop_at_chart_scale(case):
         return
     mix = gmm.fit_gmm(data, n_components=k, seed=seed)
     trace, ref_trace = mix.log_likelihoods, ref.log_likelihoods
-    # a component of few rows can sit on the floor with a small spread, and so with a
-    # small condition number: its smallest eigenvalue tells it apart
-    floor = (np.linalg.cond(ref.covariances).max() >= 1e6
-             or np.linalg.eigvalsh(ref.covariances).min() <= 100.0 * gmm.COVARIANCE_FLOOR)
-    if floor:
+    if on_the_floor(ref.covariances):
         assert abs(trace[-1] - ref_trace[-1]) <= FLOOR_LL_BOUND
         return
     gains = np.diff(ref_trace)
@@ -351,3 +363,39 @@ def test_moment_m_step_matches_the_reference_em_loop_at_chart_scale(case):
     assert close(mix.priors, ref.priors, 1e-9)
     assert close(mix.means, ref.means, 1e-9)
     assert close(mix.covariances, ref.covariances, 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixture_rows(), chart_rows()))
+def test_design_product_log_densities_match_the_reference(case):
+    # fit_gmm's E-step takes log N(x; mu_k, Sigma_k) as one product of coefficients with
+    # upper(h h^T), h = [1, x - c].  With W = [L^-1 (c - mu) | L^-1] and Q = W^T W it
+    # equals -h^T Q h / 2 - log det L - (D/2) log 2 pi, whose terms' magnitudes sum to
+    # S = |h|^T |W|^T |W| |h| / 2 + |log det L| + (D/2) log 2 pi (|Q| <= |W|^T |W|).
+    # To first order the M-term product of rounded coefficients and design entries errs by
+    # (M + 1) eps S, forming W's first column and Q by 2 (D + 1) eps S, and the reference's
+    # whitening and sum of squares by 3 (D + 1) eps S, so c = M + 1 + 5 (D + 1).  The
+    # reference gets the same centred rows: uncentred, its own rounding grows with |x|,
+    # not with |x - c|.  The largest ratio to eps S seen in 3000 numpy draws of the two
+    # recipes was 7.3.
+    data, k, seed = case
+    try:
+        mix = gmm.fit_gmm(data, n_components=k, seed=seed)
+    except DegenerateData:
+        return
+    n, dim = data.shape
+    centre = data.mean(axis=0)
+    pairs = gmm._upper_pairs(dim + 1)
+    design = gmm._homogeneous_design(data, centre, pairs)
+    got = gmm._log_density_coefficients(mix.means, mix.covariances, centre, pairs) @ design
+    want = reference_log_gaussians(data - centre, mix.means - centre, mix.covariances).T
+    chol = np.linalg.cholesky(mix.covariances)
+    chol_inv = np.linalg.inv(chol)
+    w = np.abs(np.concatenate([chol_inv @ (centre - mix.means)[:, :, None], chol_inv], axis=2))
+    h = np.abs(np.vstack([np.ones(n), (data - centre).T]))
+    wh = w @ h  # (K, D, N)
+    scale = (0.5 * np.einsum("kdn,kdn->kn", wh, wh)
+             + np.abs(np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
+             + 0.5 * dim * np.log(2.0 * np.pi))
+    c = design.shape[0] + 1 + 5 * (dim + 1)
+    assert np.all(np.abs(got - want) <= c * np.finfo(float).eps * scale)
