@@ -35,9 +35,9 @@ def _norms(v):
     return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
 
 
-def _relative(Ris, Rjs):
-    """Ri^T Rj for every row of two (N, 3, 3) stacks."""
-    return np.matmul(Ris.transpose(0, 2, 1), Rjs)
+def relative_rotations(Ris, Rjs):
+    """Ri^T Rj for every rotation of two (..., 3, 3) stacks."""
+    return np.matmul(np.swapaxes(Ris, -1, -2), Rjs)
 
 
 def rot_exp_many(psis):
@@ -131,10 +131,18 @@ def rot_log(R):
     return rot_log_many(np.reshape(R, (1, 3, 3)))[0]
 
 
+def geodesic_distances(Ris, Rjs):
+    """Rotation angles of Ri^T Rj over two (N, 3, 3) stacks.
+
+    pi-shell norms that round above pi are clipped.
+    """
+    return np.minimum(_norms(rot_log_many(relative_rotations(Ris, Rjs))), np.pi)
+
+
 def consecutive_geodesic_steps(Rs):
-    """Distances between consecutive rotations; pi-shell norms that round above pi are clipped."""
+    """Distances between consecutive rotations."""
     Rs = np.asarray(Rs, dtype=float)
-    return np.minimum(_norms(rot_log_many(_relative(Rs[:-1], Rs[1:]))), np.pi)
+    return geodesic_distances(Rs[:-1], Rs[1:])
 
 
 def stateless_average_many(Ris, Rjs, Wis, Wjs):
@@ -144,7 +152,7 @@ def stateless_average_many(Ris, Rjs, Wis, Wjs):
     or when both weights vanish.
     """
     Ris = np.asarray(Ris, dtype=float)
-    psi = rot_log_many(_relative(Ris, Rjs))
+    psi = rot_log_many(relative_rotations(Ris, Rjs))
     d_ij = _norms(psi)
     wsum = Wis + Wjs
     keep = (d_ij < ZERO_DISTANCE) | (wsum <= 0.0)
@@ -213,7 +221,7 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     Ris = np.asarray(Ris, dtype=float)
     Wis = np.asarray(Wis, dtype=float)
     Wjs = np.asarray(Wjs, dtype=float)
-    psi = rot_log_many(_relative(Ris, Rjs))
+    psi = rot_log_many(relative_rotations(Ris, Rjs))
     d_ij = _norms(psi)
     unit = np.zeros_like(psi)
     np.divide(psi, d_ij[:, None], out=unit, where=(d_ij >= ZERO_DISTANCE)[:, None])

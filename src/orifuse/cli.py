@@ -6,11 +6,14 @@ sweeps.  Identical configuration and seed produce bitwise-identical output
 files, whatever the BLAS thread count.  Every command but gen-demos reads its
 settings from one validated io.RunConfig: --config and --out are required,
 and --seed and --grid override the config's gmm seed and grid.  A sweep
-prepares what its trials share, then runs every trial on one pool of --jobs
-threads: a lambda_a sweep fits its chart's mixture and builds its first
-value's model once, and every other trial solves only its acceleration
-weight from that model's factor (kmp.RowFactor.solve); a target-rotation
-sweep builds the components of the vias that do not turn once.
+prepares what its trials share, then runs its tasks on one pool of --jobs
+threads.  A lambda_a sweep fits its chart's mixture and builds its first
+value's model once; every other value solves only its acceleration weight
+from that model's factor (kmp.RowFactor.solve).  Its values are split into
+one group per job, each of at most LAMBDA_GROUP_ROWS grid rows, and each
+task reproduces a group as one batch (kmp.reproduce_orientation_trajectories).
+A target-rotation sweep builds the components of the vias that do not turn
+once, and each of its tasks is one trial.
 
 Exit codes, owned by errors.py: 0 success, 1 any other OrifuseError,
 2 configuration, 3 input parsing or timing, 4 numeric failure, 5 via-domain
@@ -27,9 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from . import demo_gen, fusion, io, kmp, so3
+from ._kernels import geodesic_distances
 from .errors import ConfigError, IoError, OrifuseError
 from .pipeline import (check_kernel, check_vias, demo_grid, regression_rows,
                        reproduce_with_via_points)
+
+# most grid rows a lambda_a sweep reproduces in one batch, one task on the --jobs pool;
+# it bounds a group's arrays, and on a grid of more rows each value is a group of its own
+LAMBDA_GROUP_ROWS = 2**16
 
 
 def _add_common(sub):
@@ -76,15 +84,25 @@ def _load_run(args):
     return cfg, _output_dir(args.out), demos
 
 
+def _via_targets(cfg, times):
+    """Each via's nearest index in times and its world-frame target, stacked (V, 3, 3)."""
+    near = [int(np.argmin(np.abs(times - via.t))) for via in cfg.via_points]
+    targets = np.reshape([via.target_rotation(cfg.aux_rotation) for via in cfg.via_points],
+                         (-1, 3, 3))
+    return near, targets
+
+
 def _via_errors(cfg, traj):
-    """Each via's (geodesic, omega) error in traj at its nearest grid time."""
-    errors = []
-    for via in cfg.via_points:
-        i = int(np.argmin(np.abs(traj.times - via.t)))
-        errors.append((so3.geodesic_distance(traj.rotations[i],
-                                             via.target_rotation(cfg.aux_rotation)),
-                       float(np.linalg.norm(traj.omega_world[i] - via.omega))))
-    return errors
+    """Each via's (geodesic, omega) error in traj at its nearest grid time.
+
+    The geodesic errors are so3.geodesic_distance's, from one stack of
+    relative rotations and one log; the via targets were checked at load and
+    traj's rotations come from the exp map, so neither is checked again.
+    """
+    near, targets = _via_targets(cfg, traj.times)
+    angles = geodesic_distances(traj.rotations[near], targets)
+    return [(float(angle), float(np.linalg.norm(traj.omega_world[i] - via.omega)))
+            for angle, i, via in zip(angles, near, cfg.via_points)]
 
 
 def _cmd_gen_demos(args):
@@ -241,41 +259,48 @@ def _cmd_sweep(args):
     cfg, out, demos = _load_run(args)
     cache = {}
     if cfg.sweep_axis == "lambda_a":
-        # every trial runs in the one chart and changes only the weight of the zero
+        # every value runs in the one chart and changes only the weight of the zero
         # acceleration targets, so the mixture and the first value's model are built
         # once, before them; every other value runs only stage 2 of the regression,
-        # from that model's factor
+        # from that model's factor, and a group of values is reproduced as one batch
         first = float(cfg.sweep_values[0])
         _, rows = regression_rows(demos, cfg.aux_rotation, cfg.via_points, first,
                                   cfg.components, cfg.seed, cache)
         built = kmp.build_model(rows, replace(cfg.kernel, lambda_a=first))
         grid = demo_grid(demos, cfg.grid)
         columns = ["lambda_a", "acceleration_cost", "max_via_err"]
+        near, targets = _via_targets(cfg, grid)
+        values = [float(value) for value in cfg.sweep_values]
+        # one group per job, each of at most LAMBDA_GROUP_ROWS grid rows
+        size = max(1, min(LAMBDA_GROUP_ROWS // grid.shape[0], (len(values) + jobs - 1) // jobs))
+        tasks = [values[lo:lo + size] for lo in range(0, len(values), size)]
 
-        def trial(value):
-            lam_a = float(value)
-            model = built if lam_a == first else built.factor.solve(lam_a)
-            traj = kmp.reproduce_orientation_trajectory(model, cfg.aux_rotation, grid)
-            errs = [rot_err for rot_err, _ in _via_errors(cfg, traj)]
-            return [lam_a, fusion.trajectory_acceleration_cost(traj), max(errs) if errs else 0.0]
+        def run(group):
+            models = [built if lam_a == first else built.factor.solve(lam_a) for lam_a in group]
+            trajs = kmp.reproduce_orientation_trajectories(models, cfg.aux_rotation, grid)
+            # max_via_err is the largest of _via_errors' geodesic errors, 0 without vias
+            return [[lam_a, fusion.trajectory_acceleration_cost(traj),
+                     float(geodesic_distances(traj.rotations[near], targets).max(initial=0.0))]
+                    for lam_a, traj in zip(group, trajs)]
     else:
         # only the last via turns, so the others' components are built once, before them
         *fixed, last = cfg.via_points
         fixed_relaxed, fixed_strict = (_relaxed_and_strict(cfg, demos, fixed, cache)
                                        if fixed else ([], []))
         columns = ["i"] + _COMPARISON_COLUMNS
+        tasks = cfg.sweep_values
 
-        def trial(i):
+        def run(i):
             # step i turns the last via's target by (i - 6) pi / 6 about its y axis
             turn = so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
             turned = replace(last, rotation=last.rotation @ turn)
             relaxed, strict = _relaxed_and_strict(cfg, demos, [turned], cache)
             _, _, row = _comparison(fixed + [turned], fixed_relaxed + relaxed,
                                     fixed_strict + strict)
-            return [int(i)] + row
+            return [[int(i)] + row]
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(trial, cfg.sweep_values))
+        rows = [row for table in pool.map(run, tasks) for row in table]
     io.save_table(out / "table.csv", columns, rows)
     print(f"sweep table ({len(rows)} trials) written to {out}")
     return 0
@@ -318,7 +343,8 @@ def build_parser():
 
     sweep = subs.add_parser("sweep", help="run the configured parameter sweep")
     _add_common(sweep)
-    sweep.add_argument("--jobs", type=int, default=None, help="concurrent trials")
+    sweep.add_argument("--jobs", type=int, default=None,
+                       help="concurrent trials, or value groups of a lambda_a sweep")
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 

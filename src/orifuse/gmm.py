@@ -105,7 +105,7 @@ def project_demonstrations(demos, R_aux):
     for demo in demos:
         if len(demo) < 2:
             raise SeriesTooShort("demonstrations need at least 2 samples")
-        psi = so3.log_map_many(np.einsum("ji,njk->nik", R_aux, demo.rotations))
+        psi = so3.log_map_many(np.matmul(R_aux.T, demo.rotations))
         psi_dot = so3.finite_difference_velocity(psi, demo.dt)
         out.append(ProjectedDemonstration(demo.times.copy(), np.hstack([psi, psi_dot])))
     return out
@@ -346,8 +346,8 @@ def _gmr_batch(gmm, times):
     mu_k = gmm.means[None, :, 1:] + dt[:, :, None] * slopes[None, :, :]
     mu = np.einsum("qk,qkd->qd", h, mu_k)
     # law of total variance
-    sigma = np.einsum("qk,kde->qde", h, cond_covs)
-    sigma += np.einsum("qk,qkd,qke->qde", h, mu_k, mu_k)
+    sigma = (h @ cond_covs.reshape(k, -1)).reshape(q, *cond_covs.shape[1:])
+    sigma += np.matmul(mu_k.transpose(0, 2, 1) * h[:, None, :], mu_k)
     sigma -= np.einsum("qd,qe->qde", mu, mu)
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
     return mu, sigma

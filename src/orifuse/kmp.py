@@ -31,7 +31,7 @@ from itertools import islice
 import numpy as np
 
 from . import so3
-from ._kernels import rot_exp_many, rot_log, rot_log_many
+from ._kernels import relative_rotations, rot_exp_many, rot_log, rot_log_many
 from .errors import ChartBoundaryError, ConfigError, FactorizationFailure, SeriesTooShort
 from .gmm import ReferenceTrajectory
 
@@ -595,42 +595,51 @@ def _not_positive_definite(t):
             "via variances (eps_strict, orientation_var, velocity_var, acceleration_var)")
 
 
-def angular_velocities(rotations, dt):
-    """World-frame angular velocity of a uniformly sampled rotation sequence.
+def _logs(Rs):
+    """rot_log_many over a (..., 3, 3) stack, shape (..., 3)."""
+    return rot_log_many(Rs.reshape(-1, 3, 3)).reshape(Rs.shape[:-1])
 
-    Central differences of the relative logs in the interior, second-order
-    one-sided stencils at the ends.
+
+def _rotate(Rs, v):
+    """R v for every rotation of a (..., 3, 3) stack; einsum takes half of matmul's time here."""
+    return np.einsum("...ij,...j->...i", Rs, v)
+
+
+def angular_velocities(rotations, dt):
+    """World-frame angular velocities of uniformly sampled rotation sequences.
+
+    rotations is (..., N, 3, 3), one sequence of N per leading index, and the
+    result (..., N, 3).  Central differences of the relative logs in the
+    interior, second-order one-sided stencils at the ends; each sequence's
+    velocities are those of its own call, bit for bit.
     """
     Rs = np.asarray(rotations, dtype=float)
-    n = Rs.shape[0]
+    n = Rs.shape[-3]
     if n < 2:
         raise SeriesTooShort("need at least 2 rotations")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    omega = np.empty((n, 3))
     if n == 2:
-        w = rot_log(Rs[0].T @ Rs[1]) / dt
-        omega[0] = Rs[0] @ w
-        omega[1] = Rs[1] @ w
-        return omega
-    rel = np.einsum("nji,njk->nik", Rs[:-2], Rs[2:])
-    body = rot_log_many(rel) / (2.0 * dt)
-    omega[1:-1] = np.einsum("nij,nj->ni", Rs[1:-1], body)
-    first = (
-        4.0 * rot_log(Rs[0].T @ Rs[1])
-        - rot_log(Rs[0].T @ Rs[2])
-    ) / (2.0 * dt)
-    last = (
-        4.0 * rot_log(Rs[-1].T @ Rs[-2])
-        - rot_log(Rs[-1].T @ Rs[-3])
-    ) / (-2.0 * dt)
-    omega[0] = Rs[0] @ first
-    omega[-1] = Rs[-1] @ last
+        return _rotate(Rs, _logs(relative_rotations(Rs[..., :1, :, :], Rs[..., 1:, :, :])) / dt)
+    omega = np.empty(Rs.shape[:-1])
+    body = _logs(relative_rotations(Rs[..., :-2, :, :], Rs[..., 2:, :, :])) / (2.0 * dt)
+    omega[..., 1:-1, :] = _rotate(Rs[..., 1:-1, :, :], body)
+    # logs of R_0^T R_1, R_0^T R_2, R_-1^T R_-2 and R_-1^T R_-3 in one call
+    ends = _logs(relative_rotations(Rs[..., [0, 0, -1, -1], :, :],
+                                    Rs[..., [1, 2, -2, -3], :, :]))
+    first = (4.0 * ends[..., 0, :] - ends[..., 1, :]) / (2.0 * dt)
+    last = (4.0 * ends[..., 2, :] - ends[..., 3, :]) / (-2.0 * dt)
+    omega[..., 0, :] = _rotate(Rs[..., 0, :, :], first)
+    omega[..., -1, :] = _rotate(Rs[..., -1, :, :], last)
     return omega
 
 
-def reproduce_orientation_trajectory(model, R_aux, times):
-    """Recover R(t) = R_aux exp(psi(t)) on a uniform grid, with velocities."""
+def reproduce_orientation_trajectories(models, R_aux, times):
+    """Recover each model's R(t) = R_aux exp(psi(t)) on one uniform grid, with velocities.
+
+    The models' rows go through the exp map, R_aux and the velocity stencil
+    as one batch; each trajectory equals its one-model call's bit for bit.
+    """
     R_aux = so3.check_rotation(R_aux, name="R_aux")
     times = np.asarray(times, dtype=float)
     if times.shape[0] < 2:
@@ -641,7 +650,12 @@ def reproduce_orientation_trajectory(model, R_aux, times):
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("grid must be uniform for velocity recovery")
     # only psi enters the rotations; the velocities come from them, not from psi_dot
-    psis = model.predict_many(times, rows=1)
-    rotations = np.einsum("ij,njk->nik", R_aux, rot_exp_many(psis))
+    psis = np.concatenate([model.predict_many(times, rows=1) for model in models])
+    rotations = np.matmul(R_aux, rot_exp_many(psis)).reshape(len(models), -1, 3, 3)
     omega = angular_velocities(rotations, float(steps[0]))
-    return OrientationTrajectory(times.copy(), rotations, omega)
+    return [OrientationTrajectory(times.copy(), r, w) for r, w in zip(rotations, omega)]
+
+
+def reproduce_orientation_trajectory(model, R_aux, times):
+    """reproduce_orientation_trajectories for one model."""
+    return reproduce_orientation_trajectories([model], R_aux, times)[0]

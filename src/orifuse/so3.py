@@ -81,7 +81,7 @@ def geodesic_distance(Ri, Rj):
     """Rotation angle of Ri^T Rj, the intrinsic metric on SO(3)."""
     Ri = check_rotation(Ri, name="Ri")
     Rj = check_rotation(Rj, name="Rj")
-    return float(_kernels.consecutive_geodesic_steps(np.stack([Ri, Rj]))[0])
+    return float(_kernels.geodesic_distances(Ri[None], Rj[None])[0])
 
 
 def project_to_frame(R, R_aux):

@@ -9,7 +9,7 @@ import orifuse
 from orifuse import cli, io, so3
 from orifuse.cli import main
 from orifuse.demo_gen import generate_demos
-from orifuse._kernels import rot_log_many
+from orifuse._kernels import rot_exp_many, rot_log_many
 
 
 def run_cli(*argv):
@@ -713,6 +713,38 @@ def test_sweep_table_does_not_depend_on_the_job_count(tmp_path, demo_dir):
                            "--grid", 201, "--jobs", jobs) == 0
         assert (tmp_path / f"{name}1" / "table.csv").read_bytes() == \
             (tmp_path / f"{name}2" / "table.csv").read_bytes()
+
+
+def test_lambda_sweep_groups_do_not_change_the_table(tmp_path, demo_dir, monkeypatch):
+    # groups of at most 1, 2 and 3 values on a 201-point grid against one group of all 5
+    # (one job): at one and two jobs, every table must have the same bytes
+    cfg = write_config(tmp_path / "cfg.json", demo_dir,
+                       sweep={"axis": "lambda_a", "values": [10.0, 1e3, 1e5, 1.0, 1e2]})
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "all", "--grid", 201,
+                   "--jobs", 1) == 0
+    expected = (tmp_path / "all" / "table.csv").read_bytes()
+    for size in (1, 2, 3):
+        monkeypatch.setattr(cli, "LAMBDA_GROUP_ROWS", 201 * size)
+        for jobs in (1, 2):
+            out = tmp_path / f"groups{size}_jobs{jobs}"
+            assert run_cli("sweep", "--config", cfg, "--out", out, "--grid", 201,
+                           "--jobs", jobs) == 0
+            assert (out / "table.csv").read_bytes() == expected, (size, jobs)
+
+
+def test_via_errors_are_the_geodesic_distances_bitwise(tmp_path, demo_dir):
+    cfg = io.load_config(write_config(tmp_path / "cfg.json", demo_dir))
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 10.0, 201)
+    traj = orifuse.OrientationTrajectory(times, rot_exp_many(rng.normal(size=(201, 3))),
+                                         rng.normal(size=(201, 3)))
+    errors = cli._via_errors(cfg, traj)
+    assert len(errors) == len(cfg.via_points)
+    for (rot_err, omega_err), via in zip(errors, cfg.via_points):
+        i = int(np.argmin(np.abs(times - via.t)))
+        assert rot_err == so3.geodesic_distance(traj.rotations[i],
+                                                via.target_rotation(cfg.aux_rotation))
+        assert omega_err == float(np.linalg.norm(traj.omega_world[i] - via.omega))
 
 
 def test_acceleration_block_needs_lambda_a(tmp_path, demo_dir, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
 from orifuse import gmm, kmp, so3
+from orifuse._kernels import rot_exp_many
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import ChartBoundaryError, FactorizationFailure
 from orifuse.pipeline import REF_SIZE, demo_grid, fit_projected_mixture
@@ -661,6 +662,56 @@ def test_angular_velocities_exact_for_constant_rate():
     omega = kmp.angular_velocities(Rs, dt)
     expected = np.stack([Rs[i] @ w_body for i in range(len(times))])
     assert np.abs(omega - expected).max() < 1e-10
+
+
+def einsum_stencil(Rs, dt):
+    """The per-sequence velocity stencil with einsum products and one log per end term."""
+    if len(Rs) == 2:
+        w = so3.log_map(Rs[0].T @ Rs[1]) / dt
+        return np.stack([Rs[0] @ w, Rs[1] @ w])
+    omega = np.empty((len(Rs), 3))
+    body = so3.log_map_many(np.einsum("nji,njk->nik", Rs[:-2], Rs[2:])) / (2.0 * dt)
+    omega[1:-1] = np.einsum("nij,nj->ni", Rs[1:-1], body)
+    first = (4.0 * so3.log_map(Rs[0].T @ Rs[1]) - so3.log_map(Rs[0].T @ Rs[2])) / (2.0 * dt)
+    last = (4.0 * so3.log_map(Rs[-1].T @ Rs[-2]) - so3.log_map(Rs[-1].T @ Rs[-3])) / (-2.0 * dt)
+    omega[0], omega[-1] = Rs[0] @ first, Rs[-1] @ last
+    return omega
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 4), n=st.integers(2, 40), step=st.floats(1e-6, 0.5),
+       dt=st.floats(1e-3, 1.0), seed=st.integers(0, 2**16))
+def test_batched_angular_velocities_are_the_per_sequence_ones(batch, n, step, dt, seed):
+    # random walks whose two-step relative rotations stay below 1 rad, far from the pi-shell
+    rng = np.random.default_rng(seed)
+    increments = rot_exp_many(rng.uniform(-step, step, (batch * n, 3)) / np.sqrt(3.0))
+    Rs = np.empty((batch, n, 3, 3))
+    for b in range(batch):
+        Rs[b, 0] = so3.exp_map(rng.uniform(-2.0, 2.0, 3))
+        for i in range(1, n):
+            Rs[b, i] = Rs[b, i - 1] @ increments[b * n + i]
+    omega = kmp.angular_velocities(Rs, dt)
+    assert omega.shape == (batch, n, 3)
+    for b in range(batch):
+        single = kmp.angular_velocities(Rs[b], dt)
+        assert np.array_equal(omega[b], single)
+        expected = einsum_stencil(Rs[b], dt)
+        assert np.abs(single - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def test_batched_reproduction_is_the_per_model_one(demo_reference):
+    reference, R_aux = demo_reference
+    via = kmp.ViaPointSpec(4.0, R_aux @ so3.exp_map(reference.means[80, :3] + 0.1),
+                           np.zeros(3), acceleration_var=0.1)
+    ext = kmp.extend_reference(reference, [via], R_aux, 10.0)
+    built = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0, lambda_a=10.0))
+    models = [built] + [built.factor.solve(lam_a) for lam_a in (1e3, 1e5)]
+    grid = np.linspace(0, 10, 2001)
+    trajs = kmp.reproduce_orientation_trajectories(models, R_aux, grid)
+    for model, traj in zip(models, trajs, strict=True):
+        one = kmp.reproduce_orientation_trajectory(model, R_aux, grid)
+        for name in ("times", "rotations", "omega_world"):
+            assert np.array_equal(getattr(traj, name), getattr(one, name)), name
 
 
 
