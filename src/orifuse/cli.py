@@ -12,8 +12,9 @@ value's model once; every other value solves only its acceleration weight
 from that model's factor (kmp.RowFactor.solve).  Its values are split into
 one group per job, each of at most LAMBDA_GROUP_ROWS grid rows, and each
 task reproduces a group as one batch (kmp.reproduce_orientation_trajectories).
-A target-rotation sweep builds the components of the vias that do not turn
-once, and each of its tasks is one trial.
+A target-rotation sweep fits every chart's mixture in one call, builds the
+components of the vias that do not turn once, and each of its tasks is one
+trial.
 
 Exit codes, owned by errors.py: 0 success, 1 any other OrifuseError,
 2 configuration, 3 input parsing or timing, 4 numeric failure, 5 via-domain
@@ -32,8 +33,8 @@ import numpy as np
 from . import demo_gen, fusion, io, kmp, so3
 from ._kernels import geodesic_distances
 from .errors import ConfigError, IoError, OrifuseError
-from .pipeline import (check_kernel, check_vias, demo_grid, regression_rows,
-                       reproduce_with_via_points)
+from .pipeline import (check_kernel, check_vias, demo_grid, fit_projected_mixture,
+                       regression_rows, reproduce_with_via_points)
 
 # most grid rows a lambda_a sweep reproduces in one batch, one task on the --jobs pool;
 # it bounds a group's arrays, and on a grid of more rows each value is a group of its own
@@ -252,6 +253,12 @@ def _cmd_eval(args):
     return 0
 
 
+def _turned(via, i):
+    """Step i of a target-rotation sweep: via's target turned by (i - 6) pi / 6 about its y axis."""
+    turn = so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
+    return replace(via, rotation=via.rotation @ turn)
+
+
 def _cmd_sweep(args):
     jobs = min(4, os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
@@ -283,17 +290,22 @@ def _cmd_sweep(args):
                      float(geodesic_distances(traj.rotations[near], targets).max(initial=0.0))]
                     for lam_a, traj in zip(group, trajs)]
     else:
-        # only the last via turns, so the others' components are built once, before them
+        # only the last via turns, so the others' components are built once, before the
+        # trials; every chart's mixture is fitted before them too, in one call, once every
+        # run's vias are checked
         *fixed, last = cfg.via_points
+        vias = fixed + [_turned(last, i) for i in cfg.sweep_values]
+        check_vias(demos, vias, demo_grid(demos, cfg.grid))
+        check_kernel(demos, cfg.kernel.l)
+        fit_projected_mixture(demos, [via.target_rotation() for via in vias], cfg.components,
+                              cfg.seed, cache)
         fixed_relaxed, fixed_strict = (_relaxed_and_strict(cfg, demos, fixed, cache)
                                        if fixed else ([], []))
         columns = ["i"] + _COMPARISON_COLUMNS
         tasks = cfg.sweep_values
 
         def run(i):
-            # step i turns the last via's target by (i - 6) pi / 6 about its y axis
-            turn = so3.exp_map([0.0, (int(i) - 6) * np.pi / 6.0, 0.0])
-            turned = replace(last, rotation=last.rotation @ turn)
+            turned = _turned(last, i)
             relaxed, strict = _relaxed_and_strict(cfg, demos, [turned], cache)
             _, _, row = _comparison(fixed + [turned], fixed_relaxed + relaxed,
                                     fixed_strict + strict)

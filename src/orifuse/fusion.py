@@ -22,7 +22,7 @@ from ._kernels import (
 from .errors import DomainOverlap, SeriesTooShort
 from .gmm import DEFAULT_COMPONENTS
 from .kmp import AXES, VIA_TIME_TOL, OrientationTrajectory, ViaPointSpec, angular_velocities
-from .pipeline import reproduce_with_via_points
+from .pipeline import check_kernel, check_vias, fit_projected_mixture, reproduce_with_via_points
 
 # An IOVP is a via-point with one relaxed axis; one spec type serves both.
 IovpSpec = ViaPointSpec
@@ -99,7 +99,9 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     demonstrations around the k-th via target and adapts towards it with its
     own covariance, typically the relaxed-axis pattern.  Via targets must be
     world-frame; WeightCurveSet checks their domains.  The runs share the
-    mixture cache gmm_cache (a fresh dict when None).  Returns (components,
+    mixture cache gmm_cache (a fresh dict when None).  Every run's vias and the
+    kernel are checked before any fit, and the charts' missing mixtures are
+    fitted in one pipeline.fit_projected_mixture call.  Returns (components,
     aux_frames).
     """
     gmm_cache = {} if gmm_cache is None else gmm_cache
@@ -108,6 +110,10 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     else:
         runs = [(baseline_via.target_rotation(), [baseline_via])]
     runs += [(vp.target_rotation(), [vp]) for vp in iovps]
+    frames = [frame for frame, _ in runs]
+    check_vias(demos, [vp for _, vias in runs for vp in vias], grid_times)
+    check_kernel(demos, cfg.l)
+    fit_projected_mixture(demos, frames, n_components, seed, gmm_cache)
     components = [
         reproduce_with_via_points(
             demos, frame, vias, cfg, grid_times, n_components=n_components, seed=seed,
@@ -115,7 +121,7 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
         ).trajectory
         for frame, vias in runs
     ]
-    return components, [frame for frame, _ in runs]
+    return components, frames
 
 
 def fuse(components, curves, memory=True):

@@ -78,7 +78,13 @@ def _parse_header(path, line, magic):
 
 
 def _read_table(path, magic):
-    """(header fields, numeric rows) of a table file; a header n= must count the rows."""
+    """(header fields, numeric rows) of a table file; a header n= must count the rows.
+
+    Blank and #-prefixed lines after the header are skipped.  When every data line has
+    the first one's column count, the body is split once and converted by float() in
+    one pass; otherwise, or when a cell is not a number, _parse_rows's line-by-line
+    loop parses it and names the first bad line and cell.
+    """
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -88,6 +94,26 @@ def _read_table(path, magic):
     if not lines:
         raise ParseError("empty file", path=path, line=1)
     header = _parse_header(path, lines[0], magic)
+    body = [line for line in lines[1:] if line.strip() and not line.lstrip().startswith("#")]
+    data = None
+    if body:
+        commas = body[0].count(",")
+        if all(line.count(",") == commas for line in body):
+            cells = ",".join(body).split(",")
+            try:
+                data = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, commas + 1)
+            except ValueError:
+                pass
+    if data is None:
+        data = _parse_rows(path, lines)
+    if "n" in header and header["n"] != str(len(data)):
+        raise ParseError(f"header says n={header['n']} but the file has {len(data)} rows",
+                         path=path, line=1)
+    return header, data
+
+
+def _parse_rows(path, lines):
+    """The numeric rows after the header line, one line at a time; ParseError names a bad one."""
     rows = []
     width = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -110,11 +136,7 @@ def _read_table(path, magic):
                 except ValueError:
                     raise ParseError(f"not a number: {part.strip()!r}", path=path,
                                      line=lineno, column=col + 1) from None
-    data = np.array(rows) if rows else np.empty((0, 0))
-    if "n" in header and header["n"] != str(len(data)):
-        raise ParseError(f"header says n={header['n']} but the file has {len(data)} rows",
-                         path=path, line=1)
-    return header, data
+    return np.array(rows) if rows else np.empty((0, 0))
 
 
 def _quats_to_matrices(quats, path):

@@ -5,7 +5,8 @@ optional acceleration augmentation, model building and orientation recovery.
 The dict gmm_cache is a mixture cache keyed by (frame, components, seed) and
 one SHA-256 digest of every demonstration's row count, times and rotations, so
 runs on one demonstration set in one chart fit their mixture once; a call
-without one gets a fresh dict.
+without one gets a fresh dict.  A multi-chart caller asks fit_projected_mixture
+for all its charts first, so that their missing mixtures are fitted together.
 Threads may share it without a lock: two may fit one mixture at once, which
 costs a fit, never a different result.
 """
@@ -83,24 +84,36 @@ def check_kernel(demos, l):
                           "where the kernel's derivative table overflows")
 
 
-def fit_projected_mixture(demos, R_aux, n_components, seed, cache):
-    """Fit (or recall from the cache dict) the mixture of chart-projected demonstrations."""
+def fit_projected_mixture(demos, frames, n_components, seed, cache):
+    """The mixtures of the demonstrations projected into each chart of frames, in order.
+
+    Mixtures come from the cache dict where it holds them; the missing ones are fitted in
+    one call and cached, once per distinct frame: a lone one by gmm.fit_gmm, several in
+    one slot-scheduled EM loop by gmm.fit_gmms.
+    """
     digest = hashlib.sha256()
     for d in demos:
         digest.update(len(d).to_bytes(8, "little") + d.times.tobytes() + d.rotations.tobytes())
-    key = (np.asarray(R_aux, dtype=float).tobytes(), int(n_components), int(seed),
-           digest.digest())
-    mixture = cache.get(key)
-    if mixture is None:
-        projected = gmm_mod.project_demonstrations(demos, R_aux)
-        rows = gmm_mod.stack_training_rows(projected)
-        mixture = cache[key] = gmm_mod.fit_gmm(rows, n_components=n_components, seed=seed)
-    return mixture
+    keys = [(np.asarray(R_aux, dtype=float).tobytes(), int(n_components), int(seed),
+             digest.digest()) for R_aux in frames]
+    missing = {}  # key -> frame, the first of each distinct missing key
+    for key, R_aux in zip(keys, frames):
+        if key not in cache:
+            missing.setdefault(key, R_aux)
+    if missing:
+        datas = [gmm_mod.stack_training_rows(gmm_mod.project_demonstrations(demos, R_aux))
+                 for R_aux in missing.values()]
+        if len(datas) == 1:
+            fitted = [gmm_mod.fit_gmm(datas[0], n_components=n_components, seed=seed)]
+        else:
+            fitted = gmm_mod.fit_gmms(datas, n_components=n_components, seed=seed)
+        cache.update(zip(missing, fitted))
+    return [cache[key] for key in keys]
 
 
 def regression_rows(demos, R_aux, vias, lambda_a, n_components, seed, gmm_cache):
     """(mixture, rows): the mixture of gmm_cache and its GMR reference extended by the vias."""
-    mixture = fit_projected_mixture(demos, R_aux, n_components, seed, gmm_cache)
+    mixture, = fit_projected_mixture(demos, [R_aux], n_components, seed, gmm_cache)
     reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
     return mixture, kmp.extend_reference(reference, vias, R_aux, lambda_a)
 

@@ -447,6 +447,27 @@ def test_demonstrations_whose_squared_chart_velocities_overflow_exit_4(tmp_path,
     assert "squared deviations of the rows overflow" in capsys.readouterr().err
 
 
+def test_a_fuse_whose_last_iovp_lies_outside_the_span_exits_2_before_any_fit(
+        tmp_path, demo_dir, monkeypatch, capsys, fits):
+    # every run's vias and the kernel are checked before the charts' mixtures are fitted
+    # together, so a bad last IOVP costs no EM, from the command line or the library
+    from orifuse import fusion, gmm, kmp
+
+    batched = count_calls(monkeypatch, gmm, "fit_gmms")
+    cfg = readme_fusion_config(tmp_path, demo_dir)
+    doc = json.loads(cfg.read_text())
+    doc["via_points"][-1]["t"] = 30.0  # the demonstrations span 0 to 10 s: at most 20 s
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("fuse", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "via at t=30 lies outside" in capsys.readouterr().err
+    run = io.load_config(cfg)
+    demos = io.load_demos(run.demo_paths)
+    with pytest.raises(orifuse.errors.ConfigError, match="via at t=30 lies outside"):
+        fusion.build_component_trajectories(demos, run.via_points[0], run.via_points[1:],
+                                            kmp.KernelConfig(), np.linspace(0.0, 10.0, 11))
+    assert (len(fits), len(batched)) == (0, 0)
+
+
 def readme_target_sweep(tmp_path, demo_dir):
     """The README's per-iovp example as a target-rotation sweep over steps 5, 6 and 7."""
     return readme_fusion_config(tmp_path, demo_dir, "sweep.json",
@@ -476,7 +497,7 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def fits(monkeypatch):
-    """One entry per gmm.fit_gmm call, that is per mixture fitted."""
+    """One entry per gmm.fit_gmm call, that is per mixture fitted on its own (not by fit_gmms)."""
     from orifuse import gmm
 
     return count_calls(monkeypatch, gmm, "fit_gmm")

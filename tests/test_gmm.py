@@ -399,3 +399,75 @@ def test_design_product_log_densities_match_the_reference(case):
              + 0.5 * dim * np.log(2.0 * np.pi))
     c = design.shape[0] + 1 + 5 * (dim + 1)
     assert np.all(np.abs(got - want) <= c * np.finfo(float).eps * scale)
+
+
+def far_clusters(rng, n, dim):
+    """Rows in two tight clusters 1e6 apart, whose 2-component fit fails mid-EM.
+
+    About the rows' mean, a component's second moments and its mean shift's square are
+    both about 2.5e11, so their difference loses more than the covariance floor to
+    cancellation, and a covariance without a Cholesky factor raises DegenerateData.
+    """
+    centres = rng.normal(size=(2, dim)) * 1e6
+    return centres[rng.integers(2, size=n)] + 1e-6 * rng.normal(size=(n, dim))
+
+
+@st.composite
+def fit_batches(draw):
+    """2-6 row sets of one shape for one fit_gmms call, up to two of them degenerate.
+
+    A degenerate member either fails its first checks (an entry that overflows when
+    squared) or, at 2 or more components, fails mid-EM (far_clusters).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([2, 3, 7]))
+    n = draw(st.integers(max(10 * k, 20), 150))
+    datas = []
+    for _ in range(draw(st.integers(2, 6))):
+        centres = rng.normal(scale=3.0, size=(rng.integers(1, 5), dim))
+        spread = rng.uniform(0.05, 1.0, size=centres.shape)
+        pick = rng.integers(centres.shape[0], size=n)
+        datas.append(centres[pick] + spread[pick] * rng.normal(size=(n, dim)))
+    for j in draw(st.lists(st.integers(0, len(datas) - 1), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            datas[j] = far_clusters(rng, n, dim)
+        else:
+            datas[j][rng.integers(n), rng.integers(dim)] = 1e300
+    return datas, k, draw(st.integers(0, 99))
+
+
+@settings(max_examples=120, deadline=None)
+@given(fit_batches(), st.data())
+def test_fit_gmms_equals_one_fit_gmm_per_row_set_at_every_slot_count(case, data):
+    # the slot count S runs from 1 to the batch size, and a patched-down EM_MAX_ITER
+    # stops fits at the cap, in the first iteration too; values, traces and the arrays'
+    # strides match fit_gmm's, and a failing batch raises the first failing fit's error
+    datas, k, seed = case
+    n, dim = datas[0].shape
+    design_bytes = 8 * n * (dim + 1) * (dim + 2) // 2
+    slots = data.draw(st.integers(1, len(datas)), label="slots")
+    max_iter = data.draw(st.sampled_from([1, 2, 7, gmm.EM_MAX_ITER]), label="EM_MAX_ITER")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gmm, "EM_SLOT_BYTES", slots * design_bytes)
+        patch.setattr(gmm, "EM_MAX_ITER", max_iter)
+        try:
+            want = [gmm.fit_gmm(rows, n_components=k, seed=seed) for rows in datas]
+        except DegenerateData as exc:
+            with pytest.raises(DegenerateData) as info:
+                gmm.fit_gmms(datas, n_components=k, seed=seed)
+            assert str(info.value) == str(exc)
+            return
+        got = gmm.fit_gmms(datas, n_components=k, seed=seed)
+    assert len(got) == len(want)
+    for mix, ref in zip(got, want):
+        for name in ("priors", "means", "covariances", "log_likelihoods"):
+            a, b = getattr(mix, name), getattr(ref, name)
+            assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes()), name
+
+
+def test_fit_gmms_takes_row_sets_of_one_shape():
+    rng = np.random.default_rng(0)
+    assert gmm.fit_gmms([]) == []
+    with pytest.raises(ValueError, match="one shape"):
+        gmm.fit_gmms([rng.normal(size=(60, 3)), rng.normal(size=(61, 3))], n_components=2)

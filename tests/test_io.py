@@ -310,8 +310,8 @@ def test_learn_writes_the_mixture_it_fits(tmp_path):
     loaded = io.load_mixture(tmp_path / "out" / "mixture.json")
     run = io.load_config(cfg)
     demos = io.load_demos(run.demo_paths)
-    fitted = pipeline.fit_projected_mixture(demos, demos[0].rotations[0], run.components,
-                                            run.seed, {})
+    fitted, = pipeline.fit_projected_mixture(demos, [demos[0].rotations[0]], run.components,
+                                             run.seed, {})
     for name in ("priors", "means", "covariances"):
         assert getattr(loaded, name).tobytes() == getattr(fitted, name).tobytes()
 
@@ -632,3 +632,45 @@ def test_config_fuzz_ends_in_a_run_config_or_an_orifuse_error(tmp_path, case):
         return
     assert isinstance(cfg, io.RunConfig)
     assert not unknown, "an unknown key was accepted"
+
+
+@st.composite
+def table_texts(draw):
+    """A demonstration file's text: numeric rows in many spellings between blank and #
+    lines, LF or CRLF endings, and maybe a cell that is not a number or a short row."""
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+                     st.sampled_from([" 1.5", "2 ", "\t-3e2", "1_0", ".5", "5.", "-0", "+inf",
+                                      "Infinity", "nan", "1E-400", "1e400"]))
+    rows = [[draw(cell) for _ in range(width)] for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(
+            st.sampled_from(["", " ", "abc", "1.2.3", "0x10", "1e", "--1", "nan(1)", "1 2"]))
+    if width > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# a comment", "  # indented, 1,2"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(["# orifuse-demo v1"] + lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table_texts())
+def test_the_whole_body_parse_matches_the_line_by_line_loop(tmp_path, text):
+    # _read_table converts the body in one pass and falls back to _parse_rows on any
+    # failure: both give the same rows, or the same ParseError with its line and column
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode())
+
+    def outcome(parse):
+        try:
+            data = parse()
+        except ParseError as exc:
+            return str(exc), exc.line, exc.column
+        return data.shape, data.tobytes()
+
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert (outcome(lambda: io._read_table(path, "orifuse-demo")[1])
+            == outcome(lambda: io._parse_rows(path, lines)))

@@ -288,7 +288,7 @@ def demo_reference():
     """The GMR reference of the s61-like seed-0 demonstrations in their first start's chart."""
     demos = generate_demos("s61-like", 5, seed=0)
     R_aux = demos[0].rotations[0]
-    mixture = fit_projected_mixture(demos, R_aux, gmm.DEFAULT_COMPONENTS, 0, {})
+    mixture, = fit_projected_mixture(demos, [R_aux], gmm.DEFAULT_COMPONENTS, 0, {})
     return gmm.extract_reference(mixture, demo_grid(demos, REF_SIZE)), R_aux
 
 
@@ -406,7 +406,7 @@ from orifuse.demo_gen import generate_demos
 from orifuse.pipeline import REF_SIZE, demo_grid, fit_projected_mixture
 demos = generate_demos("s61-like", 5, seed=0)
 R_aux = demos[0].rotations[0]
-mixture = fit_projected_mixture(demos, R_aux, gmm.DEFAULT_COMPONENTS, 0, {})
+mixture, = fit_projected_mixture(demos, [R_aux], gmm.DEFAULT_COMPONENTS, 0, {})
 reference = gmm.extract_reference(mixture, demo_grid(demos, REF_SIZE))
 via = kmp.ViaPointSpec(4.0, so3.exp_map([0.7028, 1.1713, 0.4685]), np.zeros(3), relaxed_axis="y")
 digest = hashlib.sha256()
