@@ -40,7 +40,6 @@ from .gmm import (
     project_demonstrations,
 )
 from .kmp import (
-    ExtendedReference,
     KernelConfig,
     KmpModel,
     OrientationTrajectory,

@@ -43,7 +43,7 @@ def relative_rotations(Ris, Rjs):
 def rot_exp_many(psis):
     """Rodrigues map over an (N, 3) stack of vectors (axis * angle).
 
-    Total on R^3; a 2nd-order series replaces sin(t)/t and (1-cos(t))/t^2
+    Total on R^3; the limits 1 and 1/2 replace sin(t)/t and (1-cos(t))/t^2
     below t = 1e-8 to avoid 0/0.
     """
     psis = np.asarray(psis, dtype=float)
@@ -54,8 +54,10 @@ def rot_exp_many(psis):
     big = ~small
     a = np.empty_like(t)
     b = np.empty_like(t)
-    a[small] = 1.0 - t2[small] / 6.0
-    b[small] = 0.5 - t2[small] / 24.0
+    # the series' next terms, t^2/6 < 1.7e-17 and t^2/24 < 4.2e-18, are below half an
+    # ulp of 1 and of 1/2: the limits are the series' values in floating point
+    a[small] = 1.0
+    b[small] = 0.5
     a[big] = np.sin(t[big]) / t[big]
     b[big] = (1.0 - np.cos(t[big])) / t2[big]
     # I + a*hat(psi) + b*(psi psi^T - t^2 I)

@@ -151,20 +151,15 @@ def _kmeanspp_init(data, k, rng):
 
 
 def _upper_pairs(size):
-    """np.triu_indices(size) and a factor per pair: -1/2 on the diagonal, -1 off it.
-
-    The factors turn the upper triangle of a symmetric Q into the coefficients of
-    -h^T Q h / 2 over upper(h h^T).
-    """
+    """np.triu_indices(size) and the factors, -1/2 on the diagonal and -1 off it, that
+    turn a symmetric Q's upper triangle into the coefficients of -h^T Q h / 2."""
     rows, cols = np.triu_indices(size)
     return rows, cols, np.where(rows == cols, -0.5, -1.0)
 
 
 def _homogeneous_design(data, centre, pairs):
-    """upper(h h^T) of every row's h = [1, x - centre], one row per pair: (M, N).
-
-    In np.triu_indices order the rows are [1, x - c, upper((x - c)(x - c)^T)].
-    """
+    """upper(h h^T) of every row's h = [1, x - c], c = centre, one row per pair: (M, N),
+    in np.triu_indices order [1, x - c, upper((x - c)(x - c)^T)]."""
     h = np.vstack([np.ones(data.shape[0]), (data - centre).T])
     return h[pairs[0]] * h[pairs[1]]
 
@@ -172,9 +167,12 @@ def _homogeneous_design(data, centre, pairs):
 def _log_density_coefficients(means, covs, centre, pairs):
     """Coefficients of log N(x; mu_k, Sigma_k) over the homogeneous design's rows: (..., K, M).
 
-    Q_k = W_k^T W_k with W_k = [-L_k^-1 (mu_k - c) | L_k^-1], times the pairs' factors;
-    the ones row also carries -sum log diag L_k - (D/2) log 2 pi (fit_gmm derives it).
-    A stack of fits passes (S, K, D) means and (S, 1, D) centres.
+    With L_k the Cholesky factor of Sigma_k and W_k = [-L_k^-1 (mu_k - c) | L_k^-1],
+    the Mahalanobis term is h^T Q_k h with Q_k = W_k^T W_k; the ones row also carries
+    -sum log diag L_k - (D/2) log 2 pi.  Q_k comes from the triangular factor's
+    inverse, as a whitening of x - mu_k would: an LU inverse of Sigma_k rounds
+    differently at floor components, where |Q_k| is large, and moves the fits'
+    log-likelihoods and stops.  A stack passes (S, K, D) means and (S, 1, D) centres.
     """
     try:
         chol = np.linalg.cholesky(covs)
@@ -196,14 +194,9 @@ def _log_density_coefficients(means, covs, centre, pairs):
     return coef
 
 
-def _em_start(data, n_components, seed):
+def _em_start(data, n_components, seed, pairs):
     """(priors, means, covs, centre, design) of a fit's first iteration, after its checks."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("data must be a 2-d row matrix")
     n, dim = data.shape
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
     if n < 10 * n_components:
         raise DegenerateData(
             f"{n} rows cannot support {n_components} components (need >= {10 * n_components})"
@@ -219,22 +212,18 @@ def _em_start(data, n_components, seed):
         )
     priors, means, covs = _kmeanspp_init(data, n_components, np.random.default_rng(seed))
     centre = data.mean(axis=0)
-    return priors, means, covs, centre, _homogeneous_design(data, centre, _upper_pairs(dim + 1))
-
-
-def _em_constants(dim):
-    """(pairs, index, floor) shared by every fit in dim dimensions.
-
-    index maps entry (i, j) of h h^T to its design row.
-    """
-    pairs = _upper_pairs(dim + 1)
-    index = np.empty((dim + 1, dim + 1), dtype=int)
-    index[pairs[:2]] = index[pairs[1::-1]] = np.arange(pairs[0].size)
-    return pairs, index, COVARIANCE_FLOOR * np.eye(dim)
+    return priors, means, covs, centre, _homogeneous_design(data, centre, pairs)
 
 
 def _em_step(design, centre, pairs, priors, means, covs):
     """(mean log-likelihood per row, upper(E[h h^T]) moments) of one EM iteration.
+
+    Both steps share the design of h = [1, x - c], c the rows' mean; divided by the
+    weights, the M-step sums resp @ design^T are upper(E[h h^T]) under each component.
+    Working about c costs precision to cancellation: the moments lose eps E|x - c|^2,
+    the quadratic form about eps |h|^T |Q_k| |h| per row.  |Q_k| reaches 1e8 at a floor
+    component, where the final log-likelihood moves by up to a few 1e-6: a gain that
+    close to EM_TOL moves the stop by an iteration.
 
     Shape-generic: one fit's (M, N) design, (D,) centre and (K, ...) parameters give a
     scalar and (K, M) moments; a stack of S fits' (S, M, N), (S, 1, D) and (S, K, ...)
@@ -246,9 +235,9 @@ def _em_step(design, centre, pairs, priors, means, covs):
     log_prob = coef @ design
     top = log_prob.max(axis=-2)
     log_prob -= top[..., None, :]
-    resp = np.exp(log_prob, out=np.zeros_like(log_prob), where=log_prob > EXP_UNDERFLOW)
+    resp = np.exp(log_prob, out=np.zeros(log_prob.shape), where=log_prob > EXP_UNDERFLOW)
     total = resp.sum(axis=-2)
-    ll = (top + np.log(total)).mean(axis=-1)
+    ll = (top + np.log(total)).sum(axis=-1) / total.shape[-1]
     resp /= total[..., None, :]
     # M-step sums: upper(E[h h^T]) under each component, unnormalized
     moments = resp @ design.swapaxes(-1, -2)
@@ -258,10 +247,9 @@ def _em_step(design, centre, pairs, priors, means, covs):
 
 
 def _em_parameters(moments, centre, n, index, floor):
-    """(priors, means, covs) of the M-step from _em_step's moments, with covariance floor.
+    """(priors, means, covs) of the M-step from _em_step's moments, floored; shape-generic.
 
-    Divides moments in place.  Shape-generic as _em_step.
-    """
+    index maps entry (i, j) of h h^T to its design row.  Divides moments in place."""
     weights = moments[..., 0]
     priors = weights / n
     moments[..., 1:] /= weights[..., None]
@@ -284,101 +272,37 @@ def _em_result(priors, means, covs, trace):
 
 
 def fit_gmm(data, n_components=DEFAULT_COMPONENTS, seed=0):
-    """Fit a Gaussian mixture over (t, eta) rows by EM.
+    """Fit a Gaussian mixture over (t, eta) rows by EM: fit_gmms of one row set.
 
-    k-means++ initialization from the given seed, responsibilities computed in
-    log space, a COVARIANCE_FLOOR * I added in every M-step.  The per-iteration
-    log-likelihood trace, a mean per row, is kept on the returned mixture.
+    k-means++ initialization from the given seed, responsibilities in log space, a
+    COVARIANCE_FLOOR * I added in every M-step; the log-likelihood trace, a mean per
+    row and iteration, is kept on the mixture.  Rows with any entry above
+    sqrt(max float / (4 n D)), whose squared deviations could overflow, raise
+    DegenerateData before k-means++ seeds.
 
-    EM stops after EM_MAX_ITER iterations, or at the first iteration whose gain
-    in mean log-likelihood per row is below EM_TOL = 1e-5 nats; a dip stops it
-    too.  An absolute increment is the classic EM stop (McLachlan and Krishnan,
-    The EM Algorithm and Extensions, 2008).  A gain relative to |ll| set a
-    threshold 2.7x apart between the charts of one sweep (|ll| of 4.96 to
-    13.27) and ran on to gains of about 1e-7 nats, where the mean
-    log-likelihood's own sampling error on those charts is 0.075-0.17 nats.
-    On the target-sweep scene the rule takes 1712 iterations over 15 fits
-    where the relative 1e-8 took 2364, and moves the sweep's costs by at most
-    0.72% (0.91% from an EM run on to gains of 1e-12).  A tolerance of 1e-6
-    takes 1984 iterations and moves them by 0.18%; 3e-5 takes 1582 and moves
-    them by 1.3%, the lambda-sweep's by 1.7%.  The fit is not unit-invariant
-    under either rule: the absolute COVARIANCE_FLOOR ties it to the rows' units.
-
-    An iteration is two matrix products plus (K, N) and (K, D, D) work, and both
-    products share one design matrix made once per fit: upper(h h^T) of every row's
-    homogeneous h = [1, x - c], c the rows' mean, an (M, N) array with
-    M = (D+1)(D+2)/2 (36 at D = 7) whose rows, in np.triu_indices order, are
-    [1, x - c, upper((x - c)(x - c)^T)].  With L_k the Cholesky factor of Sigma_k and
-    W_k = [-L_k^-1 (mu_k - c) | L_k^-1], W_k h = L_k^-1 (x - mu_k), so the
-    Mahalanobis term is h^T Q_k h with Q_k = W_k^T W_k.  The E-step takes every
-    log pi_k N(x_n; mu_k, Sigma_k) from one (K x M) @ (M x N) product: a coefficient
-    is -Q_k/2 on the diagonal and -Q_k off it (both triangles in one), and the ones
-    row also carries log pi_k - sum log diag L_k - (D/2) log 2 pi.  Q_k comes from
-    the triangular factor's inverse, as the whitening it replaced did: an LU inverse of
-    Sigma_k rounds differently at floor components, and on the target-sweep scene it
-    moved one fit's final log-likelihood by 28 nats per row and the 15 fits' iterations
-    from 1712 to 1701.  The log-sum-exp over components follows, with exp only above
-    EXP_UNDERFLOW = -700 and 0 elsewhere, so that neither exp nor the normalized
-    responsibility is subnormal (see EXP_UNDERFLOW).  The M-step is resp @ design^T:
-    its columns, divided by the weights, are upper(E[h h^T]) under each component,
-    which hold the weights, the mean shifts s from c and the second moments about c,
-    whose upper triangle is mirrored into each covariance before s s^T is subtracted.
-
-    Working about c costs precision to cancellation in both steps.  The moments lose
-    eps E|x - c|^2 against a sum about each component's own mean; the quadratic form
-    loses about eps |h|^T |Q_k| |h| per row against a whitening of x - mu_k (the test
-    suite bounds it by (M + 1 + 5 (D + 1)) eps times the magnitudes of the
-    log-density's terms, and has seen 7.3 eps of them).  On chart-scale rows (psi_dot
-    up to 50 rad/s) the parameters stay within about 1e-11 of the reference sums,
-    relative to their largest entry.  A component on the covariance floor has
-    eigenvalues of 1e-8, so |Q_k| reaches 1e8 there and its log-density errs by the
-    same order as the moments' error moves its log-determinant: the final
-    log-likelihood moves by up to a few 1e-6, and where a gain lies that close to
-    EM_TOL, the stop moves by an iteration.  The floor also breaks EM's monotone
-    ascent: an M-step plus COVARIANCE_FLOOR * I no longer maximizes, and the trace can
-    dip: by 1.2e-9 on 20 rows in 2 dimensions, and by 7.3e-6 at iteration 212 of a
-    target-sweep fit whose covariances reach a condition number of 4e8.
-
-    Rows whose squared deviations could overflow, any entry above
-    sqrt(max float / (4 n D)), raise DegenerateData before k-means++ seeds.
-
-    The iteration is _em_step, which fit_gmms runs on stacks of fits; a lone fit runs
-    it on 2-d arrays, since a stack of one cost 7-9% more EM time.
+    EM stops after EM_MAX_ITER iterations, or at the first iteration whose gain in
+    mean log-likelihood per row is below EM_TOL nats; a dip stops it too.  An absolute
+    increment is the classic EM stop (McLachlan and Krishnan, The EM Algorithm and
+    Extensions, 2008): a gain relative to |ll| sets thresholds far apart between the
+    charts of one run.  The absolute floor ties the fit to the rows' units and breaks
+    EM's monotone ascent: an M-step plus the floor no longer maximizes.
     """
-    priors, means, covs, centre, design = _em_start(data, n_components, seed)
-    pairs, index, floor = _em_constants(centre.shape[0])
-    n = design.shape[1]
-    trace = []
-    prev_ll = -np.inf
-    for _ in range(EM_MAX_ITER):
-        ll, moments = _em_step(design, centre, pairs, priors, means, covs)
-        ll = float(ll)
-        trace.append(ll)
-        priors, means, covs = _em_parameters(moments, centre, n, index, floor)
-        if ll - prev_ll < EM_TOL:
-            break
-        prev_ll = ll
-    return _em_result(priors, means, covs, trace)
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("data must be a 2-d row matrix")
+    return fit_gmms([data], n_components, seed)[0]
 
 
 def fit_gmms(datas, n_components=DEFAULT_COMPONENTS, seed=0):
-    """[fit_gmm(data, n_components, seed) for data in datas], bit for bit, in one EM loop.
+    """[fit_gmm(data, n_components, seed) for data in datas] in one EM loop.
 
-    The loop advances up to S fits at once on stacked (S, K, ...) arrays through the same
-    _em_step as fit_gmm, and refills a slot from the queue, in datas' order, in the
-    iteration its fit stops.  S is max(1, EM_SLOT_BYTES // (8 M N)), so the slots'
-    designs hold at most EM_SLOT_BYTES: 3 slots at N = 1005 rows and M = 36.  Stacking
-    pays numpy's and LAPACK's fixed cost per call once for S fits: in process, the
-    target-sweep's 15 charts took 243 ms one after another, 266 ms in 1 slot, 182 ms
-    in 3 and 168 ms in 15.  Slots cost peak memory instead: a target-sweep call in a
-    fresh process peaked at 46.9-47.0 MB with 1 to 3 slots, 48.5 MB with 4 and 52.7 MB
-    with 15, where one fit at a time peaked at 46.3 MB (BENCH_em_slots.json).
-
-    A finished fit's parameters come from its own (K, M) moments through fit_gmm's
-    expressions, so they have fit_gmm's strides as well as its values.  datas must be
-    2-d row matrices of one shape.  The first fit (in datas' order) that fails raises
-    its error, as the list of fit_gmm calls would: an iteration that raises is rerun
-    fit by fit to find the failing fits, and fits after a failed one are dropped.
+    datas must be 2-d row matrices of one shape.  The loop advances up to S fits at
+    once on stacked (S, K, ...) arrays through the shape-generic _em_step, and refills
+    a slot from the queue, in datas' order, in the iteration its fit stops; a lone live
+    fit steps on 2-d views.  S is max(1, EM_SLOT_BYTES // (8 M N)), so the slots'
+    designs, and the memory stacking adds, stay within EM_SLOT_BYTES.  Values and
+    strides do not depend on S.  If the batch fails, the row sets are fitted again one
+    at a time: the first that fails raises its own error, as fit_gmm calls would.
     """
     datas = [np.asarray(data, dtype=float) for data in datas]
     if not datas:
@@ -388,74 +312,64 @@ def fit_gmms(datas, n_components=DEFAULT_COMPONENTS, seed=0):
         raise ValueError("datas must be 2-d row matrices of one shape")
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
-    n, dim = shape
-    pairs, index, floor = _em_constants(dim)
+    try:
+        return _em_loop(datas, n_components, seed)
+    except (ValueError, DegenerateData, np.linalg.LinAlgError):
+        if len(datas) == 1:
+            raise
+    return [_em_loop([data], n_components, seed)[0] for data in datas]
+
+
+def _em_loop(datas, n_components, seed):
+    """fit_gmms' slot-scheduled EM loop over checked row sets; the first error propagates."""
+    n, dim = datas[0].shape
+    pairs = _upper_pairs(dim + 1)
+    index = np.empty((dim + 1, dim + 1), dtype=int)
+    index[pairs[:2]] = index[pairs[1::-1]] = np.arange(pairs[0].size)
+    floor = COVARIANCE_FLOOR * np.eye(dim)
     slots = min(len(datas), max(1, EM_SLOT_BYTES // (8 * pairs[0].size * n)))
     designs = np.empty((slots, pairs[0].size, n))
     centres = np.empty((slots, 1, dim))
     priors = np.empty((slots, n_components))
     means = np.empty((slots, n_components, dim))
     covs = np.empty((slots, n_components, dim, dim))
-    # per slot: its fit's index in datas, its trace and its last log-likelihood
-    fits, traces, prev = [None] * slots, [None] * slots, np.empty(slots)
-    results, errors = {}, {}
+    results = [None] * len(datas)
     queued = iter(range(len(datas)))
 
-    def load(slot):
-        """Start the next queued fit in slot; False when none is left."""
-        for i in queued:
-            if errors and i > min(errors):
-                break
-            try:
-                start = _em_start(datas[i], n_components, seed)
-            except (ValueError, DegenerateData) as exc:
-                errors[i] = exc
-                continue
-            priors[slot], means[slot], covs[slot], centres[slot, 0], designs[slot] = start
-            fits[slot], traces[slot], prev[slot] = i, [], -np.inf
-            return True
-        return False
+    def load(slot, i):
+        """Start fit i in slot; returns the slot's (fit index, trace)."""
+        start = _em_start(datas[i], n_components, seed, pairs)
+        priors[slot], means[slot], covs[slot], centres[slot, 0], designs[slot] = start
+        return i, []
 
-    live = [slot for slot in range(slots) if load(slot)]
-    while live:
-        # retired slots leave the stacks; the live ones keep their order
-        if len(live) < designs.shape[0]:
-            designs, centres, priors, means, covs, prev = (
-                a[live] for a in (designs, centres, priors, means, covs, prev))
-            fits, traces = [fits[s] for s in live], [traces[s] for s in live]
-        try:
-            lls, moments = _em_step(designs, centres, pairs, priors, means, covs)
-        except (DegenerateData, np.linalg.LinAlgError):
-            # find the failing fits one at a time, retire them and redo the iteration
-            for s, i in enumerate(fits):
-                try:
-                    _em_step(designs[s], centres[s], pairs, priors[s], means[s], covs[s])
-                except (DegenerateData, np.linalg.LinAlgError) as exc:
-                    errors[i] = exc
-            done = [s for s, i in enumerate(fits) if i in errors]
-            if not done:
-                raise
+    fits = [load(slot, i) for slot, i in zip(range(slots), queued)]
+    while fits:
+        if len(fits) == 1:
+            # a lone fit steps on 2-d views: a stack of one costs more per numpy call
+            ll, moments = _em_step(designs[0], centres[0, 0], pairs, priors[0], means[0], covs[0])
+            lls, moments = (ll,), moments[None]
         else:
-            done = []
-            for s, i in enumerate(fits):
-                ll = float(lls[s])
-                traces[s].append(ll)
-                if ll - prev[s] < EM_TOL or len(traces[s]) >= EM_MAX_ITER:
-                    done.append(s)
-                    try:
-                        results[i] = _em_result(
-                            *_em_parameters(moments[s].copy(), centres[s, 0], n, index, floor),
-                            traces[s])
-                    except DegenerateData as exc:
-                        errors[i] = exc
-                prev[s] = ll
-            priors, means, covs = _em_parameters(moments, centres, n, index, floor)
-        # fits after a failed one cannot change the outcome
-        done += [s for s, i in enumerate(fits) if errors and i > min(errors) and s not in done]
-        live = [s for s in range(len(fits)) if s not in done or load(s)]
-    if errors:
-        raise errors[min(errors)]
-    return [results[i] for i in range(len(datas))]
+            lls, moments = _em_step(designs, centres, pairs, priors, means, covs)
+        stopped = []
+        for s, (i, trace) in enumerate(fits):
+            trace.append(float(lls[s]))
+            if len(trace) >= EM_MAX_ITER or len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL:
+                # from the fit's own (K, M) moments, in a lone fit's layout at any S
+                results[i] = _em_result(
+                    *_em_parameters(moments[s].copy(), centres[s, 0], n, index, floor), trace)
+                stopped.append(s)
+        priors, means, covs = _em_parameters(moments, centres, n, index, floor)
+        if stopped:
+            for s in stopped:
+                i = next(queued, None)
+                fits[s] = None if i is None else load(s, i)
+            # retired slots leave the stacks; the live ones keep their order
+            live = [s for s, fit in enumerate(fits) if fit]
+            if len(live) < len(fits):
+                designs, centres, priors, means, covs = (
+                    a[live] for a in (designs, centres, priors, means, covs))
+                fits = [fits[s] for s in live]
+    return results
 
 
 def _conditioning_terms(gmm):

@@ -48,7 +48,7 @@ PREDICT_CHUNK = 2048
 # inducing times of the first feature map
 INDUCING_TIMES = 20
 _VARIANCE_BLOCKS = ("orientation_var", "velocity_var", "acceleration_var")
-# the reference plus via-points is a reference too; the old name stays for callers
+# the reference plus via-points is a reference too; the acceptance suite still names it
 ExtendedReference = ReferenceTrajectory
 
 

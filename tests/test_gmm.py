@@ -152,6 +152,12 @@ def test_extract_reference_grids(fitted):
     assert np.allclose(single.covariances[0], sigma)
 
 
+def test_extract_reference_rejects_repeated_times(fitted):
+    mix, _ = fitted
+    with pytest.raises(ValueError, match="strictly increasing"):
+        gmm.extract_reference(mix, np.array([0.0, 1.0, 1.0, 2.0]))
+
+
 def test_extract_reference_spd_and_envelope(fitted, demos):
     mix, projected = fitted
     times = np.linspace(0, 10, 200)

@@ -13,7 +13,7 @@ from numpy.polynomial.hermite import hermval
 from orifuse import gmm, kmp, so3
 from orifuse._kernels import rot_exp_many
 from orifuse.demo_gen import generate_demos
-from orifuse.errors import ChartBoundaryError, FactorizationFailure
+from orifuse.errors import ChartBoundaryError, FactorizationFailure, SeriesTooShort
 from orifuse.pipeline import REF_SIZE, demo_grid, fit_projected_mixture
 
 
@@ -79,7 +79,7 @@ def test_kernel_trick_equals_parametric_solution():
     rng = np.random.default_rng(21)
     ref = make_reference(rng, 30)
     phi, phi_dot, blocks = gaussian_feature_basis(40, 0.5)
-    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    ext = kmp.ReferenceTrajectory(ref.times, ref.means, ref.covariances)
     model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0), scalar_blocks=blocks)
     oracle = parametric_ridge_solution(ref.times, ref.means, ref.covariances, phi, phi_dot, 1.0)
     queries = np.linspace(0, 10, 50)
@@ -114,13 +114,13 @@ def random_extended_reference(rng, n, dim):
     times = np.cumsum(rng.uniform(0.05, 1.0, n))
     A = rng.normal(size=(n, dim, dim))
     covs = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(dim)
-    return kmp.ExtendedReference(times, rng.normal(size=(n, dim)), covs)
+    return kmp.ReferenceTrajectory(times, rng.normal(size=(n, dim)), covs)
 
 
 def test_an_explicit_basis_matches_the_dense_solve():
     ref = make_reference(np.random.default_rng(21), 30)
     *_, blocks = gaussian_feature_basis(40, 0.5)
-    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    ext = kmp.ReferenceTrajectory(ref.times, ref.means, ref.covariances)
     cfg = kmp.KernelConfig(l=0.01, lam=1.0)
     queries = np.linspace(0, 10, 50)
     assert np.abs(kmp.build_model(ext, cfg, scalar_blocks=blocks).predict_many(queries)
@@ -222,7 +222,7 @@ def floored_reference(n, dim, floor, rows=slice(None)):
     means = np.random.default_rng(32).normal(size=(n, dim))
     covs = np.tile(np.eye(dim), (n, 1, 1))
     covs[rows] = floor * np.eye(dim)
-    return kmp.ExtendedReference(np.linspace(0, 10, n), means, covs)
+    return kmp.ReferenceTrajectory(np.linspace(0, 10, n), means, covs)
 
 
 @pytest.mark.parametrize("lambda_a", [None, 100.0])
@@ -446,7 +446,7 @@ def test_single_reference_point_closed_form():
     t0 = 3.0
     mean = np.arange(6.0)
     cov = np.diag(np.linspace(0.5, 3.0, 6))
-    ext = kmp.ExtendedReference(np.array([t0]), mean[None], cov[None])
+    ext = kmp.ReferenceTrajectory(np.array([t0]), mean[None], cov[None])
     cfg = kmp.KernelConfig(l=0.01, lam=1.0)
     model = kmp.build_model(ext, cfg)
     blocks = kmp.gaussian_scalar_blocks(np.array([t0]), np.array([t0]), cfg.l, 2)
@@ -458,7 +458,7 @@ def test_single_reference_point_closed_form():
 def test_prediction_far_outside_support_decays():
     rng = np.random.default_rng(22)
     ref = make_reference(rng, 20)
-    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    ext = kmp.ReferenceTrajectory(ref.times, ref.means, ref.covariances)
     model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
     assert np.abs(model.predict_many(np.array([300.0]))).max() < 1e-12
 
@@ -558,7 +558,7 @@ def test_extend_reference_replaces_duplicate_time():
 def test_augment_for_acceleration_blocks():
     rng = np.random.default_rng(25)
     ref = make_reference(rng, 5)
-    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    ext = kmp.ReferenceTrajectory(ref.times, ref.means, ref.covariances)
     lam_a = 1e5
     aug = kmp.augment_for_acceleration(ext, lam_a)
     assert aug.means.shape == (5, 9)
@@ -586,7 +586,7 @@ def test_augmented_model_small_lambda_matches_plain():
     # lambda_a -> 0 leaves the (psi, psi_dot) prediction unchanged
     rng = np.random.default_rng(27)
     ref = make_reference(rng, 15)
-    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    ext = kmp.ReferenceTrajectory(ref.times, ref.means, ref.covariances)
     plain = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
     aug = kmp.build_model(
         kmp.augment_for_acceleration(ext, 1e-8),
@@ -615,7 +615,7 @@ def test_via_point_dominance_as_covariance_shrinks():
 def test_predicted_velocity_is_derivative_of_position():
     rng = np.random.default_rng(29)
     ref = make_reference(rng, 20, spread=0.5)
-    ext = kmp.ExtendedReference(ref.times, ref.means, ref.covariances)
+    ext = kmp.ReferenceTrajectory(ref.times, ref.means, ref.covariances)
     model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
     grid = np.arange(0, 10, 1e-3)
     eta = model.predict_many(grid)
@@ -631,7 +631,7 @@ def test_reproduce_constant_prediction():
     times = np.linspace(0, 10, n)
     means = np.tile(mean, (n, 1))
     covs = np.tile(np.diag([1e-10] * 6), (n, 1, 1))
-    ext = kmp.ExtendedReference(times, means, covs)
+    ext = kmp.ReferenceTrajectory(times, means, covs)
     model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
     R_aux = so3.exp_map([0.1, 0.5, -0.3])
     traj = kmp.reproduce_orientation_trajectory(model, R_aux, np.linspace(0, 10, 101))
@@ -647,7 +647,7 @@ def test_reproduce_single_axis_velocity():
     times = np.linspace(0, 10, n)
     means = np.stack([np.array([w * t, 0, 0, w, 0, 0]) for t in times])
     covs = np.tile(np.diag([1e-10] * 6), (n, 1, 1))
-    ext = kmp.ExtendedReference(times, means, covs)
+    ext = kmp.ReferenceTrajectory(times, means, covs)
     model = kmp.build_model(ext, kmp.KernelConfig(l=0.01, lam=1.0))
     traj = kmp.reproduce_orientation_trajectory(model, np.eye(3), np.linspace(0, 10, 201))
     assert np.abs(traj.omega_world - np.array([w, 0, 0])).max() < 1e-4
@@ -712,6 +712,17 @@ def test_batched_reproduction_is_the_per_model_one(demo_reference):
         one = kmp.reproduce_orientation_trajectory(model, R_aux, grid)
         for name in ("times", "rotations", "omega_world"):
             assert np.array_equal(getattr(traj, name), getattr(one, name)), name
+
+
+def test_reproduction_takes_a_two_point_grid_and_rejects_one_point(demo_reference):
+    # two points are the shortest grid: the velocity stencil needs one difference
+    reference, R_aux = demo_reference
+    model = kmp.build_model(reference, kmp.KernelConfig(l=0.01, lam=1.0))
+    (traj,) = kmp.reproduce_orientation_trajectories([model], R_aux, np.array([2.0, 3.0]))
+    assert traj.rotations.shape == (2, 3, 3)
+    assert traj.omega_world.shape == (2, 3)
+    with pytest.raises(SeriesTooShort):
+        kmp.reproduce_orientation_trajectories([model], R_aux, np.array([2.0]))
 
 
 
