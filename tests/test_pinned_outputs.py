@@ -31,11 +31,11 @@ import workloads  # noqa: E402
 
 PINNED = Path(__file__).resolve().parent / "pinned"
 REL_BOUND = 1e-4
-# reference file -> (perfbench workload, or None for the README fuse, output file)
+# reference file -> (run: a perfbench workload or the README fuse, output file)
 OUTPUTS = {
     "target_sweep_table.csv": ("target-sweep", "table.csv"),
     "lambda_sweep_table.csv": ("lambda-sweep", "table.csv"),
-    "readme_fuse_metrics.csv": (None, "metrics.csv"),
+    "readme_fuse_metrics.csv": ("fuse", "metrics.csv"),
 }
 
 
@@ -43,17 +43,14 @@ def generate(directory):
     """Run the three protocols on the seed-0 scene; returns {reference name: output path}."""
     directory = Path(directory)
     scene = workloads.make_scene(0)
+    runs = {name: (work.argv, workloads.write_inputs(work, scene, directory / name))
+            for name, work in workloads.WORKLOADS.items()}
+    # the README example names two demonstrations, here the scene's first two
+    runs["fuse"] = (("fuse",), readme_fusion_config(directory, directory / "target-sweep"))
     paths = {}
-    for name, (workload, output) in OUTPUTS.items():
-        if workload is None:
-            # the README example names two demonstrations: the scene's first two
-            config = readme_fusion_config(directory, directory / "target-sweep")
-            argv = ["fuse"]
-        else:
-            work = workloads.WORKLOADS[workload]
-            config = workloads.write_inputs(work, scene, directory / workload)
-            argv = list(work.argv)
-        out = directory / f"out_{name}"
+    for name, (run, output) in OUTPUTS.items():
+        argv, config = runs[run]
+        out = directory / f"out_{run}"
         assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
         paths[name] = out / output
     return paths
