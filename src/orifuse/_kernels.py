@@ -6,16 +6,15 @@ the small-angle and near-pi branches with boolean masks; ``rot_exp`` and
 ``rot_log`` are their one-row calls.
 
 The memory-based average has one implementation too,
-``memory_average_many``, which owns its constants and describes its dispatch.
-Over a time-ordered run of pairs it computes the relative logs, every row's
-history mean and class, the scales and the exps array-wide.  Python runs
-only where the state changes: from each flip, for the rows whose history the
-flip cleared, and at a window whose mean cancels.  ``memory_average_step``
-and ``rotavg.weighted_average_memory`` are its one-pair calls.
+``memory_average_many``, which owns its constants.  One array rule gives
+every row of a run its history mean and class; a flip shortens only the
+windows of the next capacity - 1 rows, which the same rule classifies
+again.  ``memory_average_step`` and ``rotavg.weighted_average_memory`` are
+its one-pair calls.
 """
 
 import math
-from collections import deque
+from bisect import bisect_left
 
 import numpy as np
 
@@ -171,30 +170,6 @@ def stateless_average(Ri, Rj, Wi, Wj):
     return stateless_average_many(Ri[None], Rj[None], np.array([Wi]), np.array([Wj]))[0]
 
 
-def _history_mean(hist):
-    """Average of the stored non-zero traverse directions, re-normalized.
-
-    Zero-sentinel entries are skipped; a cancelling mean falls back to the
-    most recent non-zero entry, and an all-zero history yields the zero vector.
-    """
-    m0 = m1 = m2 = 0.0
-    count = 0
-    for h0, h1, h2 in hist:
-        if h0 * h0 + h1 * h1 + h2 * h2 > 0.25:  # unit vectors vs zero sentinel
-            m0 += h0
-            m1 += h1
-            m2 += h2
-            count += 1
-    if count == 0:
-        return (0.0, 0.0, 0.0)
-    n = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
-    if n < 1e-12:
-        for h in reversed(hist):
-            if h[0] * h[0] + h[1] * h[1] + h[2] * h[2] > 0.25:
-                return h
-    return (m0 / n, m1 / n, m2 / n)
-
-
 def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HISTORY_CAPACITY,
                         d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT):
     """The memory-based average of a time-ordered run of pairs, from a given state.
@@ -215,10 +190,11 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     ``(Rs, turns, history)``: the turn count after each row and the final
     history as a tuple.
 
-    A flip changes only the windows of the next ``capacity`` rows, so every
-    row's window mean and class come array-wide, and a walk in plain floats
-    runs from each flip (or empty, all-sentinel or cancelling window) until
-    the windows are whole again.
+    One rule gives every row its history mean and class.  Only a flip changes
+    the state: it cuts the windows of the next capacity - 1 rows, which the rule
+    classifies again.  Known limit: where Ri^T Rj passes near, not through, the
+    identity at N other than 0 or -1, psi_c swings while |d| stays near a
+    non-zero multiple of pi Wj/(Wi+Wj), and the output jumps undetected.
     """
     Ris = np.asarray(Ris, dtype=float)
     Wis = np.asarray(Wis, dtype=float)
@@ -230,54 +206,55 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     wsum = Wis + Wjs
     move = wsum > 0.0
     n = d_ij.shape[0]
-    past = list(deque(history, maxlen=capacity))
-    # row i's window is seq[i:i + capacity]: the given history, then the rows before i
-    seq = np.zeros((capacity + n, 3))
-    seq[capacity - len(past):capacity] = np.reshape(past, (-1, 3))
-    seq[capacity:] = unit
+    past = list(history)  # a map from memory_average_step has no len()
+    past = past[max(len(past) - capacity, 0):]
+    # row r's window is seq[max(r, floor):r + capacity]: the given history, then the rows
+    # before r; floor is the history's oldest entry, after a flip that row's own psi_c
+    seq = np.concatenate([np.zeros((capacity - len(past), 3)), np.reshape(past, (-1, 3)), unit])
     kept = seq[:, 0] * seq[:, 0] + seq[:, 1] * seq[:, 1] + seq[:, 2] * seq[:, 2] > 0.25
-    summand = np.where(kept[:, None], seq, 0.0)
-    total = np.zeros((n, 3))  # oldest first from 0.0, as _history_mean sums
-    for j in range(capacity):
-        total += summand[j:j + n]
-    norm = _norms(total)
-    psi_p = np.zeros_like(total)  # walked where the norm is below 1e-12
-    np.divide(total, norm[:, None], out=psi_p, where=(norm >= 1e-12)[:, None])
-    dot = psi_p[:, 0] * unit[:, 0] + psi_p[:, 1] * unit[:, 1] + psi_p[:, 2] * unit[:, 2]
-    aligned = dot > e_psi
-    flip = ~aligned & (-dot > e_psi)
-    direction = np.where((move & ~aligned & ~flip)[:, None], psi_p, unit)
+    summand = np.where(kept[:, None], seq, 0.0)  # unit vectors, the zero sentinels dropped
+    last_kept = np.maximum.accumulate(np.where(kept, np.arange(capacity + n), -1))
+
+    def classify(lo, hi, floor):
+        """Direction and flip test of rows lo..hi-1, their windows cut at seq[floor]."""
+        total = np.zeros((hi - lo, 3))  # oldest first from 0.0, as a sum in floats runs
+        for j in range(capacity):
+            skip = min(max(floor - lo - j, 0), hi - lo)  # rows whose entry j lies before floor
+            total[skip:] += summand[lo + j + skip:hi + j]
+        norm = _norms(total)
+        mean = np.zeros_like(total)  # zero for a window of zero sentinels
+        np.divide(total, norm[:, None], out=mean, where=(norm >= 1e-12)[:, None])
+        # where the sum vanishes, a cancelling window takes its newest kept entry, and an
+        # empty one, which starts at the row's own entry, takes psi_c
+        vanish = lo + np.flatnonzero(norm < 1e-12)
+        first = np.maximum(vanish, floor)  # the oldest entry of each such window
+        last = last_kept[np.maximum(vanish + capacity - 1, first)]
+        cancel = last >= first
+        mean[vanish[cancel] - lo] = seq[last[cancel]]
+        u = unit[lo:hi]
+        dot = mean[:, 0] * u[:, 0] + mean[:, 1] * u[:, 1] + mean[:, 2] * u[:, 2]
+        aligned = dot > e_psi
+        flip = move[lo:hi] & ~aligned & (-dot > e_psi)
+        # an outlier trusts the history's direction instead of its own
+        outlier = move[lo:hi] & ~aligned & ~flip
+        return np.where(outlier[:, None], mean, u), flip
+
+    floor = capacity - len(past)
+    direction, flip = classify(0, n, floor)
+    candidates = np.flatnonzero(flip).tolist() + [n]
     step = np.zeros(n, dtype=np.int64)
     start = n_turns
-    end = 0
-    for r in np.flatnonzero(move & (flip | (norm < 1e-12))).tolist():
-        if r < end:
-            continue  # an earlier walk has been here
-        hist = deque(map(tuple, seq[max(r, capacity - len(past)):r + capacity].tolist()),
-                     maxlen=capacity)
-        i, stop = r, r + 1  # a walk ends capacity rows after its last flip
-        while i < min(stop, n):
-            psi_c = tuple(unit[i].tolist())
-            if move[i]:
-                psi_p_i = _history_mean(hist) if hist else psi_c
-                dot_i = psi_p_i[0] * psi_c[0] + psi_p_i[1] * psi_c[1] + psi_p_i[2] * psi_c[2]
-                direction[i] = psi_c
-                if dot_i > e_psi:
-                    pass  # aligned with the history
-                elif -dot_i > e_psi:
-                    step[i] = turn = 1 if (d_ij[i] > d_th) == (n_turns % 2 == 0) else -1
-                    n_turns += turn
-                    hist.clear()  # historical data is stale after a flip
-                    stop = i + capacity
-                else:
-                    direction[i] = psi_p_i  # outlier direction: trust the history instead
-            hist.append(psi_c)
-            i += 1
-        end = i
+    f = candidates[0]
+    while f < n:
+        step[f] = turn = 1 if (d_ij[f] > d_th) == (n_turns % 2 == 0) else -1
+        n_turns += turn
+        floor = capacity + f  # historical data is stale after a flip
+        hi = min(f + capacity, n)
+        direction[f + 1:hi], flip[f + 1:hi] = classify(f + 1, hi, floor)
+        later = np.flatnonzero(flip[f + 1:hi])
+        f = f + 1 + int(later[0]) if later.size else candidates[bisect_left(candidates, hi)]
     turns = start + np.cumsum(step)  # a step function of the flips
-    flips = np.flatnonzero(step)
-    first = max(len(past) + flips[-1] if flips.size else 0, len(past) + n - capacity)
-    history = past[first:] + list(map(tuple, unit[max(first - len(past), 0):].tolist()))
+    history = tuple(map(tuple, seq[max(n, floor):].tolist()))
     # multiplying by sign negates exactly, so each row rounds as its formula does
     odd = turns % 2 == 1
     sign = np.where(odd, -1.0, 1.0)
@@ -285,7 +262,7 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     scale[move] = Wjs[move] * ((turns + odd) * np.pi + sign * d_ij)[move] / wsum[move]
     out = np.matmul(Ris, rot_exp_many((sign * scale)[:, None] * direction))
     out[~move] = Ris[~move]
-    return out, turns, tuple(history)
+    return out, turns, history
 
 
 def memory_average_step(Ri, Rj, Wi, Wj, n_turns, hist, n_hist, d_th, e_psi):

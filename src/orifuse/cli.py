@@ -291,12 +291,10 @@ def _cmd_sweep(args):
                     for lam_a, traj in zip(group, trajs)]
     else:
         # only the last via turns, so the others' components are built once, before the
-        # trials; every chart's mixture is fitted before them too, in one call, once every
-        # run's vias are checked
+        # trials; every chart's mixture is fitted before them too, in one call.  A turn
+        # moves no via's time or speed, so _load_run's checks hold for every trial
         *fixed, last = cfg.via_points
         vias = fixed + [_turned(last, i) for i in cfg.sweep_values]
-        check_vias(demos, vias, demo_grid(demos, cfg.grid))
-        check_kernel(demos, cfg.kernel.l)
         fit_projected_mixture(demos, [via.target_rotation() for via in vias], cfg.components,
                               cfg.seed, cache)
         fixed_relaxed, fixed_strict = (_relaxed_and_strict(cfg, demos, fixed, cache)

@@ -215,9 +215,9 @@ def load_demo(path, reorthonormalize=False):
     return Demonstration(times, rotations, positions)
 
 
-def load_demos(paths, reorthonormalize=False):
+def load_demos(paths):
     """Load a demonstration set; all files must share one sampling step."""
-    demos = [load_demo(p, reorthonormalize=reorthonormalize) for p in paths]
+    demos = [load_demo(p) for p in paths]
     if not demos:
         raise ParseError("no demonstration files given")
     dts = [d.dt for d in demos]

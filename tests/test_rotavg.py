@@ -261,7 +261,7 @@ def reference_history_mean(hist):
 def reference_run(Ris, Rjs, Wis, Wjs, n_turns=0, hist=(), cap=HISTORY_CAPACITY,
                   d_th=D_TH_DEFAULT, e_psi=E_PSI_DEFAULT):
     """The memory average one row at a time; returns (Rs, turns, hist)."""
-    hist = [tuple(h) for h in hist]
+    hist = [tuple(h) for h in hist][-cap:]  # a state keeps the last cap directions
     logs = rot_log_many(np.matmul(np.transpose(Ris, (0, 2, 1)), Rjs))
     out, turns = [], []
     for Ri, psi, Wi, Wj in zip(Ris, logs.tolist(), Wis, Wjs):
@@ -457,14 +457,16 @@ def flip_runs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(flip_runs(), st.sampled_from(HISTORIES), st.integers(-3, 3))
-def test_memory_average_many_matches_the_reference_through_dense_flips(run, past, n_turns):
-    # the flips, the cleared histories after them and the cancelling windows are where
-    # the array-wide classes hand over to the walk in floats; all bits must agree
+@given(flip_runs(), st.sampled_from(HISTORIES), st.integers(-3, 3), st.integers(1, 6))
+def test_memory_average_many_matches_the_reference_through_dense_flips(run, past, n_turns,
+                                                                        capacity):
+    # the flips, the windows they shorten for the next capacity - 1 rows and the
+    # cancelling windows are where the classes change; all bits must agree
     Ris, Rjs, Wis, Wjs = run
-    Rs, turns, history = memory_average_many(Ris, Rjs, Wis, Wjs, n_turns, past)
+    Rs, turns, history = memory_average_many(Ris, Rjs, Wis, Wjs, n_turns, past,
+                                             capacity=capacity)
     ref_Rs, ref_turns, ref_history = reference_run(Ris, Rjs, Wis.tolist(), Wjs.tolist(),
-                                                   n_turns, past)
+                                                   n_turns, past, cap=capacity)
     assert np.array_equal(turns, ref_turns)
     assert np.array_equal(Rs, ref_Rs)
     assert history == tuple(ref_history)
