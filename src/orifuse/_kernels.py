@@ -213,7 +213,6 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
     seq = np.concatenate([np.zeros((capacity - len(past), 3)), np.reshape(past, (-1, 3)), unit])
     kept = seq[:, 0] * seq[:, 0] + seq[:, 1] * seq[:, 1] + seq[:, 2] * seq[:, 2] > 0.25
     summand = np.where(kept[:, None], seq, 0.0)  # unit vectors, the zero sentinels dropped
-    last_kept = np.maximum.accumulate(np.where(kept, np.arange(capacity + n), -1))
 
     def classify(lo, hi, floor):
         """Direction and flip test of rows lo..hi-1, their windows cut at seq[floor]."""
@@ -224,13 +223,14 @@ def memory_average_many(Ris, Rjs, Wis, Wjs, n_turns=0, history=(), capacity=HIST
         norm = _norms(total)
         mean = np.zeros_like(total)  # zero for a window of zero sentinels
         np.divide(total, norm[:, None], out=mean, where=(norm >= 1e-12)[:, None])
-        # where the sum vanishes, a cancelling window takes its newest kept entry, and an
-        # empty one, which starts at the row's own entry, takes psi_c
+        # where the sum vanishes, an empty window (row 0's, from an empty history) takes
+        # psi_c, and a cancelling one its newest kept entry
         vanish = lo + np.flatnonzero(norm < 1e-12)
-        first = np.maximum(vanish, floor)  # the oldest entry of each such window
-        last = last_kept[np.maximum(vanish + capacity - 1, first)]
-        cancel = last >= first
-        mean[vanish[cancel] - lo] = seq[last[cancel]]
+        empty = vanish + capacity <= floor
+        mean[vanish[empty] - lo] = unit[vanish[empty]]
+        window = vanish[~empty, None] + np.arange(capacity)  # other rows' window entries
+        newest = np.where(kept[window] & (window >= floor), window, -1).max(axis=1, initial=-1)
+        mean[vanish[~empty][newest >= 0] - lo] = seq[newest[newest >= 0]]
         u = unit[lo:hi]
         dot = mean[:, 0] * u[:, 0] + mean[:, 1] * u[:, 1] + mean[:, 2] * u[:, 2]
         aligned = dot > e_psi

@@ -12,9 +12,10 @@ value's model once; every other value solves only its acceleration weight
 from that model's factor (kmp.RowFactor.solve).  Its values are split into
 one group per job, each of at most LAMBDA_GROUP_ROWS grid rows, and each
 task reproduces a group as one batch (kmp.reproduce_orientation_trajectories).
-A target-rotation sweep fits every chart's mixture in one call, builds the
-components of the vias that do not turn once, and each of its tasks is one
-trial.
+A target-rotation sweep fits every chart's mixture in one call, and builds
+the components of the vias that do not turn and folds their IOVPs' chain
+(fusion.fold_chain) once; each of its tasks is one trial, whose fusions
+continue from that chain.
 
 Exit codes, owned by errors.py: 0 success, 1 any other OrifuseError,
 2 configuration, 3 input parsing or timing, 4 numeric failure, 5 via-domain
@@ -219,16 +220,17 @@ def _cmd_fuse(args):
     return 0
 
 
-def _comparison(vias, relaxed, strict):
+def _comparison(vias, relaxed, strict, prefixes=(None, None)):
     """Relaxed and strict fusion of vias (via 0 the baseline) plus their comparison row.
 
-    relaxed and strict are the component lists of _relaxed_and_strict.  The
-    row holds cost_iovp, cost_strict, max_axis_err, continuity_ratio_iovp and
-    continuity_ratio_strict.
+    relaxed and strict are the component lists of _relaxed_and_strict, and prefixes
+    their fuse prefixes, if any.  The row holds cost_iovp, cost_strict, max_axis_err,
+    continuity_ratio_iovp and continuity_ratio_strict.
     """
     iovps = vias[1:]
     curves = fusion.weight_curves_for(iovps)
-    fused_i, fused_s = fusion.fuse(relaxed, curves), fusion.fuse(strict, curves)
+    fused_i, fused_s = (fusion.fuse(components, curves, prefix=prefix)
+                        for components, prefix in zip((relaxed, strict), prefixes))
     m_i = _fusion_metrics(fused_i, iovps)
     m_s = _fusion_metrics(fused_s, [])
     axis_errs = [m_i[k] for k in m_i if k.endswith("_axis_err")]
@@ -271,8 +273,8 @@ def _cmd_sweep(args):
         # once, before them; every other value runs only stage 2 of the regression,
         # from that model's factor, and a group of values is reproduced as one batch
         first = float(cfg.sweep_values[0])
-        _, rows = regression_rows(demos, cfg.aux_rotation, cfg.via_points, first,
-                                  cfg.components, cfg.seed, cache)
+        _, (rows,) = regression_rows(demos, cfg.aux_rotation, [cfg.via_points], first,
+                                     cfg.components, cfg.seed, cache)
         built = kmp.build_model(rows, replace(cfg.kernel, lambda_a=first))
         grid = demo_grid(demos, cfg.grid)
         columns = ["lambda_a", "acceleration_cost", "max_via_err"]
@@ -290,15 +292,18 @@ def _cmd_sweep(args):
                      float(geodesic_distances(traj.rotations[near], targets).max(initial=0.0))]
                     for lam_a, traj in zip(group, trajs)]
     else:
-        # only the last via turns, so the others' components are built once, before the
-        # trials; every chart's mixture is fitted before them too, in one call.  A turn
-        # moves no via's time or speed, so _load_run's checks hold for every trial
+        # only the last via turns, so the others' components and chain folds are built
+        # once, before the trials; every chart's mixture is fitted before them too, in one
+        # call.  A turn moves no via's time or speed, so _load_run's checks hold for all
         *fixed, last = cfg.via_points
         vias = fixed + [_turned(last, i) for i in cfg.sweep_values]
         fit_projected_mixture(demos, [via.target_rotation() for via in vias], cfg.components,
                               cfg.seed, cache)
         fixed_relaxed, fixed_strict = (_relaxed_and_strict(cfg, demos, fixed, cache)
                                        if fixed else ([], []))
+        weights = fusion.weight_curves_for(fixed[1:]).weight_matrix(demo_grid(demos, cfg.grid))
+        prefixes = [fusion.fold_chain(comps, weights) if fixed[1:] else None
+                    for comps in (fixed_relaxed, fixed_strict)]
         columns = ["i"] + _COMPARISON_COLUMNS
         tasks = cfg.sweep_values
 
@@ -306,7 +311,7 @@ def _cmd_sweep(args):
             turned = _turned(last, i)
             relaxed, strict = _relaxed_and_strict(cfg, demos, [turned], cache)
             _, _, row = _comparison(fixed + [turned], fixed_relaxed + relaxed,
-                                    fixed_strict + strict)
+                                    fixed_strict + strict, prefixes)
             return [[int(i)] + row]
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -21,8 +21,9 @@ from ._kernels import (
 )
 from .errors import DomainOverlap, SeriesTooShort
 from .gmm import DEFAULT_COMPONENTS
-from .kmp import AXES, VIA_TIME_TOL, OrientationTrajectory, ViaPointSpec, angular_velocities
-from .pipeline import check_kernel, check_vias, fit_projected_mixture, reproduce_with_via_points
+from .kmp import (AXES, VIA_TIME_TOL, OrientationTrajectory, ViaPointSpec, angular_velocities,
+                  build_models, reproduce_orientation_trajectories)
+from .pipeline import check_kernel, check_vias, fit_projected_mixture, regression_rows
 
 # An IOVP is a via-point with one relaxed axis; one spec type serves both.
 IovpSpec = ViaPointSpec
@@ -101,8 +102,9 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     world-frame; WeightCurveSet checks their domains.  The runs share the
     mixture cache gmm_cache (a fresh dict when None).  Every run's vias and the
     kernel are checked before any fit, and the charts' missing mixtures are
-    fitted in one pipeline.fit_projected_mixture call.  Returns (components,
-    aux_frames).
+    fitted in one pipeline.fit_projected_mixture call.  The runs of one chart,
+    a via's relaxed and strict forms, share its GMR reference, kmp.build_models
+    call and reproduction.  Returns (components, aux_frames).
     """
     gmm_cache = {} if gmm_cache is None else gmm_cache
     if baseline_via is None:
@@ -114,17 +116,33 @@ def build_component_trajectories(demos, baseline_via, iovps, cfg, grid_times,
     check_vias(demos, [vp for _, vias in runs for vp in vias], grid_times)
     check_kernel(demos, cfg.l)
     fit_projected_mixture(demos, frames, n_components, seed, gmm_cache)
-    components = [
-        reproduce_with_via_points(
-            demos, frame, vias, cfg, grid_times, n_components=n_components, seed=seed,
-            gmm_cache=gmm_cache,
-        ).trajectory
-        for frame, vias in runs
-    ]
-    return components, frames
+    charts = {}  # frame bytes -> the indices of its runs
+    for i, frame in enumerate(frames):
+        charts.setdefault(frame.tobytes(), []).append(i)
+    components = {}
+    for chart in charts.values():
+        _, rows = regression_rows(demos, frames[chart[0]], [runs[i][1] for i in chart],
+                                  cfg.lambda_a, n_components, seed, gmm_cache)
+        components.update(zip(chart, reproduce_orientation_trajectories(
+            build_models(rows, cfg), frames[chart[0]], grid_times)))
+    return [components[i] for i in range(len(runs))], frames
 
 
-def fuse(components, curves, memory=True):
+def fold_chain(components, weights, memory=True, prefix=None, baseline=False):
+    """fuse's folds of components[1:] under weight columns [W_0, ..., W_K], with baseline
+    its last fold too, from the state prefix if given: returns the state, the running
+    average, its accumulated weight and each fold's turn counts (None if stateless)."""
+    rotations, acc_w, turns = prefix or (components[1].rotations, weights[:, 1], [])
+    for k in list(range(len(turns) + 2, weights.shape[1])) + ([0] if baseline else []):
+        pair = (rotations, components[k].rotations, acc_w, weights[:, k])
+        rotations, turn, _ = (memory_average_many(*pair) if memory else
+                              (stateless_average_many(*pair), None, None))
+        turns = turns + [turn]  # a new list: the prefix's stays as it is
+        acc_w = acc_w + weights[:, k]
+    return rotations, acc_w, turns
+
+
+def fuse(components, curves, memory=True, prefix=None):
     """Blend K+1 component trajectories into one, preserving continuity.
 
     components[0] is the baseline; components[1:] pair with curves' centers.
@@ -132,7 +150,9 @@ def fuse(components, curves, memory=True):
     weighted averages with accumulated weights, and the result combines with
     the baseline under (sum W_k, W_0).  Every fold position owns a persistent
     memory state across the sweep; memory=False switches to the stateless
-    average (diagnostic path that exhibits boundary discontinuities).
+    average (diagnostic path that exhibits boundary discontinuities).  prefix,
+    the fold_chain of components[:j + 1] under the first j curves' weights, is
+    continued from: a curve's weights are its own, so the result is the same.
     """
     if not components:
         raise ValueError("need at least the baseline component")
@@ -149,20 +169,8 @@ def fuse(components, curves, memory=True):
             times.copy(), components[0].rotations.copy(),
             components[0].omega_world.copy(), weights,
         )
-    # Fold positions run one after another over the whole grid: the K - 1
-    # chain folds add components 2..K to the running average of component 1,
-    # and the last fold combines it with the baseline under (sum W_k, W_0).
-    rotations = components[1].rotations
-    acc_w = weights[:, 1]
-    folds = list(range(2, n_via + 1)) + [0]
-    turn_counts = np.zeros((times.shape[0], len(folds)), dtype=np.int64) if memory else None
-    for fold, k in enumerate(folds):
-        pairs = (rotations, components[k].rotations, acc_w, weights[:, k])
-        if memory:
-            rotations, turn_counts[:, fold], _ = memory_average_many(*pairs)
-        else:
-            rotations = stateless_average_many(*pairs)
-        acc_w = acc_w + weights[:, k]
+    rotations, _, turns = fold_chain(components, weights, memory, prefix, baseline=True)
+    turn_counts = np.stack(turns, axis=1) if memory else None
     dt = float(times[1] - times[0])
     omega = angular_velocities(rotations, dt)
     return OrientationTrajectory(times.copy(), rotations, omega, weights, turn_counts)

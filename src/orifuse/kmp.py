@@ -373,30 +373,33 @@ class KmpModel:
         self._scalar_blocks = scalar_blocks
         self.factor = factor
 
-    def predict_many(self, t_stars, rows=None):
+    def predict_many(self, t_stars, rows=None, alphas=None):
         """Predictions on a batch of query times, shape (Q, 3 * rows).
 
         Only the leading rows blocks of the state are predicted, all of them
         by default; rows=1 gives psi alone and builds no derivative row of
-        the kernel table.
+        the kernel table.  alphas, weights of models on this model's inducing
+        times and table, share each slab's table, shape (len(alphas), Q, 3 * rows).
         """
         t_stars = np.asarray(t_stars, dtype=float)
         nb = self.cfg.n_blocks
         rows = nb if rows is None else rows
         if not 1 <= rows <= nb:
             raise ValueError(f"rows must be between 1 and {nb}")
-        out = np.empty((t_stars.shape[0], 3 * rows))
+        weights = [self.alpha] if alphas is None else alphas
+        out = np.empty((len(weights), t_stars.shape[0], 3 * rows))
         # eta_p(t*) = sum_q S[p, q](t*, z) @ alpha[q], one matmul per
         # (p, q) slab of the scalar table
         for lo in range(0, t_stars.shape[0], PREDICT_CHUNK):
             hi = min(lo + PREDICT_CHUNK, t_stars.shape[0])
             s = self._scalar_blocks(t_stars[lo:hi], self.inducing, nb, rows)
-            for p in range(rows):
-                eta = s[p, 0] @ self.alpha[0]
-                for q in range(1, nb):
-                    eta += s[p, q] @ self.alpha[q]
-                out[lo:hi, 3 * p:3 * p + 3] = eta
-        return out
+            for alpha, prediction in zip(weights, out):
+                for p in range(rows):
+                    eta = s[p, 0] @ alpha[0]
+                    for q in range(1, nb):
+                        eta += s[p, q] @ alpha[q]
+                    prediction[lo:hi, 3 * p:3 * p + 3] = eta
+        return out[0] if alphas is None else out
 
 
 def _table(s):
@@ -429,7 +432,7 @@ def _feature_map(times, nb, scalar_blocks):
         m *= 2
 
 
-def build_model(ext, cfg, scalar_blocks=None):
+def build_model(ext, cfg, scalar_blocks=None, maps=None):
     """Solve the regression in the weight space of Nystrom features of the kernel.
 
     With the features B = S_xz V Lambda^-1/2 of _feature_map, the kernel is
@@ -447,9 +450,25 @@ def build_model(ext, cfg, scalar_blocks=None):
 
     scalar_blocks(a, b, order) may override the Gaussian table, which builds only
     the rows a prediction asks for; the kernel-trick equivalence tests inject an
-    explicit finite basis here, and a prediction slices its rows from that table.
+    explicit finite basis here, and a prediction slices its rows from that table
+    (ScalarTable).  maps is factor_rows'.
     """
-    return factor_rows(ext, cfg, scalar_blocks).solve(cfg.lambda_a)
+    return factor_rows(ext, cfg, scalar_blocks, maps).solve(cfg.lambda_a)
+
+
+def build_models(exts, cfg, scalar_blocks=None):
+    """build_model of each row set of exts; row sets of equal times share one feature map."""
+    maps = {}
+    return [build_model(ext, cfg, scalar_blocks, maps) for ext in exts]
+
+
+class ScalarTable(tuple):
+    """(l, basis): the Gaussian scalar kernel table of l, or basis(a, b, order) cut to rows."""
+
+    def __call__(self, a, b, order, rows=None):
+        l, basis = self
+        return (gaussian_scalar_blocks(a, b, l, order, rows) if basis is None
+                else basis(a, b, order)[:rows])
 
 
 @dataclass(frozen=True)
@@ -504,12 +523,13 @@ class RowFactor:
         return KmpModel(self.times, self.inducing, alpha, cfg, self.scalar_blocks, self)
 
 
-def factor_rows(ext, cfg, scalar_blocks=None):
+def factor_rows(ext, cfg, scalar_blocks=None, maps=None):
     """Stage 1 of build_model (see there and RowFactor): everything lambda_a leaves alone.
 
     The default rows' psi_ddot covariance blocks enter only the overflow check of
     lambda times the largest covariance entry, so rows that differ only in lambda_a
     give the same factor, bit for bit, and cfg.lambda_a only marks the psi_ddot block.
+    maps, a dict that calls may share, keeps the feature maps and features they build.
     """
     if len(ext) < 1:
         raise ValueError("need at least one reference point")
@@ -520,20 +540,19 @@ def factor_rows(ext, cfg, scalar_blocks=None):
         )
     if np.any(np.diff(ext.times) <= 0):
         raise ValueError("reference times must be strictly increasing")
-    if scalar_blocks is None:
-        def scalar_blocks(a, b, order, rows=None, _l=cfg.l):
-            return gaussian_scalar_blocks(a, b, _l, order, rows)
-    else:
-        def scalar_blocks(a, b, order, rows=None, _blocks=scalar_blocks):
-            return _blocks(a, b, order)[:rows]
+    table = ScalarTable((cfg.l, scalar_blocks))
     nb = cfg.n_blocks
     n = len(ext)
     dim = nb * 3
-    try:
-        z, proj = _feature_map(ext.times, nb, scalar_blocks)
-        features = _table(scalar_blocks(ext.times, z, nb)) @ proj  # rows (block, time)
-    except OverflowError:  # a power of l beyond the float range
-        raise FactorizationFailure(_NOT_FINITE) from None
+    maps = {} if maps is None else maps
+    key = ext.times.tobytes(), nb, table  # all that the feature map and features depend on
+    if key not in maps:
+        try:
+            z, proj = _feature_map(ext.times, nb, table)
+            maps[key] = z, proj, _table(table(ext.times, z, nb)) @ proj  # rows (block, time)
+        except OverflowError:  # a power of l beyond the float range
+            raise FactorizationFailure(_NOT_FINITE) from None
+    z, proj, features = maps[key]
     rank = proj.shape[1]
     # Phi_i = B_i (x) I_3 over rows (block, axis) and columns (feature, axis)
     phi = np.zeros((n, nb, 3, rank, 3))
@@ -572,8 +591,8 @@ def factor_rows(ext, cfg, scalar_blocks=None):
     stacked[:rows.shape[0]] = rows
     stacked[rows.shape[0]:, :k] = np.eye(k)
     upper = np.linalg.qr(stacked, mode="r")
-    return RowFactor(ext.times.copy(), z.copy(), proj, cfg, scalar_blocks, upper, acc_upper,
-                     largest, default_t)
+    return RowFactor(ext.times.copy(), z.copy(), proj, cfg, table, upper, acc_upper, largest,
+                     default_t)
 
 
 def _overflow(lam, largest):
@@ -638,7 +657,8 @@ def reproduce_orientation_trajectories(models, R_aux, times):
     """Recover each model's R(t) = R_aux exp(psi(t)) on one uniform grid, with velocities.
 
     The models' rows go through the exp map, R_aux and the velocity stencil
-    as one batch; each trajectory equals its one-model call's bit for bit.
+    as one batch, each table slab once; each trajectory equals its one-model
+    call's bit for bit.
     """
     R_aux = so3.check_rotation(R_aux, name="R_aux")
     times = np.asarray(times, dtype=float)
@@ -650,7 +670,14 @@ def reproduce_orientation_trajectories(models, R_aux, times):
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("grid must be uniform for velocity recovery")
     # only psi enters the rotations; the velocities come from them, not from psi_dot
-    psis = np.concatenate([model.predict_many(times, rows=1) for model in models])
+    groups = {}  # models of equal inducing times, block count and table share its slabs
+    for i, m in enumerate(models):
+        groups.setdefault((m.inducing.tobytes(), m.cfg.n_blocks, m._scalar_blocks), []).append(i)
+    predicted = {}
+    for group in groups.values():
+        alphas = [models[i].alpha for i in group]
+        predicted.update(zip(group, models[group[0]].predict_many(times, 1, alphas)))
+    psis = np.concatenate([predicted[i] for i in range(len(models))])
     rotations = np.matmul(R_aux, rot_exp_many(psis)).reshape(len(models), -1, 3, 3)
     omega = angular_velocities(rotations, float(steps[0]))
     return [OrientationTrajectory(times.copy(), r, w) for r, w in zip(rotations, omega)]

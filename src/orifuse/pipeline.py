@@ -111,11 +111,11 @@ def fit_projected_mixture(demos, frames, n_components, seed, cache):
     return [cache[key] for key in keys]
 
 
-def regression_rows(demos, R_aux, vias, lambda_a, n_components, seed, gmm_cache):
-    """(mixture, rows): the mixture of gmm_cache and its GMR reference extended by the vias."""
+def regression_rows(demos, R_aux, via_sets, lambda_a, n_components, seed, gmm_cache):
+    """(mixture, rows): gmm_cache's mixture and its GMR reference extended by each of via_sets."""
     mixture, = fit_projected_mixture(demos, [R_aux], n_components, seed, gmm_cache)
     reference = gmm_mod.extract_reference(mixture, demo_grid(demos, REF_SIZE))
-    return mixture, kmp.extend_reference(reference, vias, R_aux, lambda_a)
+    return mixture, [kmp.extend_reference(reference, vias, R_aux, lambda_a) for vias in via_sets]
 
 
 def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
@@ -133,8 +133,8 @@ def reproduce_with_via_points(demos, R_aux, vias, cfg, grid_times,
     check_vias(demos, vias, grid_times)
     check_kernel(demos, cfg.l)
     gmm_cache = {} if gmm_cache is None else gmm_cache
-    mixture, extended = regression_rows(demos, R_aux, vias, cfg.lambda_a, n_components, seed,
-                                        gmm_cache)
+    mixture, (extended,) = regression_rows(demos, R_aux, [vias], cfg.lambda_a, n_components,
+                                           seed, gmm_cache)
     model = kmp.build_model(extended, cfg)
     trajectory = kmp.reproduce_orientation_trajectory(model, R_aux, grid_times)
     return PipelineResult(trajectory, mixture)

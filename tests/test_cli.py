@@ -514,6 +514,25 @@ def test_target_sweep_builds_each_distinct_regression_once(tmp_path, demo_dir, b
         assert len(builds) == 5 + 3 * 2, jobs
 
 
+def test_target_sweep_extracts_one_reference_per_chart_and_folds_the_fixed_chain_once(
+        tmp_path, demo_dir, monkeypatch):
+    # a via's relaxed and strict forms share its chart: the baseline and IOVPs 1 and 2
+    # extract 3 GMR references before the trials, and each trial 1 for its turned IOVP.
+    # The fixed chain (IOVP 1 folded with IOVP 2) is folded once for the relaxed and once
+    # for the strict fusions; each trial's two fusions then fold IOVP 3 and the baseline
+    from orifuse import fusion, gmm
+
+    references = count_calls(monkeypatch, gmm, "extract_reference")
+    folds = count_calls(monkeypatch, fusion, "memory_average_many")
+    cfg = readme_target_sweep(tmp_path, demo_dir)
+    for jobs in (1, 2):
+        references.clear()
+        folds.clear()
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / f"sweep{jobs}",
+                       "--jobs", jobs) == 0
+        assert (len(references), len(folds)) == (3 + 3, 2 + 3 * 2 * 2), jobs
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """The lambda_a of every kmp.RowFactor.solve call, that is of every stage 2 of a build."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orifuse import fusion, kmp, so3
-from orifuse._kernels import memory_average_step
+from orifuse._kernels import memory_average_step, rot_exp_many
 from orifuse.demo_gen import generate_demos
 from orifuse.errors import DomainOverlap, SeriesTooShort
 from orifuse.fusion import IovpSpec, WeightCurveSet
@@ -232,6 +232,44 @@ def test_fold_by_fold_fuse_matches_per_step_loop(ablation_scene):
     assert np.array_equal(fused.turn_counts, turns)
     assert np.any(turns != 0)  # the scene crosses the boundary: flips happen
     assert np.abs(fused.rotations - rotations).max() <= 1e-12
+
+
+def random_components(rng, count, times):
+    """count component trajectories whose rotations wander far enough to cross pi."""
+    components = []
+    for _ in range(count):
+        start, drift, swing = rng.uniform(-2.0, 2.0, (3, 3))
+        psis = start + np.outer(times, drift) / 4.0 + np.outer(np.sin(times), swing)
+        components.append(kmp.OrientationTrajectory(times, rot_exp_many(psis),
+                                                    np.zeros((times.shape[0], 3))))
+    return components
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_via=st.integers(2, 4), memory=st.booleans(), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_fuse_continued_from_a_chain_prefix_is_the_plain_fuse_bitwise(n_via, memory, seed,
+                                                                      data):
+    j = data.draw(st.integers(1, n_via - 1), label="prefix vias")
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 10.0, 401)
+    components = random_components(rng, n_via + 1, times)
+    centers = np.linspace(1.0, 9.0, n_via) + rng.uniform(-0.3, 0.3, n_via)
+    gap = np.diff(centers).min()
+    widths = rng.uniform(0.2, 1.0, n_via) * gap
+    curves = WeightCurveSet(centers, widths)
+    prefix = fusion.fold_chain(components[:j + 1], WeightCurveSet(
+        centers[:j], widths[:j]).weight_matrix(times), memory)
+    plain = fusion.fuse(components, curves, memory=memory)
+    continued = fusion.fuse(components, curves, memory=memory, prefix=prefix)
+    for name in ("times", "rotations", "omega_world", "weights"):
+        assert np.array_equal(getattr(continued, name), getattr(plain, name)), name
+    if memory:
+        assert np.array_equal(continued.turn_counts, plain.turn_counts)
+    else:
+        assert continued.turn_counts is plain.turn_counts is None
+    # the prefix is a state to continue from, not one to change
+    assert len(prefix[2]) == j - 1
 
 
 def test_acceleration_cost_constant_omega_is_zero():

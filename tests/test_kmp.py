@@ -714,6 +714,69 @@ def test_batched_reproduction_is_the_per_model_one(demo_reference):
             assert np.array_equal(getattr(traj, name), getattr(one, name)), name
 
 
+def rows_on(rng, times, lambda_a):
+    """Random (psi, psi_dot) rows on times, augmented with default psi_ddot rows at lambda_a."""
+    rows = random_extended_reference(rng, times.shape[0], 6)
+    rows = kmp.ReferenceTrajectory(times, rows.means, rows.covariances)
+    return rows if lambda_a is None else kmp.augment_for_acceleration(rows, lambda_a)
+
+
+def time_sets(rng, n):
+    """Three sets of n row times, the last two on one span, so on one set of inducing times."""
+    times = np.empty((3, n))
+    times[0] = np.cumsum(rng.uniform(0.05, 1.0, n))
+    times[1:] = np.linspace(0.0, rng.uniform(1.0, 20.0), n)
+    times[2, 1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (times[1, 1] - times[1, 0])
+    return times
+
+
+@settings(max_examples=40, deadline=None)
+@given(lambda_a=st.one_of(st.none(), decades(-2, 6)), l=decades(-3, 0),
+       sets=st.lists(st.integers(0, 2), min_size=1, max_size=6), n=st.integers(3, 30),
+       seed=st.integers(0, 2**16))
+def test_row_sets_built_together_are_their_own_builds_bitwise(lambda_a, l, sets, n, seed):
+    rng = np.random.default_rng(seed)
+    times = time_sets(rng, n)
+    exts = [rows_on(rng, times[k], lambda_a) for k in sets]
+    cfg = kmp.KernelConfig(l=l, lam=1.0, lambda_a=lambda_a)
+    together = kmp.build_models(exts, cfg)
+    for ext, model in zip(exts, together, strict=True):
+        alone = kmp.build_model(ext, cfg)
+        for name in ("alpha", "inducing"):
+            assert np.array_equal(getattr(model, name), getattr(alone, name)), name
+        assert np.array_equal(model.factor.upper, alone.factor.upper)
+    # one feature map per distinct set of row times
+    maps = {}
+    for ext in exts:
+        kmp.factor_rows(ext, cfg, maps=maps)
+    assert len(maps) == len(set(sets))
+
+
+@pytest.mark.parametrize("queries", [2001, 5000])  # one and three slabs of the table
+@settings(max_examples=15, deadline=None)
+@given(lambdas=st.lists(st.one_of(st.none(), decades(-2, 6)), min_size=1, max_size=5),
+       ls=st.lists(st.sampled_from([0.01, 0.3]), min_size=5, max_size=5),
+       sets=st.lists(st.integers(0, 2), min_size=5, max_size=5), seed=st.integers(0, 2**16))
+def test_a_reproduction_that_shares_tables_is_the_one_model_calls_bitwise(
+        queries, lambdas, ls, sets, seed):
+    # models of equal inducing times, block count and kernel predict from one table per
+    # slab; the draws mix them with models that differ in any of the three
+    rng = np.random.default_rng(seed)
+    times = time_sets(rng, 15)
+    models = [kmp.build_model(rows_on(rng, times[k], lambda_a),
+                              kmp.KernelConfig(l=l, lam=1.0, lambda_a=lambda_a))
+              for lambda_a, l, k in zip(lambdas, ls, sets)]
+    R_aux = so3.exp_map(rng.uniform(-1.0, 1.0, 3))
+    grid = np.linspace(times[:, 0].min(), times[:, -1].max(), queries)
+    trajs = kmp.reproduce_orientation_trajectories(models, R_aux, grid)
+    for model, traj in zip(models, trajs, strict=True):
+        one = kmp.reproduce_orientation_trajectory(model, R_aux, grid)
+        for name in ("times", "rotations", "omega_world"):
+            assert np.array_equal(getattr(traj, name), getattr(one, name)), name
+    shared = models[0].predict_many(grid, 1, [models[0].alpha, models[0].alpha + 1.0])
+    assert np.array_equal(shared[0], models[0].predict_many(grid, 1))
+
+
 def test_reproduction_takes_a_two_point_grid_and_rejects_one_point(demo_reference):
     # two points are the shortest grid: the velocity stencil needs one difference
     reference, R_aux = demo_reference
